@@ -110,6 +110,10 @@ class UpdateArchive:
             self._untracked_announced.get(hour, 0) + unique_prefixes
         )
 
+    def untracked_announcements(self) -> List[Tuple[int, int]]:
+        """The untracked-announcement counts as (hour, count), hour-sorted."""
+        return sorted(self._untracked_announced.items())
+
     def __len__(self) -> int:
         return len(self._updates)
 

@@ -16,8 +16,8 @@ false updates -- the artefact Section 3.6's cleaning removes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bgp.messages import BGPUpdate, UpdateArchive, UpdateKind
 from repro.net.addressing import Prefix
@@ -78,12 +78,14 @@ class CollectorFleet:
         self.sessions = list(sessions)
         self.archive = archive
         self._rng = rng
-        # (session_id, prefix) -> route present?
-        self._routes: Dict[Tuple[int, Prefix], bool] = {}
+        # prefix -> session_id -> route present?  Each inner dict keeps the
+        # sessions in the order they were seeded for that prefix, which is
+        # the order lookups return and rng draws index into.
+        self._routes: Dict[Prefix, Dict[int, bool]] = {}
         self._tracked: Set[Prefix] = set()
-        # How each session reaches each prefix: the transit AS its view
+        # prefix -> session_id -> the transit AS that session's view
         # traverses.  Set at seeding time; drives partial-visibility events.
-        self._session_transit: Dict[Tuple[int, Prefix], int] = {}
+        self._session_transit: Dict[Prefix, Dict[int, int]] = {}
 
     # -- seeding -------------------------------------------------------------
 
@@ -108,6 +110,8 @@ class CollectorFleet:
         if not attachment_asns:
             raise ValueError("prefix needs at least one attachment")
         self._tracked.add(prefix)
+        routes = self._routes.setdefault(prefix, {})
+        transits = self._session_transit.setdefault(prefix, {})
         sessions = self.sessions
         if visible_sessions is not None and visible_sessions < len(sessions):
             sessions = self._rng.sample(self.sessions, visible_sessions)
@@ -115,8 +119,8 @@ class CollectorFleet:
             transit = self._rng.choices(
                 list(attachment_asns), weights=list(attachment_weights)
             )[0]
-            self._session_transit[(session.session_id, prefix)] = transit
-            self._routes[(session.session_id, prefix)] = True
+            transits[session.session_id] = transit
+            routes[session.session_id] = True
             self.archive.add(
                 BGPUpdate(
                     timestamp=timestamp,
@@ -135,19 +139,13 @@ class CollectorFleet:
 
     def sessions_via(self, prefix: Prefix, transit_asn: int) -> List[int]:
         """Session ids whose view of ``prefix`` transits ``transit_asn``."""
-        return [
-            sid
-            for (sid, pfx), transit in self._session_transit.items()
-            if pfx == prefix and transit == transit_asn
-        ]
+        transits = self._session_transit.get(prefix, {})
+        return [sid for sid, transit in transits.items() if transit == transit_asn]
 
     def sessions_with_route(self, prefix: Prefix) -> List[int]:
         """Session ids currently holding a route for ``prefix``."""
-        return [
-            sid
-            for (sid, pfx), present in self._routes.items()
-            if pfx == prefix and present
-        ]
+        routes = self._routes.get(prefix, {})
+        return [sid for sid, present in routes.items() if present]
 
     def withdraw(
         self,
@@ -165,11 +163,11 @@ class CollectorFleet:
         emitted.
         """
         emitted = 0
+        routes = self._routes.get(prefix, {})
         for sid in session_ids:
-            key = (sid, prefix)
-            if not self._routes.get(key, False):
+            if not routes.get(sid, False):
                 continue
-            self._routes[key] = False
+            routes[sid] = False
             flaps = max(1, round(flap_factor))
             t = timestamp
             for flap in range(flaps):
@@ -207,9 +205,9 @@ class CollectorFleet:
         window of ``spread_seconds`` (Labovitz-style delayed convergence).
         Returns the number of announcements emitted."""
         emitted = 0
+        routes = self._routes.setdefault(prefix, {})
         for sid in session_ids:
-            key = (sid, prefix)
-            self._routes[key] = True
+            routes[sid] = True
             self.archive.add(
                 BGPUpdate(
                     timestamp=timestamp + self._rng.uniform(0.0, spread_seconds),
@@ -236,7 +234,7 @@ class CollectorFleet:
         affected = [s for s in self.sessions if s.server == server]
         for session in affected:
             for prefix in self._tracked:
-                if self._routes.get((session.session_id, prefix), False):
+                if self._routes[prefix].get(session.session_id, False):
                     self.archive.add(
                         BGPUpdate(
                             timestamp=timestamp + self._rng.uniform(0.0, 300.0),

@@ -28,8 +28,9 @@ All state is represented as dense numpy arrays:
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -257,6 +258,44 @@ class GroundTruth:
     def total_client_tcp_fail(self) -> np.ndarray:
         """Combined client-side TCP failure probability, shape (C, H)."""
         return 1.0 - (1.0 - self.wan_fail) * (1.0 - self.bgp_client_fail)
+
+    def digest(self) -> str:
+        """SHA-256 over the whole ground truth, in a fixed order.
+
+        Covers every BGP update in archive order, the untracked
+        announcement counts, the instability events, every array field
+        in declaration order (name, dtype, shape, bytes) and the prefix
+        maps.  Nothing here
+        depends on set or hash order, so the value is the same under any
+        ``PYTHONHASHSEED``; a refactor of the fault or BGP generators
+        that moves it changed behaviour.
+        """
+        h = hashlib.sha256()
+        h.update(f"hours {self.hours}\n".encode("ascii"))
+        for u in self.bgp_archive.updates:
+            h.update(
+                f"u {u.timestamp!r} {u.session_id} {_prefix_key(u.prefix)} "
+                f"{u.kind.value} {u.as_path}\n".encode("ascii")
+            )
+        for hour, count in self.bgp_archive.untracked_announcements():
+            h.update(f"x {hour} {count}\n".encode("ascii"))
+        for e in self.bgp_events:
+            h.update(
+                f"e {_prefix_key(e.prefix)} {e.start!r} {e.duration!r} "
+                f"{e.path_fail_fraction!r} {e.withdrawing_sessions} "
+                f"{e.kind}\n".encode("ascii")
+            )
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                arr = np.ascontiguousarray(value)
+                h.update(f"a {f.name} {arr.dtype.str} {arr.shape}\n".encode("ascii"))
+                h.update(arr.tobytes())
+        for client, prefix in sorted(self.prefix_of_client.items()):
+            h.update(f"c {client} {_prefix_key(prefix)}\n".encode("utf-8"))
+        for (site, ri), prefix in sorted(self.prefix_of_replica.items()):
+            h.update(f"r {site} {ri} {_prefix_key(prefix)}\n".encode("utf-8"))
+        return h.hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -671,16 +710,18 @@ class FaultGenerator:
 
         generator = ChurnGenerator(fleet, self.config.churn, rng, hours)
         events = generator.run(prefix_attachments, forced_events=forced)
-        weights = failure_weight_by_prefix_hour(events, hours)
+        # Group the (prefix, hour) weights by prefix once, so each client
+        # and replica reads only its own prefix's hours.
+        hour_weights: Dict[Prefix, List[Tuple[int, float]]] = {}
+        for (pfx, hour), w in failure_weight_by_prefix_hour(events, hours).items():
+            hour_weights.setdefault(pfx, []).append(
+                (hour, min(1.0, w * self.config.bgp_coupling))
+            )
 
         client_fail = np.zeros((len(self.world.clients), hours), dtype=np.float32)
         for ci, client in enumerate(self.world.clients):
-            prefix = prefix_of_client[client.name]
-            for (pfx, hour), w in weights.items():
-                if pfx == prefix:
-                    client_fail[ci, hour] = min(
-                        1.0, w * self.config.bgp_coupling
-                    )
+            for hour, w in hour_weights.get(prefix_of_client[client.name], ()):
+                client_fail[ci, hour] = w
 
         max_r = max(1, self.world.max_replicas())
         replica_bgp = np.zeros(
@@ -689,11 +730,8 @@ class FaultGenerator:
         for si, site in enumerate(self.world.websites):
             for ri in range(site.num_replicas):
                 prefix = prefix_of_replica[(site.name, ri)]
-                for (pfx, hour), w in weights.items():
-                    if pfx == prefix:
-                        replica_bgp[si, ri, hour] = min(
-                            1.0, w * self.config.bgp_coupling
-                        )
+                for hour, w in hour_weights.get(prefix, ()):
+                    replica_bgp[si, ri, hour] = w
         return (client_fail, replica_bgp, archive, events,
                 prefix_of_client, prefix_of_replica)
 
@@ -785,6 +823,12 @@ def _sample_hour_set(rng, hours: int, fraction: float, mean_spell: float) -> Set
         duration = max(1, round(rng.expovariate(1.0 / mean_spell)))
         chosen.update(range(start, min(hours, start + duration)))
     return chosen
+
+
+def _prefix_key(prefix: Prefix) -> str:
+    """A prefix as ``network/length`` integers for :meth:`GroundTruth.digest`."""
+    return f"{prefix.network}/{prefix.length}"
+
 
 def _client_subspell(rng, start: int, end: int) -> Tuple[int, int]:
     """A client's own sub-interval of a shared outage spell.

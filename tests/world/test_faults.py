@@ -1,14 +1,23 @@
 """Tests for the ground-truth fault generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.world.defaults import build_default_world
 from repro.world.entities import ClientCategory
 from repro.world.faults import (
     FORCED_BGP_EVENTS,
     FORCED_DOWNTIME,
     NAMED_SERVER_PROFILES,
+    FaultGenerator,
 )
+from repro.world.rng import RNGRegistry
 
 
 class TestShapesAndRanges:
@@ -153,3 +162,55 @@ class TestProxyFaults:
         assert truth.proxy_hostile[si] > 0.03
         assert truth.direct_elevated[si] > 0.0
         assert truth.proxy_hostile.sum() == truth.proxy_hostile[si]
+
+
+#: ``GroundTruth.digest()`` for the default world and seed, recorded before
+#: the collector fleet gained its per-prefix route index.  A change that
+#: moves either value changed the ground truth, the BGP archive included.
+PINNED_TRUTH_DIGESTS = {
+    24: "ce542b143e2794527a2b1bbd8957f529c7a10f514f4f45a70b5487e6f076b86b",
+    48: "8dce7679a5b06d8518494ae88b14838e420364c748a31e7d499927420510a1d2",
+}
+
+_DIGEST_SCRIPT = """
+from repro.world.defaults import build_default_world
+from repro.world.faults import FaultGenerator
+from repro.world.rng import RNGRegistry
+world = build_default_world(hours=24)
+truth = FaultGenerator(world, rngs=RNGRegistry(20050101).fork("faults")).generate()
+print(truth.digest())
+"""
+
+
+def _default_truth(hours):
+    world = build_default_world(hours=hours)
+    return FaultGenerator(world, rngs=RNGRegistry(20050101).fork("faults")).generate()
+
+
+class TestTruthDigest:
+    @pytest.mark.parametrize("hours", sorted(PINNED_TRUTH_DIGESTS))
+    def test_pinned_default_seed(self, hours):
+        assert _default_truth(hours).digest() == PINNED_TRUTH_DIGESTS[hours]
+
+    def test_covers_bgp_archive(self):
+        truth = _default_truth(24)
+        before = truth.digest()
+        truth.bgp_archive.note_untracked_announcements(0, 1)
+        assert truth.digest() != before
+
+    def test_independent_of_hash_seed(self):
+        """The fleet iterates a set of prefixes, so the archive order would
+        follow ``Prefix.__hash__`` if that ever depended on the hash seed."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            out = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1] == PINNED_TRUTH_DIGESTS[24]
