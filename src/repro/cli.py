@@ -306,8 +306,14 @@ def cmd_simulate(args) -> int:
     print(report.headline_summary(result.dataset))
     # The determinism contract's observable: same seed => same digest,
     # independent of --workers (CI compares these lines across runs).
-    print(f"\ndataset digest: {result.dataset.digest()}")
-    if getattr(args, "_run_recorder", None) is not None:
+    # A recording run has already hashed the dataset; print that value.
+    recorder = getattr(args, "_run_recorder", None)
+    digest = (
+        recorder.dataset_info["digest"] if recorder is not None
+        else result.dataset.digest()
+    )
+    print(f"\ndataset digest: {digest}")
+    if recorder is not None:
         from repro.core import permanent
 
         perm = permanent.find_permanent_pairs(result.dataset)

@@ -39,6 +39,16 @@ _DTYPE_LADDER = (np.uint16, np.uint32, np.int64)
 #: Archive format version for :meth:`MeasurementDataset.save`.
 _ARCHIVE_FORMAT = 1
 
+#: Domain-separation tag hashed into the hour chain's seed.  The name
+#: predates the chain becoming the only dataset digest; changing it
+#: would re-anchor every pinned digest.
+_CHAIN_TAG = "repro.rolling-digest/1"
+
+#: Hours per ``int64`` hour-major copy in
+#: :meth:`MeasurementDataset.block_digest`: the digest's scratch memory
+#: is one field's hour block, never a whole field.
+_DIGEST_BLOCK_HOURS = 24
+
 
 def _widened_dtype(needed: int, current: np.dtype) -> np.dtype:
     """The narrowest ladder dtype holding both ``needed`` and ``current``."""
@@ -324,47 +334,45 @@ class MeasurementDataset:
         for arrays, (h0, h1) in shard_list:
             self.merge(arrays, (h0, h1))
 
-    def extract_block(self, hour_start: int, hour_stop: int) -> Dict[str, np.ndarray]:
-        """Copies of every count array restricted to ``[hour_start, hour_stop)``.
-
-        The inverse of :meth:`merge` with an hour block: the returned
-        mapping can be persisted as a chunk checkpoint and later merged
-        back into a fresh dataset to reproduce this one hour-slice for
-        hour-slice (the service daemon's incremental-commit unit, see
-        :mod:`repro.obs.runstore.chunks`).
-        """
-        if not 0 <= hour_start <= hour_stop <= self.world.hours:
-            raise ValueError(
-                f"hour block [{hour_start}, {hour_stop}) outside experiment "
-                f"(0..{self.world.hours})"
-            )
-        return {
-            name: np.ascontiguousarray(
-                getattr(self, name)[..., hour_start:hour_stop]
-            )
-            for name in self._ARRAY_FIELDS
-        }
-
     @classmethod
-    def block_digest(cls, arrays: Mapping[str, np.ndarray]) -> str:
-        """SHA-256 over one hour-block's arrays, dtype-normalised.
+    def block_digest(cls, arrays: Mapping[str, np.ndarray]) -> List[str]:
+        """The per-hour digests of one hour-block, in hour order.
 
-        The same normalisation as :meth:`digest` (field name, shape,
-        ``int64`` bytes) applied to a block mapping, so a chunk's digest
-        is invariant under capacity promotion and array dtype -- the
-        quantity the chunk store chains across commits.  Missing fields
-        are an error: a chunk that silently dropped an array would chain
-        clean and corrupt the resumed dataset.
+        Hour ``t``'s digest is SHA-256 over, per field, the field name,
+        its one-hour shape, and the ``int64`` bytes of its hour-``t``
+        slice -- invariant under capacity promotion, array dtype, and
+        how hours are grouped into blocks.  These are the links of the
+        dataset digest's hour chain (:func:`fold_block`).  Missing
+        fields are an error: a chunk that silently dropped an array
+        would chain clean and corrupt the resumed dataset.
+
+        Each field is copied to ``int64`` hour-major order
+        :data:`_DIGEST_BLOCK_HOURS` hours at a time, so one copy serves
+        every hour of the block without holding a whole field.
         """
-        h = hashlib.sha256()
+        hashers: List[Any] = []
         for name in cls._ARRAY_FIELDS:
             arr = arrays.get(name)
             if arr is None:
                 raise ValueError(f"block is missing array {name!r}")
-            h.update(name.encode("utf-8"))
-            h.update(str(arr.shape).encode("utf-8"))
-            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-        return h.hexdigest()
+            n_hours = arr.shape[-1]
+            if name == cls._ARRAY_FIELDS[0]:
+                hashers = [hashlib.sha256() for _ in range(n_hours)]
+            elif n_hours != len(hashers):
+                raise ValueError(
+                    f"array {name!r} covers {n_hours} hour(s), the block "
+                    f"{len(hashers)}"
+                )
+            header = (name + str(arr.shape[:-1] + (1,))).encode("utf-8")
+            for b0 in range(0, n_hours, _DIGEST_BLOCK_HOURS):
+                b1 = b0 + _DIGEST_BLOCK_HOURS
+                hour_major = np.ascontiguousarray(
+                    np.moveaxis(arr[..., b0:b1], -1, 0), dtype=np.int64
+                )
+                for hasher, plane in zip(hashers[b0:b1], hour_major):
+                    hasher.update(header)
+                    hasher.update(plane)
+        return [hasher.hexdigest() for hasher in hashers]
 
     def merge(
         self,
@@ -432,10 +440,9 @@ class MeasurementDataset:
     def world_fingerprint(cls, world: World) -> Dict[str, Any]:
         """:meth:`fingerprint` computed from the world alone.
 
-        The serve daemon's retention mode never materializes a dataset
-        (memory must stay bounded over an indefinite horizon) but still
-        needs the identical fingerprint to seed the chunk chain and the
-        rolling digest -- this is the single definition both paths use.
+        The serve daemon never materializes a dataset but still needs
+        the identical fingerprint to seed the hour chain -- this is the
+        single definition both paths use.
         """
         return {
             "clients": [c.name for c in world.clients],
@@ -445,20 +452,22 @@ class MeasurementDataset:
         }
 
     def digest(self) -> str:
-        """SHA-256 over every count array, dtype-normalised.
+        """The dataset digest: the hour chain over every hour.
 
-        Arrays are hashed as ``int64`` so the digest is invariant under
-        capacity promotion: two datasets with equal counts digest equal
-        even if one was widened.  This is the determinism contract's
-        observable -- same seed, any worker count, same digest.
+        Seeded from the world fingerprint (:func:`chain_seed`), then one
+        link per hour (:meth:`block_digest`, :func:`fold_block`).  Counts
+        are hashed as ``int64``, so two datasets with equal counts digest
+        equal even if one was widened; and per-hour links make the value
+        independent of how the hours were produced -- any worker count,
+        any serve chunk size or kill point.  This is the determinism
+        contract's observable.
         """
-        h = hashlib.sha256()
-        for name in self._ARRAY_FIELDS:
-            arr = getattr(self, name)
-            h.update(name.encode("utf-8"))
-            h.update(str(arr.shape).encode("utf-8"))
-            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-        return h.hexdigest()
+        return fold_block(
+            chain_seed(fingerprint_sha256(self.world)),
+            self.block_digest(
+                {name: getattr(self, name) for name in self._ARRAY_FIELDS}
+            ),
+        )
 
     # -- persistence ------------------------------------------------------------
 
@@ -567,6 +576,67 @@ class MaskedCounts:
     def failed_connections(self) -> np.ndarray:
         """Failed connections with excluded pairs zeroed."""
         return self._masked(self.dataset.failed_connections)
+
+
+def fingerprint_sha256(world: World) -> str:
+    """SHA-256 of the world fingerprint's canonical JSON.
+
+    The world identity run records and chunk stores pin, and the seed
+    material of the dataset digest (:func:`chain_seed`).
+    """
+    payload = json.dumps(
+        MeasurementDataset.world_fingerprint(world),
+        sort_keys=True, separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def chain_seed(fingerprint: str) -> str:
+    """The hour chain's value before any hour is folded in."""
+    return hashlib.sha256(
+        (_CHAIN_TAG + ":" + fingerprint).encode("ascii")
+    ).hexdigest()
+
+
+def fold_block(chain: str, hour_digests: Iterable[str]) -> str:
+    """Link a block's per-hour digests onto the hour chain, in order."""
+    for digest in hour_digests:
+        chain = hashlib.sha256((chain + digest).encode("ascii")).hexdigest()
+    return chain
+
+
+def hour_entity_stats_from_block(
+    arrays: Mapping[str, np.ndarray], t: int
+) -> Dict[str, list]:
+    """One hour's per-entity stats: the ``hour_stats`` event payload.
+
+    Reads hour ``t`` of ``(client, site, hour)`` block arrays and
+    returns, as JSON-native lists, everything :mod:`repro.obs.online`
+    needs to mirror the batch episode/blame analysis for that hour:
+    per-client and per-server transaction/failure vectors plus the
+    sparse ``[client, server, count]`` TCP-failure triples blame buckets
+    on, in row-major order.  Pure reads, so no caller can perturb the
+    digest.  The columnar engine's emitter, the serve daemon and
+    ``repro slo`` all call this one function.
+    """
+
+    def hour_sum(fields: Iterable[str]) -> np.ndarray:
+        total = np.zeros(arrays["transactions"].shape[:2], dtype=np.int64)
+        for name in fields:
+            total += arrays[name][:, :, t]
+        return total
+
+    trans = hour_sum(("transactions",))
+    failures = hour_sum(MeasurementDataset._TRANSACTION_FIELDS[1:])
+    tcp = hour_sum(MeasurementDataset._TCP_FIELDS.values())
+    ci, si = np.nonzero(tcp)
+    return {
+        "ct": trans.sum(axis=1).tolist(),
+        "cf": failures.sum(axis=1).tolist(),
+        "st": trans.sum(axis=0).tolist(),
+        "sf": failures.sum(axis=0).tolist(),
+        "tcp": np.column_stack((ci, si, tcp[ci, si])).tolist(),
+    }
 
 
 def _verify_fingerprint(

@@ -18,6 +18,7 @@ at stake -- even when the taint source is in another file.
 from __future__ import annotations
 
 import ast
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,14 @@ SYNTAX_ERROR_RULE = "LNT001"
 #: Thread-pool width when the caller does not choose one.  Linting is
 #: parse-bound; beyond a handful of threads the GIL flattens the curve.
 DEFAULT_JOBS = 4
+
+#: Serializes ``ast.parse`` across the pool's threads.  CPython 3.11
+#: keeps the AST conversion's recursion-depth counter in interpreter
+#: state, so two threads converting at once (a collection running
+#: Python code mid-conversion switches threads) fail with "AST
+#: constructor recursion depth mismatch".  Parsing holds the GIL
+#: anyway, so the lock costs nothing.
+_PARSE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -132,7 +141,8 @@ def _parse_file(path: str) -> ParsedFile:
             ],
         )
     try:
-        tree = ast.parse(source, filename=path)
+        with _PARSE_LOCK:
+            tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return ParsedFile(
             shown,

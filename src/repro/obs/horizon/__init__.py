@@ -11,11 +11,6 @@
   per-region availability, error-budget consumption, multi-window burn
   rates, and Cloud-Uptime-Archive-style MTBF/MTTR per entity; backs
   ``/slo``, the ``repro_slo_*`` gauges, and ``repro slo RUN``.
-* :mod:`repro.obs.horizon.rolling` -- the hour-chained running dataset
-  digest that replaces ``MeasurementDataset.digest()`` once retention
-  prunes old chunk payloads (the full dataset can no longer be
-  rebuilt, but the rolling digest is still bit-comparable to a batch
-  oracle).
 
 Layering: this package may import ``repro.core`` (knee/dataset
 constants) and is imported by ``repro.serve`` and ``repro.obs.live`` --
@@ -24,18 +19,10 @@ ARC rules).
 """
 
 from repro.obs.horizon.history import HistoryStore, RESOLUTIONS
-from repro.obs.horizon.rolling import (
-    dataset_rolling_digest,
-    fold_block,
-    rolling_seed,
-)
 from repro.obs.horizon.slo import SLOEngine
 
 __all__ = [
     "HistoryStore",
     "RESOLUTIONS",
     "SLOEngine",
-    "dataset_rolling_digest",
-    "fold_block",
-    "rolling_seed",
 ]

@@ -48,8 +48,9 @@ def rebuild_slo(chunks, config) -> "object":
     no checkpoint -- are replayed through the same per-hour fold the
     daemon runs.
     """
+    from repro.core.dataset import hour_entity_stats_from_block
     from repro.obs.horizon.slo import SLOEngine
-    from repro.serve.daemon import hour_entity_stats_from_block, plan_entities
+    from repro.serve.daemon import plan_entities
 
     engine = SLOEngine()
     start_hour = 0

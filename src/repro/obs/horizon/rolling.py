@@ -1,73 +1,13 @@
-"""The hour-chained rolling dataset digest.
+"""A re-export of the dataset digest's hour fold.
 
-Retention mode deletes old chunk payloads, so a resumed daemon can no
-longer rebuild the full in-memory dataset -- and therefore can never
-call :meth:`MeasurementDataset.digest` at the horizon.  The rolling
-digest is the retention-compatible replacement:
-
-    rolling_0 = sha256("repro.rolling-digest/1:" + fingerprint_sha256)
-    rolling_h = sha256(rolling_{h-1} + block_digest(hour h's arrays))
-
-i.e. a chain over *per-hour* block digests, seeded from the world
-fingerprint.  Three properties make it the right observable:
-
-* **incremental** -- the daemon folds each committed chunk's hours in
-  O(chunk) without keeping any earlier hour around;
-* **chunk-boundary invariant** -- per-hour links mean re-chunking the
-  same plan (different ``--chunk-hours``, different kill points) folds
-  the identical sequence;
-* **oracle-checkable** -- :func:`dataset_rolling_digest` recomputes the
-  same value from any fully materialized batch dataset via
-  :meth:`~repro.core.dataset.MeasurementDataset.extract_block`, so a
-  retention run's final digest is still bit-comparable to an
-  uninterrupted, unretained oracle run.
+The hour chain that used to live here as a separate "rolling" digest
+is now the only dataset digest, defined once in
+:mod:`repro.core.dataset` (:meth:`~repro.core.dataset.MeasurementDataset.digest`,
+:func:`~repro.core.dataset.fold_block`).  This module is kept only so
+the benchmark's layer table (``bench/leg.py``) still resolves its
+``obs.horizon.rolling.fold`` layer; nothing in ``src/`` imports it.
 """
 
-from __future__ import annotations
+from repro.core.dataset import fold_block
 
-import hashlib
-from typing import Dict, Mapping
-
-import numpy as np
-
-from repro.core.dataset import MeasurementDataset
-
-#: Domain-separation tag hashed into the chain seed.
-ROLLING_SCHEMA = "repro.rolling-digest/1"
-
-
-def rolling_seed(fingerprint_sha256: str) -> str:
-    """The chain value before any hour has been folded."""
-    return hashlib.sha256(
-        (ROLLING_SCHEMA + ":" + fingerprint_sha256).encode("ascii")
-    ).hexdigest()
-
-
-def _link(previous: str, digest: str) -> str:
-    return hashlib.sha256((previous + digest).encode("ascii")).hexdigest()
-
-
-def fold_block(rolling: str, arrays: Mapping[str, np.ndarray]) -> str:
-    """Fold every hour of one committed block into the chain, in order.
-
-    ``arrays`` is a chunk's array mapping (hour on the last axis, as
-    committed by the chunk store); the block's hour count is read off
-    the ``transactions`` array.
-    """
-    n_hours = int(arrays["transactions"].shape[-1])
-    for t in range(n_hours):
-        hour_slice: Dict[str, np.ndarray] = {
-            name: arr[..., t : t + 1] for name, arr in arrays.items()
-        }
-        rolling = _link(rolling, MeasurementDataset.block_digest(hour_slice))
-    return rolling
-
-
-def dataset_rolling_digest(
-    dataset: MeasurementDataset, fingerprint_sha256: str
-) -> str:
-    """Recompute the chain from a fully materialized dataset (the oracle)."""
-    rolling = rolling_seed(fingerprint_sha256)
-    for hour in range(dataset.world.hours):
-        rolling = fold_block(rolling, dataset.extract_block(hour, hour + 1))
-    return rolling
+__all__ = ["fold_block"]

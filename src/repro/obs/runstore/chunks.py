@@ -16,39 +16,39 @@ entry to the manifest (also atomically) -- a crash between the two
 leaves an orphan ``.npz`` the next resume simply overwrites, never a
 manifest entry pointing at missing or torn data.
 
-Integrity is a **digest chain**: every entry carries the chunk's
-content digest (:meth:`MeasurementDataset.block_digest` -- field
-names, shapes, ``int64``-normalised bytes) and a chain value
-``sha256(previous_chain + digest)`` seeded from the manifest header,
-so replacing, reordering, or truncating any committed chunk breaks
-every later link.  :meth:`replay` re-verifies both per chunk while a
-resume rebuilds the dataset, and the final chain value is itself a
-compact fingerprint of everything committed so far (served on the
-daemon's ``/status``).
+Integrity is the **dataset digest's hour chain**: every entry carries
+the per-hour digests of its chunk (``hours``,
+:meth:`MeasurementDataset.block_digest`) and the chain value after
+linking them (``chain``, :func:`~repro.core.dataset.fold_block`),
+seeded from the world fingerprint alone.  Replacing, reordering, or
+truncating any committed hour breaks every later link, and the chain
+value after the last chunk *is* the dataset digest of the committed
+prefix -- at the horizon, bit-identical to a batch run's
+:meth:`MeasurementDataset.digest` at any chunk size.  :meth:`replay`
+recomputes every hour digest from the payload and relinks the chain
+while a resume rebuilds its state.
 
 Determinism: chunk files are compressed ``.npz`` archives whose *bytes*
 are not stable across runs (zip member timestamps); the chain digests
 array *contents*, which are -- a resumed run therefore reproduces the
-uninterrupted run's chain and final dataset digest bit for bit.
+uninterrupted run's chain bit for bit.
 
 **Retention** (``repro serve --retain-hours N``): :meth:`prune_payloads`
 deletes old chunk ``.npz`` payloads while keeping their manifest
-entries -- marked ``"pruned": true`` -- so the digest chain stays
-fully verifiable from the stored digests even though the bytes are
+entries -- marked ``"pruned": true`` -- so the chain stays fully
+verifiable from the stored hour digests even though the bytes are
 gone.  A resume can no longer replay pruned hours, so the daemon
 writes a **checkpoint record** (:meth:`write_checkpoint`) after every
 committed chunk in retention mode: the fold state (detector, history,
-SLO ledger, rolling dataset digest) as of a chunk boundary, pinned to
-that boundary's chain value.  :meth:`load_checkpoint` refuses a record
-whose ``(hour, chain)`` pin does not match the manifest, and
-``replay(start_hour=...)`` chain-verifies *every* entry (pruned ones
-from their stored digests) while yielding only the still-payloaded
-chunks past the checkpoint.
+SLO ledger) as of a chunk boundary, pinned to that boundary's chain
+value.  :meth:`load_checkpoint` refuses a record whose ``(hour,
+chain)`` pin does not match the manifest, and ``replay(start_hour=...)``
+relinks *every* entry (pruned ones from their stored ``hours``) while
+yielding only the still-payloaded chunks past the checkpoint.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -56,12 +56,14 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.dataset import MeasurementDataset
-from repro.obs.runstore.manifest import canonical_json, check_schema
+from repro.core.dataset import MeasurementDataset, chain_seed, fold_block
+from repro.obs.runstore.manifest import check_schema, schema_major
 from repro.obs.runstore.store import RunStoreError
 
 #: Chunk-manifest schema; additive within the major (see manifest.py).
-CHUNKS_SCHEMA = "repro.serve-chunks/1"
+#: Major 2 chains per hour (the dataset digest); major 1 chained per
+#: chunk from a config-seeded chain and is refused.
+CHUNKS_SCHEMA = "repro.serve-chunks/2"
 
 #: Directory (under the run directory) holding chunk checkpoints.
 CHUNKS_DIR = "chunks"
@@ -78,11 +80,6 @@ CHECKPOINT_SCHEMA = "repro.serve-checkpoint/1"
 
 class ChunkStoreError(RunStoreError):
     """A chunk commit, load, or verification failed."""
-
-
-def _chain(previous: str, digest: str) -> str:
-    """One link of the digest chain."""
-    return hashlib.sha256((previous + digest).encode("ascii")).hexdigest()
 
 
 def _chunk_filename(hour_start: int, hour_stop: int) -> str:
@@ -114,22 +111,17 @@ class ChunkStore:
         to rebuild the world/truth/simulator identically (hours,
         per_hour, seed, fault, chunk_hours); ``fingerprint_sha256``
         pins the world roster so a resume against drifted world-building
-        code fails loudly instead of merging counts into wrong axes.
-        The chain is seeded from the canonical JSON of both, so two
-        runs with different configs can never share a chain prefix.
+        code fails loudly instead of attributing counts to the wrong
+        entities.  The chain is seeded from the fingerprint alone --
+        exactly as :meth:`MeasurementDataset.digest` seeds it -- so the
+        chain is the dataset digest; the serve daemon refuses a resume
+        whose configuration differs from the stored one.
         """
-        seed = hashlib.sha256(
-            canonical_json(
-                {"schema": CHUNKS_SCHEMA, "config": config,
-                 "fingerprint_sha256": fingerprint_sha256}
-            ).encode("utf-8")
-        ).hexdigest()
         document = {
             "schema": CHUNKS_SCHEMA,
             "run_id": run_id,
             "config": dict(config),
             "fingerprint_sha256": fingerprint_sha256,
-            "chain_seed": seed,
             "chunks": [],
         }
         self.chunks_dir.mkdir(parents=True, exist_ok=True)
@@ -153,6 +145,12 @@ class ChunkStore:
                 f"{self.manifest_path}: missing schema field"
             )
         check_schema(schema, CHUNKS_SCHEMA)
+        if schema_major(schema) < schema_major(CHUNKS_SCHEMA):
+            raise ChunkStoreError(
+                f"{self.manifest_path}: schema {schema} chains per chunk, "
+                f"not per hour ({CHUNKS_SCHEMA}); its chunks cannot be "
+                "verified or resumed -- discard them with --fresh"
+            )
         self._document = document
         return document
 
@@ -176,12 +174,17 @@ class ChunkStore:
         entries = self.entries()
         return int(entries[-1]["hour_stop"]) if entries else 0
 
+    def _seed(self) -> str:
+        """The chain value before any hour (seeded from the fingerprint)."""
+        return chain_seed(str(self.load()["fingerprint_sha256"]))
+
     def chain_digest(self) -> str:
-        """The chain value after the last committed chunk."""
+        """The chain value after the last committed chunk: the dataset
+        digest of the committed hours."""
         entries = self.entries()
         if entries:
             return str(entries[-1]["chain"])
-        return str(self.load()["chain_seed"])
+        return self._seed()
 
     # -- committing -----------------------------------------------------------
 
@@ -209,7 +212,7 @@ class ChunkStore:
             raise ChunkStoreError(
                 f"empty chunk commit [{hour_start}, {hour_stop})"
             )
-        digest = MeasurementDataset.block_digest(arrays)
+        hours = MeasurementDataset.block_digest(arrays)
         filename = _chunk_filename(hour_start, hour_stop)
         path = self.chunks_dir / filename
         tmp = path.with_suffix(".npz.tmp")
@@ -220,8 +223,8 @@ class ChunkStore:
             "hour_start": int(hour_start),
             "hour_stop": int(hour_stop),
             "file": filename,
-            "digest": digest,
-            "chain": _chain(self.chain_digest(), digest),
+            "hours": hours,
+            "chain": fold_block(self.chain_digest(), hours),
         }
         document.setdefault("chunks", []).append(entry)
         self._write_manifest(document)
@@ -234,21 +237,22 @@ class ChunkStore:
     ) -> Iterator[Tuple[Dict[str, Any], Dict[str, np.ndarray]]]:
         """Yield ``(entry, arrays)`` per committed chunk, verifying as it goes.
 
-        Each chunk's content digest and chain link are recomputed and
-        compared against the manifest; any mismatch (bit rot, a chunk
-        file swapped between runs, a truncated manifest edit) raises
-        :class:`ChunkStoreError` naming the offending chunk, before any
-        corrupt counts can reach a dataset.
+        Every hour digest is recomputed from the chunk's payload and
+        compared against the manifest, and the chain is relinked; any
+        mismatch (bit rot, a chunk file swapped between runs, a
+        truncated or edited manifest) raises :class:`ChunkStoreError`
+        naming the offending chunk, before any corrupt counts can reach
+        the caller.
 
         ``start_hour`` is the retention-resume cursor: chunks wholly
-        before it are chain-verified from their *stored* digests (their
+        before it are relinked from their *stored* hour digests (their
         payloads may have been pruned) but not loaded or yielded;
         chunks past it must still have payloads -- a pruned chunk there
         means the checkpoint is older than the pruning horizon, which
         :meth:`prune_payloads` never allows the daemon to produce, so
         it is reported as corruption rather than skipped.
         """
-        chain = str(self.load()["chain_seed"])
+        chain = self._seed()
         cursor = 0
         for entry in self.entries():
             h0, h1 = int(entry["hour_start"]), int(entry["hour_stop"])
@@ -259,15 +263,16 @@ class ChunkStore:
                 )
             cursor = h1
             path = self.chunks_dir / str(entry["file"])
+            stored = list(entry.get("hours") or [])
+            if len(stored) != h1 - h0:
+                raise ChunkStoreError(
+                    f"chunk {path} lists {len(stored)} hour digest(s) "
+                    f"for the {h1 - h0} hour(s) [{h0}, {h1})"
+                )
             if h1 <= start_hour:
-                # Behind the checkpoint: link the chain from the stored
-                # digest (payload possibly pruned), skip the load.
-                chain = _chain(chain, str(entry.get("digest")))
-                if chain != entry.get("chain"):
-                    raise ChunkStoreError(
-                        f"chunk {path} breaks the digest chain: "
-                        f"manifest {entry.get('chain')}, recomputed {chain}"
-                    )
+                # Behind the checkpoint: relink from the stored hour
+                # digests (payload possibly pruned), skip the load.
+                chain = self._link(path, chain, stored, entry)
                 continue
             if entry.get("pruned"):
                 raise ChunkStoreError(
@@ -279,21 +284,29 @@ class ChunkStore:
             try:
                 with np.load(path) as data:
                     arrays = {name: data[name] for name in data.files}
+                hours = MeasurementDataset.block_digest(arrays)
             except (OSError, ValueError) as exc:
                 raise ChunkStoreError(f"cannot load chunk {path}: {exc}")
-            digest = MeasurementDataset.block_digest(arrays)
-            if digest != entry.get("digest"):
+            if hours != stored:
                 raise ChunkStoreError(
-                    f"chunk {path} content digest mismatch: "
-                    f"manifest {entry.get('digest')}, file {digest}"
+                    f"chunk {path} content digest mismatch: its payload "
+                    "does not reproduce the manifest's hour digests"
                 )
-            chain = _chain(chain, digest)
-            if chain != entry.get("chain"):
-                raise ChunkStoreError(
-                    f"chunk {path} breaks the digest chain: "
-                    f"manifest {entry.get('chain')}, recomputed {chain}"
-                )
+            chain = self._link(path, chain, hours, entry)
             yield entry, arrays
+
+    @staticmethod
+    def _link(
+        path: Path, chain: str, hours: List[str], entry: Dict[str, Any]
+    ) -> str:
+        """Fold one entry's hour digests and check its stored chain."""
+        chain = fold_block(chain, hours)
+        if chain != entry.get("chain"):
+            raise ChunkStoreError(
+                f"chunk {path} breaks the digest chain: "
+                f"manifest {entry.get('chain')}, recomputed {chain}"
+            )
+        return chain
 
     # -- retention --------------------------------------------------------------
 
@@ -363,11 +376,11 @@ class ChunkStore:
     def write_checkpoint(self, document: Dict[str, Any]) -> Dict[str, Any]:
         """Atomically persist a fold-state checkpoint at a chunk boundary.
 
-        ``document`` carries the caller's state payloads (rolling
-        digest, detector/history/SLO state) plus the boundary ``hour``;
-        the chain value at that boundary is pinned here from the
-        manifest so a checkpoint can never be paired with a different
-        chunk history.
+        ``document`` carries the caller's state payloads (detector,
+        history and SLO state) plus the boundary ``hour``; the chain
+        value at that boundary -- the dataset digest so far -- is pinned
+        here from the manifest so a checkpoint can never be paired with
+        a different chunk history.
         """
         hour = int(document["hour"])
         chain = self._chain_at(hour)
@@ -423,7 +436,7 @@ class ChunkStore:
     def _chain_at(self, hour: int) -> str:
         """The manifest chain value at the chunk boundary ``hour``."""
         if hour == 0:
-            return str(self.load()["chain_seed"])
+            return self._seed()
         for entry in self.entries():
             if int(entry["hour_stop"]) == hour:
                 return str(entry["chain"])
@@ -431,17 +444,3 @@ class ChunkStore:
             f"hour {hour} is not a committed chunk boundary of "
             f"{self.manifest_path}"
         )
-
-    def restore_into(self, dataset: MeasurementDataset) -> int:
-        """Merge every committed chunk into ``dataset``; returns the cursor.
-
-        The dataset must belong to the same world the chunks were
-        simulated in (shape mismatches surface as merge errors; roster
-        drift is caught earlier by the fingerprint check in the serve
-        daemon's resume path).
-        """
-        cursor = 0
-        for entry, arrays in self.replay():
-            dataset.merge(arrays, (entry["hour_start"], entry["hour_stop"]))
-            cursor = int(entry["hour_stop"])
-        return cursor

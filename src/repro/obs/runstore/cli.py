@@ -290,9 +290,6 @@ def _cmd_show(
                 f"retention:  keep last {retain}h of chunk payloads "
                 f"({serve.get('pruned_hours', 0)}h pruned)"
             )
-        rolling = serve.get("rolling_digest")
-        if rolling:
-            print(f"rolling:    {rolling}")
     if manifest.trace_file:
         print(f"trace:      {store.run_dir(manifest.run_id) / manifest.trace_file}")
     if manifest.events_file:

@@ -159,7 +159,8 @@ class RunManifest:
 
         Serve runs record their chunk progress there (committed /
         resumed hours, ``completed``, ``indefinite``, retention policy,
-        pruned hours, rolling digest).  Empty dict for batch runs, so
+        pruned hours, and the chain -- the dataset digest so far -- as
+        ``chain`` and ``rolling_digest``).  Empty dict for batch runs, so
         callers can render conditionally without schema sniffing.
         """
         provenance = self.dataset.get("provenance")

@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.core.dataset import fingerprint_sha256
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runstore.evidence import EvidenceBundle
 from repro.obs.runstore.manifest import (
@@ -300,12 +301,9 @@ class RunRecorder:
         workers = provenance.get("workers")
         if workers is not None:
             self.config["workers"] = workers
-        fingerprint = canonical_json(dataset.fingerprint())
         self.dataset_info = {
             "digest": dataset.digest(),
-            "fingerprint_sha256": hashlib.sha256(
-                fingerprint.encode("utf-8")
-            ).hexdigest(),
+            "fingerprint_sha256": fingerprint_sha256(dataset.world),
             "provenance": provenance,
         }
 

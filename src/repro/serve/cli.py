@@ -16,12 +16,13 @@ Resume rebuilds the configuration from the run's own chunk manifest --
 the simulation flags do not need to be repeated and cannot drift.  On
 reaching the horizon the daemon prints ``dataset digest: ...`` in the
 same format as ``repro simulate``, so the kill-and-resume determinism
-check is a plain line comparison.
+check is a plain line comparison.  The ``chunk chain:`` line it prints
+on every exit is the same digest over the hours committed so far.
 
 Long-horizon runs add ``--retain-hours N`` (rolling retention: old
-chunk payloads are pruned, the manifest chain and a rolling dataset
-digest are kept forever) and ``--hours 0`` (indefinite horizon over a
-periodic 744-hour epoch; requires retention)::
+chunk payloads are pruned, the hour-chained manifest is kept forever)
+and ``--hours 0`` (indefinite horizon over a periodic 744-hour epoch;
+requires retention)::
 
     repro serve --hours 0 --retain-hours 168 --port 9470
 """
@@ -68,8 +69,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--retain-hours", type=int, default=argparse.SUPPRESS,
         metavar="N",
         help="rolling retention: keep only the last N sim-hours of "
-        "chunk payloads on disk (the digest-chained manifest and the "
-        "rolling dataset digest are kept forever); required for "
+        "chunk payloads on disk (the hour-chained manifest, and so the "
+        "dataset digest, is kept forever); required for "
         "--hours 0 (indefinite); execution detail only -- does not "
         "change the run id or any digest",
     )
@@ -187,16 +188,15 @@ def run(args, argv=None) -> int:
         # Same format as `repro simulate` -- the kill-and-resume
         # determinism check in tests/CI compares these lines.
         print(f"\ndataset digest: {result['digest']}")
-        print(f"chunk chain: {result['chain']}")
-        return 0
-    horizon = "∞" if daemon.indefinite else str(result["hours"])
-    print(
-        f"\nstopped at sim-hour {result['committed_hours']} of "
-        f"{horizon} (all committed chunks durable); continue "
-        f"with: repro serve --resume {result['run_id']}"
-    )
-    if result.get("rolling"):
-        # The mid-run determinism anchor: a resumed (or oracle) run
-        # reaching the same hour must print the same rolling digest.
-        print(f"rolling digest: {result['rolling']}")
+    else:
+        horizon = "∞" if daemon.indefinite else str(result["hours"])
+        print(
+            f"\nstopped at sim-hour {result['committed_hours']} of "
+            f"{horizon} (all committed chunks durable); continue "
+            f"with: repro serve --resume {result['run_id']}"
+        )
+    # The digest of the hours committed so far: at the horizon it
+    # equals the line above; mid-run, any run of this plan stopped at
+    # the same hour prints the same value.
+    print(f"chunk chain: {result['chain']}")
     return 0

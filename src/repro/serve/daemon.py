@@ -5,21 +5,21 @@ sim-time chunks of ``chunk_hours`` toward a fixed horizon.  After each
 chunk it:
 
 1. **commits** the chunk's count arrays durably through
-   :class:`~repro.obs.runstore.chunks.ChunkStore` (npz + digest-chained
+   :class:`~repro.obs.runstore.chunks.ChunkStore` (npz + hour-chained
    manifest under ``runs/<id>/chunks/``), *then*
-2. **merges** them into the in-memory dataset, and
-3. **feeds** the streaming :class:`~repro.obs.online.OnlineDetector`
+2. **feeds** the streaming :class:`~repro.obs.online.OnlineDetector`
    one synthetic ``hour_stats`` event per simulated hour -- the same
    per-entity vectors the columnar engine emits on the telemetry bus,
    recomputed from the committed arrays (pure reads; the digest cannot
    be perturbed).
 
-Because every hour draws from its own derived RNG stream, any committed
-prefix is bit-identical to the same hours of a batch run -- so a daemon
-killed at an arbitrary point and resumed (``--resume RUN``) replays the
-committed chunks into a fresh dataset + detector and continues from the
-cursor, finishing with the same final digest *and* the same alert
-stream as an uninterrupted run.
+The daemon holds no dataset: the chunk store's hour chain *is* the
+dataset digest of the committed hours.  Because every hour draws from
+its own derived RNG stream, any committed prefix is bit-identical to
+the same hours of a batch run -- so a daemon killed at an arbitrary
+point and resumed (``--resume RUN``) replays the committed chunks into
+a fresh detector and continues from the cursor, finishing with the
+same final digest *and* the same alert stream as an uninterrupted run.
 
 **Identity.** The run id is content-addressed over the *plan* (hours,
 per_hour, seed, fault) rather than the result -- the daemon must be
@@ -39,7 +39,6 @@ shuts down gracefully.
 
 from __future__ import annotations
 
-import hashlib
 import shutil
 import threading
 import time
@@ -49,14 +48,14 @@ from typing import Any, Callable, Dict, List, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.dataset import MeasurementDataset
-from repro.obs.horizon import HistoryStore, SLOEngine, fold_block, rolling_seed
+from repro.core.dataset import fingerprint_sha256, hour_entity_stats_from_block
+from repro.obs.horizon import HistoryStore, SLOEngine
 from repro.obs.live.server import DEFAULT_HOST, MetricsServer, ShutdownCoordinator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import DEFAULT_RULES, SLO_BURN_RULES
 from repro.obs.runstore.chunks import ChunkStore
-from repro.obs.runstore.manifest import RunManifest, canonical_json, compute_run_id
+from repro.obs.runstore.manifest import RunManifest, compute_run_id
 from repro.obs.runstore.store import (
     RunStore,
     _git_revision,
@@ -96,7 +95,7 @@ class ServeConfig:
     ``retain_hours`` is an execution knob, not identity: it bounds
     which chunk *payloads* stay on disk and which detector/history
     window is kept, never which counts are simulated -- the committed
-    chain and rolling dataset digest are unaffected by it.
+    chain, which is the dataset digest, is unaffected by it.
     """
 
     hours: int = 744
@@ -137,39 +136,6 @@ def serve_run_id(config: ServeConfig) -> str:
         "command": "serve",
         "config": config.identity_config(),
     })
-
-
-def hour_entity_stats_from_block(
-    arrays: Dict[str, np.ndarray], t: int
-) -> Dict[str, list]:
-    """One hour's per-entity stats from committed block arrays.
-
-    Mirrors :func:`repro.world.columnar._hour_entity_stats` exactly --
-    same failure-field sum, same sparse TCP triples in the same
-    row-major order -- but reads hour ``t`` of ``(client, site, hour)``
-    block arrays instead of staged hour planes, so the daemon can feed
-    the detector from what it just committed (and a resume can feed it
-    from what it replays, producing the identical alert stream).
-    """
-    trans = arrays["transactions"][:, :, t]
-    failures = np.zeros(trans.shape, dtype=np.int64)
-    for name in (
-        "dns_ldns", "dns_nonldns", "dns_error",
-        "tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous",
-        "http_errors", "masked_failures",
-    ):
-        failures += arrays[name][:, :, t]
-    tcp = np.zeros(trans.shape, dtype=np.int64)
-    for name in ("tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous"):
-        tcp += arrays[name][:, :, t]
-    ci, si = np.nonzero(tcp)
-    return {
-        "ct": [int(v) for v in trans.sum(axis=1, dtype=np.int64)],
-        "cf": [int(v) for v in failures.sum(axis=1)],
-        "st": [int(v) for v in trans.sum(axis=0, dtype=np.int64)],
-        "sf": [int(v) for v in failures.sum(axis=0)],
-        "tcp": [[int(c), int(s), int(tcp[c, s])] for c, s in zip(ci, si)],
-    }
 
 
 def plan_entities(config: Dict[str, Any]) -> Dict[str, Any]:
@@ -253,13 +219,10 @@ class ServeDaemon:
         self._started_monotonic = monotonic()
         self._last_chunk_seconds = 0.0
         self._pruned_chunks = 0
-        #: The hour-chained rolling dataset digest (seeded in prepare).
-        self.rolling: Optional[str] = None
 
         self.world = None
         self.truth = None
         self.simulator: Optional[MonthSimulator] = None
-        self.dataset: Optional[MeasurementDataset] = None
         self.server = MetricsServer(
             config.port,
             host=config.host,
@@ -281,10 +244,6 @@ class ServeDaemon:
         mode the fault process and RNG streams repeat each epoch
         (a planted ``--fault`` recurs every 744 sim-hours), keeping
         world/truth memory constant over an unbounded run.
-
-        Retention mode never allocates the full dataset: the rolling
-        digest (:mod:`repro.obs.horizon.rolling`) replaces
-        ``dataset.digest()`` and everything else folds incrementally.
         """
         from repro.world.defaults import build_default_world
 
@@ -301,23 +260,12 @@ class ServeDaemon:
         self.simulator = MonthSimulator(
             self.world, access=access, rngs=rngs, truth=truth
         )
-        self.dataset = (
-            None if self.retention is not None
-            else MeasurementDataset(self.world)
-        )
-
-    def _fingerprint_sha256(self) -> str:
-        return hashlib.sha256(
-            canonical_json(
-                MeasurementDataset.world_fingerprint(self.world)
-            ).encode("utf-8")
-        ).hexdigest()
 
     def prepare(self, resume: bool = False, fresh: bool = False) -> None:
         """Build the world and reconcile with any committed chunks.
 
         ``fresh`` discards previously committed chunks; ``resume``
-        replays them into the dataset *and* the detector (identical
+        verifies and replays them into the detector (identical
         ``hour_stats`` sequence => identical alert stream) and moves the
         cursor.  Committed chunks present with neither flag is an error:
         silently overwriting durable work would be worse than asking.
@@ -335,8 +283,7 @@ class ServeDaemon:
                 c.region.value for c in self.world.clients
             ],
         })
-        fingerprint = self._fingerprint_sha256()
-        self.rolling = rolling_seed(fingerprint)
+        fingerprint = fingerprint_sha256(self.world)
         if self.chunks.exists():
             stored = self.chunks.config()
             if stored != self.config.stored_config():
@@ -367,9 +314,6 @@ class ServeDaemon:
                     self._restore_checkpoint(checkpoint)
             for entry, arrays in self.chunks.replay(start_hour=self.cursor):
                 h0, h1 = int(entry["hour_start"]), int(entry["hour_stop"])
-                if self.dataset is not None:
-                    self.dataset.merge(arrays, (h0, h1))
-                self.rolling = fold_block(self.rolling, arrays)
                 self._feed_detector(arrays, h0, h1)
                 self.cursor = h1
             self.resumed_hours = self.cursor
@@ -390,15 +334,14 @@ class ServeDaemon:
         """Restore fold state from a chain-verified retention checkpoint.
 
         Sets the replay cursor to the checkpoint's chunk boundary:
-        pruned chunks behind it are chain-verified from stored digests
-        only, retained chunks past it (committed after the checkpoint
-        was last written) are replayed on top of the restored state --
-        together bit-identical to an uninterrupted run's fold.
+        pruned chunks behind it are chain-verified from their stored
+        hour digests only, retained chunks past it (committed after the
+        checkpoint was last written) are replayed on top of the restored
+        state -- together bit-identical to an uninterrupted run's fold.
         """
         self.detector.restore_state(checkpoint["detector"])
         self.history.restore_state(checkpoint["history"])
         self.slo.restore_state(checkpoint["slo"])
-        self.rolling = str(checkpoint["rolling_digest"])
         self.cursor = int(checkpoint["hour"])
         obs.logger.info(
             "restored retention checkpoint at sim-hour %d (chain %s)",
@@ -428,9 +371,10 @@ class ServeDaemon:
 
         ``announce(port)`` is called once the HTTP server is bound (the
         CLI prints the endpoints).  Returns ``{"run_id", "completed",
-        "committed_hours", "hours", "digest", "chain"}`` -- ``digest``
-        only when the horizon was reached (computing it mid-run would
-        describe a dataset no batch run produces).
+        "committed_hours", "hours", "digest", "chain"}`` -- ``chain``
+        is the dataset digest of the committed hours; ``digest`` is the
+        same value, set only when the horizon was reached (mid-run it
+        describes a dataset no batch run of this plan produces).
         """
         if self._state != "prepared":
             raise ServeError("run() before prepare()")
@@ -476,9 +420,6 @@ class ServeDaemon:
                         workers=config.workers,
                     )
                     entry = self.chunks.commit(h0, h1, arrays)
-                    if self.dataset is not None:
-                        self.dataset.merge(arrays, (h0, h1))
-                    self.rolling = fold_block(self.rolling, arrays)
                     self._feed_detector(arrays, h0, h1)
                     if self.retention is not None:
                         self._checkpoint_and_prune()
@@ -510,12 +451,7 @@ class ServeDaemon:
             )
             with self._state_lock:
                 self._state = "finished" if completed else "stopped"
-            digest = None
-            if completed:
-                digest = (
-                    self.dataset.digest() if self.dataset is not None
-                    else self.rolling
-                )
+            digest = self.chunks.chain_digest() if completed else None
             self._write_manifest(final=True, digest=digest)
             self.server.stop()
             if signals_installed:
@@ -526,7 +462,6 @@ class ServeDaemon:
             "committed_hours": self.cursor,
             "hours": config.hours,
             "digest": digest,
-            "rolling": self.rolling,
             "chain": self.chunks.chain_digest(),
         }
 
@@ -545,7 +480,6 @@ class ServeDaemon:
             "hour": boundary,
             "run_id": self.run_id,
             "retain_hours": self.retention,
-            "rolling_digest": self.rolling,
             "detector": self.detector.export_state(),
             "history": self.history.export_state(),
             "slo": self.slo.export_state(),
@@ -619,11 +553,13 @@ class ServeDaemon:
                 "indefinite": self.indefinite,
                 "retain_hours": self.retention,
                 "pruned_hours": self.chunks.pruned_hours(),
-                "rolling_digest": self.rolling,
+                # The same value as "chain", under the name the
+                # benchmark (bench/workloads.py) reads.
+                "rolling_digest": self.chunks.chain_digest(),
             },
         }
         dataset_info: Dict[str, Any] = {
-            "fingerprint_sha256": self._fingerprint_sha256(),
+            "fingerprint_sha256": fingerprint_sha256(self.world),
             "provenance": provenance,
         }
         if digest is not None:
@@ -684,7 +620,6 @@ class ServeDaemon:
             "chunk_hours": config.chunk_hours,
             "chunks_committed": chunks_committed,
             "chain": self.chunks.chain_digest(),
-            "rolling_digest": self.rolling,
             "workers": config.workers,
             "lanes": lanes,
             "sim_hours_per_second": rate,

@@ -65,7 +65,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.dataset import MeasurementDataset
+from repro.core.dataset import MeasurementDataset, hour_entity_stats_from_block
 
 # -- outcome categories -------------------------------------------------------
 #
@@ -550,6 +550,12 @@ class ColumnarEngine:
                 (name, np.zeros((hc, s, r_width), dtype=np.int32))
                 for name in _SR_FIELDS
             )
+            # Hour-last views of the staging planes: the block layout
+            # hour_entity_stats_from_block reads (no copies).
+            hour_last = {
+                name: np.moveaxis(plane, 0, -1)
+                for name, plane in staging.items()
+            }
             for h in range(c0, c1):
                 stream = f"fast-engine/hour/{h}"
                 with obs.span("simulate.hour", hour=h):
@@ -563,7 +569,7 @@ class ColumnarEngine:
                     if getattr(emitter, "entity_stats", False):
                         emitter.emit(
                             "hour_stats", hour=h,
-                            **_hour_entity_stats(staging, h - c0),
+                            **hour_entity_stats_from_block(hour_last, h - c0),
                         )
             t2 = perf_counter()
             for name, block in staging.items():
@@ -731,36 +737,4 @@ def _hour_counts(staging, t: int) -> Dict[str, int]:
         "tcp": total("tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous"),
         "http": total("http_errors"),
         "masked": total("masked_failures"),
-    }
-
-
-def _hour_entity_stats(staging, t: int) -> Dict[str, list]:
-    """Per-entity counts of staged hour ``t`` for online detection.
-
-    Everything :mod:`repro.obs.online` needs to mirror the batch
-    episode/blame analysis for one hour, in plain JSON-native lists:
-    per-client and per-server transaction/failure vectors plus the
-    sparse (client, server, count) TCP-failure triples blame buckets on.
-    Pure reads of the staged planes, like :func:`_hour_counts`.
-    """
-    trans = staging["transactions"][t]
-    failures = np.zeros_like(trans)
-    for name in (
-        "dns_ldns", "dns_nonldns", "dns_error",
-        "tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous",
-        "http_errors", "masked_failures",
-    ):
-        failures += staging[name][t]
-    tcp = np.zeros_like(trans)
-    for name in ("tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous"):
-        tcp += staging[name][t]
-    ci, si = np.nonzero(tcp)
-    return {
-        "ct": trans.sum(axis=1).tolist(),
-        "cf": failures.sum(axis=1).tolist(),
-        "st": trans.sum(axis=0).tolist(),
-        "sf": failures.sum(axis=0).tolist(),
-        "tcp": [
-            [int(c), int(s), int(tcp[c, s])] for c, s in zip(ci, si)
-        ],
     }

@@ -1,9 +1,18 @@
 """Tests for the MeasurementDataset container."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.dataset import MeasurementDataset
+from repro.core.dataset import (
+    MeasurementDataset,
+    chain_seed,
+    fingerprint_sha256,
+    fold_block,
+)
 from repro.core.records import (
     DNSFailureKind,
     FailureType,
@@ -11,6 +20,24 @@ from repro.core.records import (
     TCPFailureKind,
 )
 from repro.world.entities import ClientCategory
+
+
+#: Hours of the small dataset the hour-chain property tests split.
+CHAIN_HOURS = 30
+
+
+@pytest.fixture(scope="module")
+def chain_dataset():
+    """A 30-hour dataset with seeded random counts and mixed dtypes."""
+    from repro.world.defaults import build_default_world
+
+    dataset = MeasurementDataset(build_default_world(hours=CHAIN_HOURS))
+    rng = np.random.default_rng(7)
+    for name in MeasurementDataset._ARRAY_FIELDS:
+        arr = getattr(dataset, name)
+        arr[...] = rng.integers(0, 50, size=arr.shape)
+    dataset.ensure_count_capacity(10**10, fields=("connections",))
+    return dataset
 
 
 def make_record(world, client, site, hour, failure=FailureType.NONE, **kwargs):
@@ -225,6 +252,70 @@ class TestDigest:
         a, b = MeasurementDataset(world), MeasurementDataset(world)
         a.transactions[0, 0, 0] = 5
         assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize("hours,per_hour,expected", [
+        (24, 2, "0aad425977fd9f11ba249362dbc6e14ca7687550123be8847b13d1ffb75462ae"),
+        (48, 4, "81ea70e145846dbdd0360c709421a1e6f7098e9d796b2466637c02f2dc84861f"),
+    ])
+    def test_pinned_hour_chain_values(self, hours, per_hour, expected):
+        # The hour chain at the default seed, as first computed by the
+        # serve daemon's separate rolling-digest oracle.
+        from repro.world.simulator import simulate_default_month
+
+        dataset = simulate_default_month(
+            hours=hours, per_hour=per_hour, seed=20050101, workers=1
+        ).dataset
+        assert dataset.digest() == expected
+
+    def test_block_digest_matches_a_per_hour_reference(self, chain_dataset):
+        # The straightforward one-hour-slice hash; 30 hours cross the
+        # implementation's 24-hour copy blocks.
+        def reference(t):
+            h = hashlib.sha256()
+            for name in MeasurementDataset._ARRAY_FIELDS:
+                hour = getattr(chain_dataset, name)[..., t:t + 1]
+                h.update(name.encode("utf-8"))
+                h.update(str(hour.shape).encode("utf-8"))
+                h.update(np.ascontiguousarray(hour, dtype=np.int64).tobytes())
+            return h.hexdigest()
+
+        arrays = {
+            name: getattr(chain_dataset, name)
+            for name in MeasurementDataset._ARRAY_FIELDS
+        }
+        assert MeasurementDataset.block_digest(arrays) == [
+            reference(t) for t in range(CHAIN_HOURS)
+        ]
+
+    def test_hour_order_matters(self, chain_dataset):
+        swapped = MeasurementDataset(chain_dataset.world)
+        for name in MeasurementDataset._ARRAY_FIELDS:
+            setattr(swapped, name, getattr(chain_dataset, name)[..., ::-1])
+        assert swapped.digest() != chain_dataset.digest()
+
+    @settings(max_examples=25, deadline=None)
+    @given(cuts=st.lists(st.integers(min_value=1, max_value=CHAIN_HOURS - 1),
+                         max_size=8))
+    def test_digest_is_the_fold_over_any_chunk_split(self, chain_dataset, cuts):
+        bounds = [0, *sorted(set(cuts)), CHAIN_HOURS]
+        chain = chain_seed(fingerprint_sha256(chain_dataset.world))
+        for h0, h1 in zip(bounds, bounds[1:]):
+            block = {
+                name: getattr(chain_dataset, name)[..., h0:h1]
+                for name in MeasurementDataset._ARRAY_FIELDS
+            }
+            chain = fold_block(chain, MeasurementDataset.block_digest(block))
+        assert chain == chain_dataset.digest()
+
+    def test_block_digest_refuses_missing_and_ragged_fields(self, world):
+        block = MeasurementDataset.block_template(world, 3)
+        del block["packet_losses"]
+        with pytest.raises(ValueError, match="missing array 'packet_losses'"):
+            MeasurementDataset.block_digest(block)
+        block = MeasurementDataset.block_template(world, 3)
+        block["dns_error"] = block["dns_error"][..., :2]
+        with pytest.raises(ValueError, match="covers 2 hour"):
+            MeasurementDataset.block_digest(block)
 
 
 class TestPersistence:

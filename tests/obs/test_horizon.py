@@ -1,4 +1,4 @@
-"""Long-horizon observability: history rollups, SLO ledger, rolling digest.
+"""Long-horizon observability: history rollups, SLO ledger, the hour fold.
 
 The property tests pin the two invariants the ``HistoryStore`` module
 docstring promises *exactly*: every downsampled cell equals a
@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.dataset import MIN_SAMPLES_PER_HOUR, MeasurementDataset
 from repro.obs.horizon.history import RESOLUTIONS, HistoryStore, cell_digest
-from repro.obs.horizon.rolling import (
-    dataset_rolling_digest,
-    fold_block,
-    rolling_seed,
-)
+from repro.obs.horizon.rolling import fold_block
 from repro.obs.horizon.slo import DOWN_THRESHOLD, SLOEngine, render_slo_table
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import SLO_BURN_RULES
@@ -243,30 +239,32 @@ class TestSLOEngine:
 
 
 class TestRollingDigest:
+    """The re-exported fold (kept for the benchmark's layer table) is
+    the dataset digest's own fold."""
+
     def test_chunk_split_invariant_and_matches_batch(self, world, dataset):
-        import hashlib
+        from repro.core.dataset import chain_seed, fingerprint_sha256
 
-        from repro.obs.runstore.manifest import canonical_json
+        def block(h0, h1):
+            return {
+                name: getattr(dataset, name)[..., h0:h1].copy()
+                for name in MeasurementDataset._ARRAY_FIELDS
+            }
 
-        fp = hashlib.sha256(
-            canonical_json(dataset.fingerprint()).encode("utf-8")
-        ).hexdigest()
-        oracle = dataset_rolling_digest(dataset, fp)
+        seed = chain_seed(fingerprint_sha256(world))
         for split in (5, 24, world.hours):
-            rolling = rolling_seed(fp)
-            h = 0
-            while h < world.hours:
+            chain = seed
+            for h in range(0, world.hours, split):
                 stop = min(h + split, world.hours)
-                rolling = fold_block(
-                    rolling, dataset.extract_block(h, stop)
+                chain = fold_block(
+                    chain, MeasurementDataset.block_digest(block(h, stop))
                 )
-                h = stop
-            assert rolling == oracle
+            assert chain == dataset.digest()
         # Sensitive to content: one count flipped changes the digest.
-        arrays = dataset.extract_block(0, world.hours)
+        arrays = block(0, world.hours)
         arrays["transactions"][0, 0, 3] += 1
-        perturbed = rolling_seed(fp)
-        assert fold_block(perturbed, arrays) != oracle
+        perturbed = fold_block(seed, MeasurementDataset.block_digest(arrays))
+        assert perturbed != dataset.digest()
 
 
 class TestDetectorRetention:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro import cli, obs
-from repro.core.dataset import MeasurementDataset
+from repro.core.dataset import MeasurementDataset, chain_seed, fold_block
 from repro.obs.runstore.chunks import ChunkStore, ChunkStoreError
 from repro.obs.runstore.store import RunStore, resolve_runs_dir, runs_index
 from repro.serve.daemon import (
@@ -89,15 +89,18 @@ class TestChunkStore:
             for name, arr in original.items():
                 np.testing.assert_array_equal(arrays[name], arr)
 
-    def test_chain_seed_binds_config(self, world, tmp_path):
-        one = ChunkStore(tmp_path / "one")
-        two = ChunkStore(tmp_path / "two")
-        one.initialize({"seed": 1}, "fp")
-        two.initialize({"seed": 2}, "fp")
+    def test_chain_seed_binds_fingerprint_only(self, world, tmp_path):
+        stores = [ChunkStore(tmp_path / name) for name in "abc"]
+        stores[0].initialize({"seed": 1}, "fp")
+        stores[1].initialize({"seed": 2, "chunk_hours": 3}, "fp")
+        stores[2].initialize({"seed": 1}, "other-fp")
         block = _block(world, 0, 2)
-        # Same content, different plan => different chain from link one.
-        assert (
-            one.commit(0, 2, block)["chain"] != two.commit(0, 2, block)["chain"]
+        chains = [store.commit(0, 2, block)["chain"] for store in stores]
+        # The chain is the dataset digest: the stored config cannot move
+        # it (the daemon refuses config drift on its own), the world can.
+        assert chains[0] == chains[1] != chains[2]
+        assert chains[0] == fold_block(
+            chain_seed("fp"), MeasurementDataset.block_digest(block)
         )
 
     def test_non_contiguous_and_empty_commits_refused(self, world, tmp_path):
@@ -144,6 +147,78 @@ class TestChunkStore:
         with pytest.raises(ChunkStoreError, match="not contiguous"):
             list(fresh.replay())
 
+    @staticmethod
+    def _three_chunks(world, tmp_path, prune_before=0):
+        store = ChunkStore(tmp_path / "run")
+        store.initialize({}, "fp")
+        for h0 in (0, 2, 4):
+            store.commit(h0, h0 + 2, _block(world, h0, h0 + 2, fill=h0))
+        store.prune_payloads(prune_before)
+        return store
+
+    @staticmethod
+    def _edited(store, edit):
+        document = json.loads(store.manifest_path.read_text())
+        edit(document)
+        store.manifest_path.write_text(json.dumps(document))
+        return ChunkStore(store.run_dir)
+
+    def test_edited_hour_digest_in_a_pruned_entry_breaks_the_chain(
+        self, world, tmp_path
+    ):
+        store = self._three_chunks(world, tmp_path, prune_before=4)
+
+        def edit(document):
+            document["chunks"][0]["hours"][1] = "0" * 64
+
+        with pytest.raises(ChunkStoreError, match="breaks the digest chain"):
+            list(self._edited(store, edit).replay(start_hour=4))
+
+    def test_swapped_payload_fails_replay(self, world, tmp_path):
+        store = self._three_chunks(world, tmp_path)
+        first = store.chunks_dir / "chunk-0000-0002.npz"
+        second = store.chunks_dir / "chunk-0002-0004.npz"
+        a, b = first.read_bytes(), second.read_bytes()
+        first.write_bytes(b)
+        second.write_bytes(a)
+        with pytest.raises(ChunkStoreError, match="digest mismatch"):
+            list(ChunkStore(store.run_dir).replay())
+
+    @pytest.mark.parametrize("prune_before", [0, 4])
+    def test_truncated_hours_list_is_refused(
+        self, world, tmp_path, prune_before
+    ):
+        store = self._three_chunks(world, tmp_path, prune_before)
+
+        def edit(document):
+            del document["chunks"][1]["hours"][1:]
+
+        with pytest.raises(ChunkStoreError, match="lists 1 hour digest"):
+            list(self._edited(store, edit).replay(start_hour=prune_before))
+
+    def test_v1_manifest_is_refused_naming_fresh(self, world, tmp_path):
+        store = self._three_chunks(world, tmp_path)
+
+        def edit(document):
+            document["schema"] = "repro.serve-chunks/1"
+
+        with pytest.raises(ChunkStoreError, match="--fresh"):
+            self._edited(store, edit).load()
+
+    def test_checkpoint_from_another_history_is_refused(
+        self, world, tmp_path
+    ):
+        store = self._three_chunks(world, tmp_path)
+        store.write_checkpoint({"hour": 4})
+        assert store.load_checkpoint()["chain"] == store.entries()[1]["chain"]
+        other = ChunkStore(tmp_path / "other")
+        other.initialize({}, "fp")
+        for h0 in (0, 2):
+            other.commit(h0, h0 + 2, _block(world, h0, h0 + 2, fill=9))
+        other.checkpoint_path.write_text(store.checkpoint_path.read_text())
+        with pytest.raises(ChunkStoreError, match="chain mismatch"):
+            other.load_checkpoint()
+
 
 class TestHourStatsFromBlock:
     def test_matches_the_emitter_semantics(self, world):
@@ -160,6 +235,47 @@ class TestHourStatsFromBlock:
         assert stats["tcp"] == [[1, 2, 3]]
         empty = hour_entity_stats_from_block(arrays, 1)
         assert empty["tcp"] == [] and sum(empty["ct"]) == 0
+
+    def test_columnar_hour_stats_events_are_the_block_stats(self):
+        # The engine emits hour_stats from its staging planes through the
+        # same function the daemon applies to committed blocks; the
+        # stream's bytes are pinned at the default seed.
+        import hashlib
+
+        class Capture:
+            enabled = True
+            entity_stats = True
+
+            def __init__(self):
+                self.events = []
+
+            def emit(self, kind, /, **fields):
+                if kind == "hour_stats":
+                    self.events.append(fields)
+
+        capture = Capture()
+        previous = obs.set_emitter(capture)
+        try:
+            dataset = simulate_default_month(
+                hours=12, per_hour=PER_HOUR, seed=SEED, workers=1
+            ).dataset
+        finally:
+            obs.set_emitter(previous)
+        arrays = {
+            name: getattr(dataset, name)
+            for name in MeasurementDataset._ARRAY_FIELDS
+        }
+        assert capture.events == [
+            {"hour": h, **hour_entity_stats_from_block(arrays, h)}
+            for h in range(12)
+        ]
+        stream = "".join(
+            json.dumps(event, sort_keys=True) + "\n"
+            for event in capture.events
+        )
+        assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == (
+            "3f9186b77cae3838b8f35d6230dba5a2a8d8f5cfad08cbe3eff8f1b5d0fcbbff"
+        )
 
 
 def _serve(config, **kwargs):
@@ -317,6 +433,76 @@ class TestKillAndResume:
         stale = _serve(config)
         with pytest.raises(ServeError, match="fingerprint"):
             stale.prepare(resume=True)
+
+
+class TestOneDigest:
+    """Serve's final digest, its chunk chain, and the batch digest are
+    one value at any chunk size, retention setting and kill point."""
+
+    @pytest.fixture(scope="class")
+    def batch_digest(self):
+        digest = simulate_default_month(
+            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, workers=1
+        ).dataset.digest()
+        assert digest == (
+            "0aad425977fd9f11ba249362dbc6e14ca7687550123be8847b13d1ffb75462ae"
+        )
+        return digest
+
+    @pytest.mark.parametrize("retain_hours", [None, 6])
+    @pytest.mark.parametrize("chunk_hours", [1, 5, 7])
+    def test_serve_digest_is_the_batch_digest_across_kill_and_resume(
+        self, tmp_path, batch_digest, chunk_hours, retain_hours
+    ):
+        config = ServeConfig(
+            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED,
+            chunk_hours=chunk_hours, retain_hours=retain_hours,
+            runs_dir=str(tmp_path / "runs"),
+        )
+
+        def stop_at(daemon, entry):
+            if entry["hour_stop"] >= 11:
+                daemon.request_stop()
+
+        first = _serve(config, chunk_callback=stop_at)
+        first.prepare()
+        assert not first.run()["completed"]
+        resumed = _serve(config)
+        resumed.prepare(resume=True)
+        done = resumed.run()
+        assert done["completed"]
+        assert done["digest"] == done["chain"] == batch_digest
+        manifest = resumed.store.load(resumed.run_id)
+        assert manifest.dataset["digest"] == batch_digest
+        serve_info = manifest.dataset["provenance"]["serve"]
+        assert serve_info["rolling_digest"] == batch_digest
+
+    def test_runs_diff_of_batch_and_serve_is_identical(
+        self, tmp_path, capsys
+    ):
+        runs = str(tmp_path / "runs")
+        plan = ["--hours", "12", "--per-hour", "1", "--seed", str(SEED)]
+
+        def value(out, prefix, index=2):
+            line = next(
+                l for l in out.splitlines() if l.startswith(prefix)
+            )
+            return line.split()[index]
+
+        assert cli.main(["--runs-dir", runs, "simulate", *plan]) == 0
+        out = capsys.readouterr().out
+        batch_id = value(out, "run recorded:")
+        batch_digest = value(out, "dataset digest:")
+        assert cli.main([
+            "serve", "--runs-dir", runs, *plan, "--chunk-hours", "5",
+            "--retain-hours", "4",
+        ]) == 0
+        out = capsys.readouterr().out
+        serve_id = value(out, "serve run:")
+        assert value(out, "dataset digest:") == batch_digest
+        assert value(out, "chunk chain:") == batch_digest
+        assert cli.main(["runs", "--runs-dir", runs, "diff", batch_id, serve_id]) == 0
+        assert "digest: IDENTICAL" in capsys.readouterr().out
 
 
 class TestPlantedFaultSLO:
@@ -591,7 +777,7 @@ class TestBatchServeMetricsShutdown:
 class TestRetentionAndHorizon:
     """Acceptance: bounded disk under --retain-hours, checkpointed
     resume across a pruning boundary, /history + /slo bit-identical at
-    any worker count, and the rolling digest == a batch oracle."""
+    any worker count, and the digest == the batch digest."""
 
     RETAIN = 8
 
@@ -610,16 +796,12 @@ class TestRetentionAndHorizon:
         daemon.prepare()
         result = daemon.run()
         assert result["completed"]
-        # Retention never touches what is simulated: the rolling digest
-        # equals the batch dataset's hour-chained digest.
-        assert result["digest"] == result["rolling"]
-        from repro.obs.horizon import dataset_rolling_digest
-
+        # Retention never touches what is simulated: the chain over the
+        # pruned store is the batch dataset's digest.
         oracle = simulate_default_month(
             hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, workers=1
         ).dataset
-        fp = daemon._fingerprint_sha256()
-        assert result["rolling"] == dataset_rolling_digest(oracle, fp)
+        assert result["digest"] == result["chain"] == oracle.digest()
         # Disk is bounded: only the last RETAIN hours of payloads
         # survive, but every chain entry does.
         chunks = ChunkStore(daemon.store.run_dir(daemon.run_id))
@@ -636,7 +818,7 @@ class TestRetentionAndHorizon:
         ).dataset["provenance"]["serve"]
         assert serve_info["retain_hours"] == self.RETAIN
         assert serve_info["pruned_hours"] == SERVE_HOURS - self.RETAIN
-        assert serve_info["rolling_digest"] == result["rolling"]
+        assert serve_info["rolling_digest"] == result["digest"]
 
     @pytest.mark.parametrize("resume_workers", [1, 4])
     def test_resume_across_pruning_boundary_bit_identical(
