@@ -59,6 +59,11 @@ from repro.obs.live.aggregate import LiveAggregator
 
 DEFAULT_HOST = "127.0.0.1"
 
+#: Seconds between ``serve_forever``'s shutdown checks: the longest
+#: :meth:`MetricsServer.stop` waits.  Every serve run pays one stop after
+#: its last chunk is durable, so this stays well under the stdlib's 0.5 s.
+SHUTDOWN_POLL_SECONDS = 0.05
+
 #: API schema stamped on every JSON response; additive within a major.
 API_VERSION = "repro.live-api/1"
 
@@ -350,6 +355,7 @@ class MetricsServer:
         self._httpd.daemon_threads = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_SECONDS},
             name="repro-metrics-server",
             daemon=True,
         )

@@ -258,7 +258,9 @@ class OnlineDetector:
                             info["close_hour"] = hour
                             del state.open[i]
                 elif flagged:
-                    onset = self._walk_back_onset(state, i, hour)
+                    onset = self._walk_back_onset(
+                        state, i, hour, threshold
+                    )
                     info = {
                         "entity_index": i,
                         "onset_hour": onset,
@@ -309,15 +311,18 @@ class OnlineDetector:
                         if not rates:
                             del state.hour_rates[i]
 
-    def _walk_back_onset(self, state: _SideState, i: int, hour: int) -> int:
+    @staticmethod
+    def _walk_back_onset(
+        state: _SideState, i: int, hour: int, threshold: float
+    ) -> int:
         """Earliest hour of the contiguous flagged run ending at ``hour``.
 
         Walks back over hours where the entity was valid and its rate
-        clears the *current* threshold -- earlier hours that only now
-        look episodic (the threshold moved) are what make detection
-        latency nonzero.
+        clears the *current* ``threshold`` (the side's knee after this
+        hour's rates were inserted) -- earlier hours that only now look
+        episodic (the threshold moved) are what make detection latency
+        nonzero.
         """
-        threshold = state.threshold()
         rates = state.hour_rates.get(i, {})
         onset = hour
         while (onset - 1) in rates and rates[onset - 1] >= threshold:

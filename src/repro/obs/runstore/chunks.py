@@ -33,6 +33,16 @@ are not stable across runs (zip member timestamps); the chain digests
 array *contents*, which are -- a resumed run therefore reproduces the
 uninterrupted run's chain bit for bit.
 
+Compression: payloads are deflated at zlib level 1
+(:data:`PAYLOAD_COMPRESSLEVEL`), not ``np.savez_compressed``'s fixed
+level 6, because the commit is paid once per chunk for as long as the
+daemon runs.  On a 2-CPU VM a 6-hour chunk of 2.07 MB of counts takes
+~15 ms to write instead of ~70 ms, for ~30% more bytes on disk (139 KB
+instead of 107 KB); reading it back costs the same.  The archive layout
+is unchanged -- one ``<field>.npy`` member per array -- so ``np.load``
+reads payloads of either level, and stores written at level 6 resume
+as before.
+
 **Retention** (``repro serve --retain-hours N``): :meth:`prune_payloads`
 deletes old chunk ``.npz`` payloads while keeping their manifest
 entries -- marked ``"pruned": true`` -- so the chain stays fully
@@ -51,6 +61,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -77,6 +88,9 @@ CHECKPOINT_FILE = "checkpoint.json"
 #: Checkpoint-record schema; additive within the major.
 CHECKPOINT_SCHEMA = "repro.serve-checkpoint/1"
 
+#: zlib level of the chunk payloads (see the module docstring).
+PAYLOAD_COMPRESSLEVEL = 1
+
 
 class ChunkStoreError(RunStoreError):
     """A chunk commit, load, or verification failed."""
@@ -84,6 +98,21 @@ class ChunkStoreError(RunStoreError):
 
 def _chunk_filename(hour_start: int, hour_stop: int) -> str:
     return f"chunk-{hour_start:04d}-{hour_stop:04d}.npz"
+
+
+def _write_payload(path: Path, arrays: Dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an ``.npz`` deflated at
+    :data:`PAYLOAD_COMPRESSLEVEL`: the ``np.savez_compressed`` layout
+    (one ``<field>.npy`` member per array) at a cheaper level."""
+    with zipfile.ZipFile(
+        path, "w", zipfile.ZIP_DEFLATED,
+        compresslevel=PAYLOAD_COMPRESSLEVEL,
+    ) as archive:
+        for name, array in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(
+                    fh, np.asanyarray(array), allow_pickle=False
+                )
 
 
 class ChunkStore:
@@ -216,8 +245,7 @@ class ChunkStore:
         filename = _chunk_filename(hour_start, hour_stop)
         path = self.chunks_dir / filename
         tmp = path.with_suffix(".npz.tmp")
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+        _write_payload(tmp, arrays)
         os.replace(tmp, path)
         entry = {
             "hour_start": int(hour_start),
@@ -381,6 +409,12 @@ class ChunkStore:
         value at that boundary -- the dataset digest so far -- is pinned
         here from the manifest so a checkpoint can never be paired with
         a different chunk history.
+
+        The record is written compact (``sort_keys`` but no ``indent``)
+        because CPython's ``json`` uses its C encoder only without
+        ``indent``, and retention mode rewrites the whole record after
+        every chunk.  The bytes stay deterministic, and
+        :meth:`load_checkpoint` reads either form.
         """
         hour = int(document["hour"])
         chain = self._chain_at(hour)
@@ -391,7 +425,7 @@ class ChunkStore:
             "chain": chain,
         }
         tmp = self.checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        tmp.write_text(json.dumps(record, sort_keys=True) + "\n")
         tmp.replace(self.checkpoint_path)
         return record
 

@@ -219,6 +219,9 @@ class ServeDaemon:
         self._started_monotonic = monotonic()
         self._last_chunk_seconds = 0.0
         self._pruned_chunks = 0
+        #: Resolved once: the run manifest is rewritten every chunk and
+        #: ``git rev-parse`` is a process spawn.
+        self._git_rev = _git_revision()
 
         self.world = None
         self.truth = None
@@ -574,7 +577,7 @@ class ServeDaemon:
                 "chunk_hours": config.chunk_hours,
             },
             engine="fast",
-            git_rev=_git_revision(),
+            git_rev=self._git_rev,
             created_unix=self._created_unix,
             timings={
                 "wall_seconds": self._monotonic() - self._started_monotonic,

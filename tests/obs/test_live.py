@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 import urllib.request
 
 import pytest
@@ -375,6 +376,19 @@ class TestMetricsServer:
             assert server.scrapes == 1
         finally:
             server.stop()
+
+    def test_stop_returns_within_the_shutdown_poll(self):
+        # Each stop waits at most one shutdown poll (0.5 s by default).
+        for _ in range(5):
+            server = MetricsServer(0, registry_provider=MetricsRegistry)
+            server.start()
+            with urllib.request.urlopen(
+                f"http://127.0.0.1:{server.port}/healthz", timeout=10
+            ) as resp:
+                assert resp.status == 200
+            started = time.perf_counter()
+            server.stop()
+            assert time.perf_counter() - started < 0.3
 
 
 class TestTimeline:
