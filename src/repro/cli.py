@@ -103,10 +103,11 @@ def _add_run_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument(
         "--detect", action="store_true",
         default=d if suppress else False,
-        help="run the online failure-detection pipeline during the "
-        "simulation: streaming episode/blame analysis with alerting; "
-        "the alert stream is persisted as alerts.jsonl in the run "
-        "directory and is bit-identical at any --workers count",
+        help="run the online failure-detection pipeline over the "
+        "simulated hours, in hour order, once the simulation returns: "
+        "episode/blame analysis with alerting; the alert stream is "
+        "persisted as alerts.jsonl in the run directory and is "
+        "bit-identical at any --workers count",
     )
     parser.add_argument(
         "--alert-rules", metavar="PATH",
@@ -285,6 +286,9 @@ def _simulate(args):
     recorder = getattr(args, "_run_recorder", None)
     if recorder is not None:
         recorder.record_result(result)
+    live_session = getattr(args, "_live_session", None)
+    if live_session is not None:
+        live_session.fold_dataset(result.dataset)
     return result
 
 
@@ -525,7 +529,8 @@ def _configure_live(args):
         from repro.obs.online import RuleError
 
         if isinstance(exc, (RuleError, OSError)):
-            raise SystemExit(f"repro: error: {exc}")
+            print(f"repro: error: {exc}", file=sys.stderr)
+            raise SystemExit(2)
         raise
     session.start()
     if session.port is not None:

@@ -390,12 +390,9 @@ class MeasurementDataset:
         array is promoted to a wider dtype whenever the result would no
         longer fit, so counts can never silently wrap.
         """
-        if isinstance(shard, MeasurementDataset):
-            arrays: Mapping[str, np.ndarray] = {
-                name: getattr(shard, name) for name in self._ARRAY_FIELDS
-            }
-        else:
-            arrays = shard
+        arrays = (
+            shard.arrays() if isinstance(shard, MeasurementDataset) else shard
+        )
         h0, h1 = (0, self.world.hours) if hours is None else hours
         if not 0 <= h0 <= h1 <= self.world.hours:
             raise ValueError(
@@ -424,6 +421,11 @@ class MeasurementDataset:
                 dst = getattr(self, name)
                 view = dst[..., h0:h1]
             view[...] = total.astype(dst.dtype)
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """Every count array by field name: the whole run as one
+        ``(client, site, hour)`` block (no copies)."""
+        return {name: getattr(self, name) for name in self._ARRAY_FIELDS}
 
     # -- identity ----------------------------------------------------------------
 
@@ -464,9 +466,7 @@ class MeasurementDataset:
         """
         return fold_block(
             chain_seed(fingerprint_sha256(self.world)),
-            self.block_digest(
-                {name: getattr(self, name) for name in self._ARRAY_FIELDS}
-            ),
+            self.block_digest(self.arrays()),
         )
 
     # -- persistence ------------------------------------------------------------
@@ -488,7 +488,7 @@ class MeasurementDataset:
         np.savez_compressed(
             path,
             __meta__=np.array(json.dumps(meta)),
-            **{name: getattr(self, name) for name in self._ARRAY_FIELDS},
+            **self.arrays(),
         )
 
     @classmethod
@@ -608,7 +608,7 @@ def fold_block(chain: str, hour_digests: Iterable[str]) -> str:
 def hour_entity_stats_from_block(
     arrays: Mapping[str, np.ndarray], t: int
 ) -> Dict[str, list]:
-    """One hour's per-entity stats: the ``hour_stats`` event payload.
+    """One hour's per-entity stats: what the online detector folds.
 
     Reads hour ``t`` of ``(client, site, hour)`` block arrays and
     returns, as JSON-native lists, everything :mod:`repro.obs.online`
@@ -616,8 +616,8 @@ def hour_entity_stats_from_block(
     per-client and per-server transaction/failure vectors plus the
     sparse ``[client, server, count]`` TCP-failure triples blame buckets
     on, in row-major order.  Pure reads, so no caller can perturb the
-    digest.  The columnar engine's emitter, the serve daemon and
-    ``repro slo`` all call this one function.
+    digest.  :meth:`repro.obs.online.OnlineDetector.fold_block` and
+    ``repro slo`` both call this one function.
     """
 
     def hour_sum(fields: Iterable[str]) -> np.ndarray:

@@ -13,9 +13,9 @@ state (:mod:`~repro.obs.live.aggregate`) feeding
   replayed post-hoc by ``repro runs show --timeline``
   (:mod:`~repro.obs.live.timeline`), and
 * the online failure-detection pipeline (:mod:`repro.obs.online`,
-  behind ``--detect``): streaming episode/blame analysis whose alerts
-  surface on the dashboard, on ``/alerts``, and in the run registry's
-  ``alerts.jsonl``.
+  behind ``--detect``): episode/blame analysis folded hour by hour from
+  the committed count arrays, whose alerts surface on the dashboard, on
+  ``/alerts``, and in the run registry's ``alerts.jsonl``.
 
 Import as ``from repro.obs import live`` -- :mod:`repro.obs` itself
 does **not** import this package eagerly (the CLI and the parallel

@@ -53,11 +53,6 @@ from repro.obs.live.events import SCHEMA
 #: created, cleared on :meth:`TelemetryBus.stop`).
 _WORKER_QUEUE = None
 
-#: Whether forked workers should emit per-entity ``hour_stats`` events
-#: (parked next to the queue for the same inheritance reason: the online
-#: detector's appetite must survive the fork).
-_WORKER_ENTITY_STATS = False
-
 #: Bound on undrained telemetry events.  Sized for minutes of full-rate
 #: emission: beyond it the consumer is not slow, it is gone, and
 #: dropping beats blocking the simulation hot path.
@@ -90,16 +85,11 @@ class QueueEmitter:
         put: Callable[[Dict[str, Any]], None],
         worker: Optional[int] = None,
         clock: Callable[[], float] = time.time,
-        entity_stats: bool = False,
     ) -> None:
         self._put = put
         self.worker = worker
         self._clock = clock
         self._seq = 0
-        #: Engines check this before computing per-entity hour stats --
-        #: the (cheap but not free) payload is only built when an
-        #: online-analysis consumer asked for it.
-        self.entity_stats = entity_stats
         #: Events dropped by this emitter (full queue / dead pipe).
         self.drops = 0
 
@@ -131,10 +121,7 @@ def inherited_emitter(worker: int):
     """
     if _WORKER_QUEUE is None:
         return runtime.NULL_EMITTER
-    return QueueEmitter(
-        _WORKER_QUEUE.put_nowait, worker=worker,
-        entity_stats=_WORKER_ENTITY_STATS,
-    )
+    return QueueEmitter(_WORKER_QUEUE.put_nowait, worker=worker)
 
 
 class TelemetryBus:
@@ -157,12 +144,10 @@ class TelemetryBus:
         self,
         events_path: Optional[str] = None,
         clock: Callable[[], float] = time.time,
-        entity_stats: bool = False,
         maxsize: int = DEFAULT_QUEUE_CAPACITY,
     ) -> None:
         self.events_path = events_path
         self._clock = clock
-        self.entity_stats = entity_stats
         ctx_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in ctx_methods else None
@@ -184,19 +169,17 @@ class TelemetryBus:
     def emitter(self, worker: Optional[int] = None) -> QueueEmitter:
         """A new emitter publishing onto this bus's queue."""
         return QueueEmitter(
-            self.queue.put_nowait, worker=worker, clock=self._clock,
-            entity_stats=self.entity_stats,
+            self.queue.put_nowait, worker=worker, clock=self._clock
         )
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "TelemetryBus":
         """Open the sink, park the queue for workers, start draining."""
-        global _WORKER_QUEUE, _WORKER_ENTITY_STATS
+        global _WORKER_QUEUE
         if self.events_path is not None:
             self._sink = open(self.events_path, "w", encoding="utf-8")
         _WORKER_QUEUE = self.queue
-        _WORKER_ENTITY_STATS = self.entity_stats
         self._old_emitter = runtime.set_emitter(self.emitter())
         self._stop.clear()
         self._thread = threading.Thread(
@@ -208,12 +191,11 @@ class TelemetryBus:
 
     def stop(self) -> None:
         """Drain what is left, restore the emitter, close the sink."""
-        global _WORKER_QUEUE, _WORKER_ENTITY_STATS
+        global _WORKER_QUEUE
         if self._old_emitter is not None:
             runtime.set_emitter(self._old_emitter)
             self._old_emitter = None
         _WORKER_QUEUE = None
-        _WORKER_ENTITY_STATS = False
         try:
             # Non-blocking like every other put: on a full queue the
             # drain thread is woken by the stop flag instead, and any

@@ -12,13 +12,14 @@ The kinds (``EVENT_KINDS``) mirror the simulation's natural grain:
 * ``shard_start`` / ``shard_done`` -- one worker's contiguous hour
   block, with the worker's wall and CPU seconds on completion;
 * ``hour_done`` -- one simulated hour: its RNG stream id and the
-  per-failure-type transaction counts for that hour;
-* ``hour_stats`` -- one simulated hour's *per-entity* counts, emitted
-  only when a consumer asked for them (``emitter.entity_stats``): the
-  per-client and per-server transaction/failure vectors plus the sparse
-  per-(client, server) TCP-failure triples -- everything the online
-  detection pipeline (:mod:`repro.obs.online`) needs to mirror the
-  batch episode/blame analysis hour by hour.
+  per-failure-type transaction counts for that hour.
+
+Per-entity hour stats are not on the bus.  The online detector
+(:mod:`repro.obs.online`) folds them from the committed count arrays
+instead (:meth:`~repro.obs.online.OnlineDetector.fold_block`): once per
+batch run when the simulation returns, once per serve chunk.  The bus
+only carries what ``--live`` and ``/metrics`` show while the run is in
+flight.
 
 The same dicts travel three paths: the multiprocessing queue from
 workers to the parent, the ``events.jsonl`` file persisted into
@@ -42,10 +43,9 @@ RUN_DONE = "run_done"
 SHARD_START = "shard_start"
 SHARD_DONE = "shard_done"
 HOUR_DONE = "hour_done"
-HOUR_STATS = "hour_stats"
 
 EVENT_KINDS = frozenset({
-    RUN_START, RUN_DONE, SHARD_START, SHARD_DONE, HOUR_DONE, HOUR_STATS,
+    RUN_START, RUN_DONE, SHARD_START, SHARD_DONE, HOUR_DONE,
 })
 
 #: The per-failure-type count fields an ``hour_done`` event carries

@@ -8,16 +8,20 @@ optionally a :class:`~repro.obs.live.dashboard.LiveDashboard` (when
 ``--live``), a :class:`~repro.obs.live.server.MetricsServer` (when
 ``--serve-metrics``), and an
 :class:`~repro.obs.online.detector.OnlineDetector` (when ``--detect``,
-or implied by the other two) folding per-hour entity stats into
-episodes, blame, and alerts.  Detection also wires the long-horizon
-observers (:class:`~repro.obs.horizon.history.HistoryStore`,
+or implied by ``--alert-rules``) folding per-hour entity stats into
+episodes, blame, and alerts.  The detector is not on the bus: the CLI
+hands it the finished dataset once (:meth:`LiveSession.fold_dataset`),
+the same committed-array feed the serve daemon uses per chunk.
+Detection also wires the long-horizon observers
+(:class:`~repro.obs.horizon.history.HistoryStore`,
 :class:`~repro.obs.horizon.slo.SLOEngine`) onto the detector's ordered
 hour stream, so batch runs serve the same ``/history`` and ``/slo``
-documents -- and ``repro_slo_*`` gauges -- as the serve daemon.  ``stop()`` tears everything down in
-reverse order; the spool file survives until :meth:`cleanup` so the run
-recorder can copy it into ``runs/<run-id>/events.jsonl`` after the
-content-addressed run id becomes known, and the detector's exported
-alert stream rides along into ``alerts.jsonl``.
+documents -- and ``repro_slo_*`` gauges -- as the serve daemon.
+``stop()`` tears everything down in reverse order; the spool file
+survives until :meth:`cleanup` so the run recorder can copy it into
+``runs/<run-id>/events.jsonl`` after the content-addressed run id
+becomes known, and the detector's exported alert stream rides along
+into ``alerts.jsonl``.
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ class LiveSession:
         detect: bool = False,
         rules_path: Optional[str] = None,
     ) -> None:
-        fd, self.events_path = tempfile.mkstemp(
-            prefix="repro-events-", suffix=".jsonl"
-        )
-        os.close(fd)
         self.detector = None
         self.history = None
         self.slo = None
@@ -58,6 +58,8 @@ class LiveSession:
             from repro.obs.horizon import HistoryStore, SLOEngine
             from repro.obs.online import OnlineDetector, load_rules
 
+            # Before the spool exists: a bad rule file leaves nothing
+            # behind in the temp directory.
             rules = load_rules(rules_path) if rules_path else None
             # The horizon observers ride the detector's hour cursor, so
             # batch runs get the same /history and /slo surfaces (and
@@ -67,18 +69,17 @@ class LiveSession:
             self.detector = OnlineDetector(
                 rules=rules, observers=[self.history, self.slo]
             )
+        fd, self.events_path = tempfile.mkstemp(
+            prefix="repro-events-", suffix=".jsonl"
+        )
+        os.close(fd)
         self.aggregator = LiveAggregator(
             slo_provider=(
                 self.slo.document if self.slo is not None else None
             ),
         )
-        self.bus = TelemetryBus(
-            events_path=self.events_path,
-            entity_stats=self.detector is not None,
-        )
+        self.bus = TelemetryBus(events_path=self.events_path)
         self.bus.subscribe(self.aggregator.update)
-        if self.detector is not None:
-            self.bus.subscribe(self.detector.update)
         self.dashboard: Optional[LiveDashboard] = None
         if dashboard:
             self.dashboard = LiveDashboard(
@@ -128,12 +129,25 @@ class LiveSession:
             return
         self._started = False
         self.bus.stop()
-        if self.detector is not None:
-            self.detector.drain_pending()
         if self.dashboard is not None:
             self.dashboard.close()
         if self.server is not None:
             self.server.stop()
+
+    def fold_dataset(self, dataset) -> None:
+        """Fold a finished run's dataset into the detector (if any).
+
+        One ``run_start`` with the world's roster, then every hour of
+        the dataset as one block -- alerts therefore land when the
+        simulation returns, with sim-hour latencies unchanged.
+        """
+        if self.detector is None:
+            return
+        world = dataset.world
+        self.detector.update(
+            {"type": "run_start", "hours": world.hours, **world.roster()}
+        )
+        self.detector.fold_block(dataset.arrays(), 0)
 
     def export_alerts(self) -> Optional[Dict[str, Any]]:
         """The detector's persistable alert stream (None when off)."""

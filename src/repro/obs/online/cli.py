@@ -3,7 +3,8 @@
 Mirrors the runstore CLI pattern: :func:`configure_parser` attaches the
 arguments, :func:`run` executes.  Exit codes: 0 when the online
 pipeline exactly reproduces the batch analysis (and the recorded alert
-digest), 1 on any quality mismatch, 2 on usage/IO errors.
+digest), 1 on any quality mismatch, 2 on usage/IO errors -- including a
+rebuilt dataset that no longer matches the recorded digest.
 """
 
 from __future__ import annotations

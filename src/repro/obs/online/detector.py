@@ -1,8 +1,8 @@
 """The streaming episode/blame detector.
 
-:class:`OnlineDetector` subscribes to the telemetry bus and, per
-completed simulated hour, mirrors the batch Section 4.4 pipeline
-incrementally:
+:class:`OnlineDetector` folds committed ``(client, site, hour)`` count
+blocks (:meth:`~OnlineDetector.fold_block`) and, per simulated hour,
+mirrors the batch Section 4.4 pipeline incrementally:
 
 * folds the hour's per-entity transaction/failure vectors into running
   per-client and per-server rate samples (validity: at least
@@ -24,12 +24,12 @@ incrementally:
 * evaluates the declarative alert rules (:mod:`repro.obs.online.rules`)
   and appends any fired alerts to the run's alert stream.
 
-Determinism is the design center: shards arrive interleaved from worker
-processes, so events are parked in a pending map and folded strictly in
-hour order behind a cursor.  Alert records carry no wall-clock fields,
-entity names are resolved from the ``run_start`` roster, and every
-per-hour quantity is a pure function of the hours folded so far -- the
-exported alert stream is therefore bit-identical at any worker count.
+Determinism is the design center: blocks are folded strictly in hour
+order (a block that does not start at the next unfolded hour is
+refused), alert records carry no wall-clock fields, entity names are
+resolved from the ``run_start`` roster, and every per-hour quantity is
+a pure function of the hours folded so far -- the exported alert stream
+is therefore bit-identical at any worker count and any chunking.
 
 End-of-run equivalence: the per-entity-hour rates the detector stores
 are exactly the batch rate matrices' valid cells, and the final
@@ -44,10 +44,14 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left, insort
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
+)
+
+import numpy as np
 
 from repro.core import knee as knee_mod
-from repro.core.dataset import MIN_SAMPLES_PER_HOUR
+from repro.core.dataset import MIN_SAMPLES_PER_HOUR, hour_entity_stats_from_block
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.online.rules import (
     BLAME_VERDICT,
@@ -117,7 +121,7 @@ class _SideState:
 
 
 class OnlineDetector:
-    """Fold ``hour_stats`` telemetry into episodes, blame, and alerts."""
+    """Fold committed hour blocks into episodes, blame, and alerts."""
 
     def __init__(
         self,
@@ -147,8 +151,6 @@ class OnlineDetector:
         self.retention_hours = retention_hours
         self._lock = threading.Lock()
         self._sides = {side: _SideState(side) for side in _SIDES}
-        #: Out-of-order arrivals parked until the cursor reaches them.
-        self._pending: Dict[int, Dict[str, Any]] = {}
         self._next_hour = 0
         self._last_folded: Optional[int] = None
         self.hours_total: Optional[int] = None
@@ -172,63 +174,51 @@ class OnlineDetector:
         self.latencies: List[int] = []
         self.events_seen = 0
 
-    # -- bus subscription -------------------------------------------------------
+    # -- the feed ---------------------------------------------------------------
 
     def update(self, event: Dict[str, Any]) -> None:
-        """Fold one telemetry event in (bus drain-thread context)."""
-        kind = event.get("type")
+        """Take the roster from a ``run_start`` event; ignore the rest."""
         with self._lock:
             self.events_seen += 1
-            if kind == "run_start":
-                self.hours_total = int(event.get("hours") or 0) or None
-                clients = event.get("clients")
-                servers = event.get("servers")
-                if isinstance(clients, list):
-                    self._sides["client"].names = [str(n) for n in clients]
-                if isinstance(servers, list):
-                    self._sides["server"].names = [str(n) for n in servers]
-                for observer in self.observers:
-                    observer.on_run_start(event)
-            elif kind == "hour_stats":
-                hour = int(event.get("hour") or 0)
-                # Shards arrive interleaved; fold strictly in hour order
-                # so the alert stream is identical at any worker count.
-                self._pending[hour] = event
-                while self._next_hour in self._pending:
-                    self._fold_hour(self._pending.pop(self._next_hour))
-                    self._next_hour += 1
+            if event.get("type") != "run_start":
+                return
+            self.hours_total = int(event.get("hours") or 0) or None
+            clients = event.get("clients")
+            servers = event.get("servers")
+            if isinstance(clients, list):
+                self._sides["client"].names = [str(n) for n in clients]
+            if isinstance(servers, list):
+                self._sides["server"].names = [str(n) for n in servers]
+            for observer in self.observers:
+                observer.on_run_start(event)
 
-    def drain_pending(self) -> None:
-        """Fold any still-parked hours, in order (end-of-run flush).
+    def fold_block(
+        self, arrays: Mapping[str, np.ndarray], hour_start: int
+    ) -> None:
+        """Fold every hour of a ``(client, site, hour)`` block, in order.
 
-        Normally empty: the cursor keeps up unless some ``hour_stats``
-        event was dropped by backpressure, in which case the hours after
-        the gap are folded here (burn streaks reset across the gap).
+        ``hour_start`` is the block's first sim-hour and must be the
+        next unfolded hour: the detector never skips or repeats an hour.
+        The lock is taken per hour, so read surfaces stay responsive
+        while a long block folds.
         """
-        with self._lock:
-            for hour in sorted(self._pending):
-                self._fold_hour(self._pending.pop(hour))
-            self._next_hour = (
-                self._last_folded + 1
-                if self._last_folded is not None else 0
-            )
+        for t in range(arrays["transactions"].shape[-1]):
+            stats = hour_entity_stats_from_block(arrays, t)
+            with self._lock:
+                if hour_start + t != self._next_hour:
+                    raise ValueError(
+                        f"cannot fold hour {hour_start + t}: the next "
+                        f"unfolded hour is {self._next_hour}"
+                    )
+                self._fold_hour(hour_start + t, stats)
 
     # -- the per-hour pipeline --------------------------------------------------
 
-    def _fold_hour(self, event: Dict[str, Any]) -> None:
-        hour = int(event.get("hour") or 0)
-        if self._last_folded is not None and hour != self._last_folded + 1:
-            # A gap (dropped event): consecutive-hours conditions cannot
-            # be trusted across it.
-            for name in self._burn_streak:
-                self._burn_streak[name] = 0
+    def _fold_hour(self, hour: int, stats: Dict[str, list]) -> None:
         self._last_folded = hour
+        self._next_hour = hour + 1
         self.hours_folded += 1
-
-        ct = [int(v) for v in event.get("ct") or []]
-        cf = [int(v) for v in event.get("cf") or []]
-        st = [int(v) for v in event.get("st") or []]
-        sf = [int(v) for v in event.get("sf") or []]
+        ct, cf, st, sf = stats["ct"], stats["cf"], stats["st"], stats["sf"]
 
         opened: List[Tuple[str, int, Dict[str, Any]]] = []
         blame_flags: Dict[str, Dict[int, bool]] = {}
@@ -280,7 +270,7 @@ class OnlineDetector:
                 i: rate >= BLAME_THRESHOLD for i, rate in hour_rates.items()
             }
 
-        self._fold_blame(event, blame_flags)
+        self._fold_blame(stats["tcp"], blame_flags)
         self._evaluate_rules(hour, opened, ct, cf)
         for observer in self.observers:
             observer.on_hour(hour, ct, cf, st, sf)
@@ -331,13 +321,12 @@ class OnlineDetector:
 
     def _fold_blame(
         self,
-        event: Dict[str, Any],
+        tcp: List[List[int]],
         flags: Dict[str, Dict[int, bool]],
     ) -> None:
         client_flags = flags["client"]
         server_flags = flags["server"]
-        for triple in event.get("tcp") or []:
-            ci, si, count = int(triple[0]), int(triple[1]), int(triple[2])
+        for ci, si, count in tcp:
             c = client_flags.get(ci, False)
             s = server_flags.get(si, False)
             if s and not c:
@@ -494,7 +483,6 @@ class OnlineDetector:
                 "rules": [r.name for r in self.rules],
                 "hours_total": self.hours_total,
                 "hours_folded": self.hours_folded,
-                "pending_hours": len(self._pending),
                 "thresholds": {
                     side: self._sides[side].knee() for side in _SIDES
                 },
@@ -665,19 +653,13 @@ class OnlineDetector:
     def export_state(self) -> Dict[str, Any]:
         """The full fold state, JSON-able (the retention checkpoint).
 
-        Must be taken at a fold boundary (no parked out-of-order
-        hours); ``sorted_rates`` and the per-hour reverse index are
-        derived from ``hour_rates`` and rebuilt on restore, keeping the
-        record minimal.  Restoring this state and folding hours N.. is
+        ``sorted_rates`` and the per-hour reverse index are derived from
+        ``hour_rates`` and rebuilt on restore, keeping the record
+        minimal.  Restoring this state and folding hours N.. is
         bit-identical to having folded 0..N.. in one process -- the
         property the retention-resume tests hold.
         """
         with self._lock:
-            if self._pending:
-                raise ValueError(
-                    "detector state export with out-of-order hours "
-                    f"still parked: {sorted(self._pending)}"
-                )
             sides: Dict[str, Any] = {}
             for side, state in self._sides.items():
                 episode_index = {
@@ -720,7 +702,6 @@ class OnlineDetector:
         names are dropped and missing ones start at zero.
         """
         with self._lock:
-            self._pending = {}
             self._next_hour = int(state["next_hour"])
             self._last_folded = (
                 int(state["last_folded"])

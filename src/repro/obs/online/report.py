@@ -1,9 +1,12 @@
 """Post-run detection-quality scoring: ``repro detect RUN``.
 
-Replays a recorded run's persisted telemetry (``events.jsonl``) through
-a fresh :class:`~repro.obs.online.detector.OnlineDetector`, rebuilds
-the *batch* episode analysis from the same per-hour aggregates, and
-scores the online pipeline against it:
+Rebuilds a recorded run's dataset from its recorded plan (hours,
+per-hour rate, seed, planted fault), checks it against the manifest's
+dataset digest, folds it through a fresh
+:class:`~repro.obs.online.detector.OnlineDetector` -- the same
+:meth:`~repro.obs.online.detector.OnlineDetector.fold_block` feed the
+run itself used -- and scores the online pipeline against the batch
+analysis of the same dataset:
 
 * **episode precision / recall** -- the online end-of-run episode cells
   (entity-hours flagged under the final online threshold) against the
@@ -12,9 +15,9 @@ scores the online pipeline against it:
   construction (shared knee code, identical rates) -- scoring them is
   the regression trap that keeps it that way;
 * **blame agreement** -- the online running buckets against the batch
-  Table 5 classification at the paper's f = 5% (no pair exclusion on
-  either side: an online observer cannot know which pairs will prove
-  permanent);
+  Table 5 classification, :func:`repro.core.blame.run_blame_analysis`
+  at the paper's f = 5% (no pair exclusion on either side: an online
+  observer cannot know which pairs will prove permanent);
 * **detection latency** -- the onset-to-alert gap distribution of the
   hysteresis detector, the number the planted-fault SLO bounds;
 * **digest reproduction** -- re-exporting the replayed alert stream
@@ -36,16 +39,21 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.dataset import MIN_SAMPLES_PER_HOUR
-from repro.core.episodes import RateMatrix, detect_knee, episode_matrix
+from repro.core.blame import run_blame_analysis
+from repro.core.episodes import (
+    client_rate_matrix,
+    detect_knee,
+    episode_matrix,
+    server_rate_matrix,
+)
 from repro.obs.online.detector import BLAME_THRESHOLD, OnlineDetector
 from repro.obs.online.rules import RuleError, rules_from_dicts
 from repro.obs.runstore.manifest import RunManifest
-from repro.obs.runstore.store import ALERTS_FILE, EVENTS_FILE, serialize_alerts
+from repro.obs.runstore.store import ALERTS_FILE, serialize_alerts
 
 
 class DetectError(RuntimeError):
-    """The run cannot be scored (no event stream, unreadable files...)."""
+    """The run cannot be scored (no alert stream, digest drift...)."""
 
 
 @dataclass
@@ -143,80 +151,6 @@ def _rules_from_run(run_dir: Path) -> Optional[List[Any]]:
     return None
 
 
-def _batch_matrices(
-    events: List[Dict[str, Any]], hours: int
-) -> Dict[str, RateMatrix]:
-    """Reconstruct the batch per-side rate matrices from ``hour_stats``.
-
-    The batch pipeline only ever sees per-entity-hour aggregates
-    (:func:`~repro.core.episodes.client_rate_matrix` sums the cube down
-    to exactly these vectors), so rebuilding them from the telemetry
-    stream reproduces its inputs bit for bit.
-    """
-    sizes: Dict[str, Optional[int]] = {"client": None, "server": None}
-    for event in events:
-        if event.get("type") == "hour_stats":
-            sizes["client"] = len(event.get("ct") or [])
-            sizes["server"] = len(event.get("st") or [])
-            break
-    if sizes["client"] is None:
-        raise DetectError(
-            "run's event stream has no hour_stats events -- was it "
-            "recorded with online detection on (--detect/--live)?"
-        )
-    trans = {
-        side: np.zeros((n, hours), dtype=np.int64)
-        for side, n in sizes.items()
-    }
-    fails = {
-        side: np.zeros((n, hours), dtype=np.int64)
-        for side, n in sizes.items()
-    }
-    for event in events:
-        if event.get("type") != "hour_stats":
-            continue
-        h = int(event.get("hour") or 0)
-        for side, t_key, f_key in (
-            ("client", "ct", "cf"), ("server", "st", "sf"),
-        ):
-            trans[side][:, h] = event.get(t_key) or 0
-            fails[side][:, h] = event.get(f_key) or 0
-    matrices: Dict[str, RateMatrix] = {}
-    for side in ("client", "server"):
-        rates = np.full(trans[side].shape, np.nan, dtype=float)
-        enough = trans[side] >= MIN_SAMPLES_PER_HOUR
-        rates[enough] = fails[side][enough] / trans[side][enough]
-        matrices[side] = RateMatrix(rates=rates, transactions=trans[side])
-    return matrices
-
-
-def _batch_blame(
-    events: List[Dict[str, Any]],
-    flags: Dict[str, np.ndarray],
-) -> Dict[str, int]:
-    """Batch Table 5 bucketing of the TCP triples under ``flags``."""
-    counts = {"server": 0, "client": 0, "both": 0, "other": 0}
-    client_flags = flags["client"]
-    server_flags = flags["server"]
-    for event in events:
-        if event.get("type") != "hour_stats":
-            continue
-        h = int(event.get("hour") or 0)
-        for triple in event.get("tcp") or []:
-            ci, si, n = int(triple[0]), int(triple[1]), int(triple[2])
-            c = bool(client_flags[ci, h])
-            s = bool(server_flags[si, h])
-            if s and not c:
-                counts["server"] += n
-            elif c and not s:
-                counts["client"] += n
-            elif c and s:
-                counts["both"] += n
-            else:
-                counts["other"] += n
-    return counts
-
-
 def _cell_scores(
     online: Set[Tuple[int, int]], batch: Set[Tuple[int, int]]
 ) -> Dict[str, float]:
@@ -233,48 +167,66 @@ def _cell_scores(
 
 def run_detect(run_dir: Path, manifest: RunManifest) -> DetectReport:
     """Score one recorded run's online detection against batch."""
-    events_path = run_dir / EVENTS_FILE
-    if not events_path.is_file():
+    # The serve layer re-simulates the plan: obs may not import the
+    # world that simulates it.
+    from repro.serve.daemon import plan_simulator
+
+    if not (run_dir / ALERTS_FILE).is_file():
         raise DetectError(
-            f"{manifest.run_id}: no {EVENTS_FILE} in {run_dir} -- record "
-            "the run with --detect (or --live/--serve-metrics) first"
+            f"{manifest.run_id}: no {ALERTS_FILE} in {run_dir} -- record "
+            "the run with --detect (or --alert-rules) first"
         )
-    events = _read_events(events_path)
-    rules = _rules_from_run(run_dir)
-
-    detector = OnlineDetector(rules=rules)
-    for event in events:
-        detector.update(event)
-    detector.drain_pending()
-
-    last = detector.last_folded_hour
-    hours = detector.hours_total or ((last + 1) if last is not None else 0)
-    if detector.hours_folded == 0:
+    recorded = manifest.dataset.get("digest")
+    if recorded is None:
         raise DetectError(
-            f"{manifest.run_id}: event stream carries no hour_stats events"
+            f"{manifest.run_id}: no dataset digest recorded -- the run "
+            "never reached its horizon"
+        )
+    try:
+        dataset = plan_simulator(manifest.config).run().dataset
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DetectError(
+            f"{manifest.run_id}: cannot rebuild the dataset from its "
+            f"recorded plan {manifest.config}: {exc}"
+        )
+    rebuilt = dataset.digest()
+    if rebuilt != recorded:
+        raise DetectError(
+            f"{manifest.run_id}: the rebuilt dataset digests to {rebuilt}, "
+            f"the manifest records {recorded} -- the code no longer "
+            "reproduces this run"
         )
 
-    matrices = _batch_matrices(events, hours)
-    report = DetectReport(run_id=manifest.run_id, hours=hours)
+    world = dataset.world
+    detector = OnlineDetector(rules=_rules_from_run(run_dir))
+    detector.update(
+        {"type": "run_start", "hours": world.hours, **world.roster()}
+    )
+    detector.fold_block(dataset.arrays(), 0)
+    report = DetectReport(run_id=manifest.run_id, hours=world.hours)
 
-    blame_flags: Dict[str, np.ndarray] = {}
-    for side in ("client", "server"):
-        matrix = matrices[side]
+    for side, matrix in (
+        ("client", client_rate_matrix(dataset)),
+        ("server", server_rate_matrix(dataset)),
+    ):
         batch_knee = detect_knee(matrix)
-        online_threshold = detector.final_threshold(side)
         report.thresholds[side] = {
-            "online": online_threshold, "batch": batch_knee,
+            "online": detector.final_threshold(side), "batch": batch_knee,
         }
         batch_flags = episode_matrix(matrix, batch_knee)
         batch_cells = {
             (int(i), int(h)) for i, h in zip(*np.nonzero(batch_flags))
         }
-        online_cells = detector.final_flags(side)
-        report.episode_cells[side] = _cell_scores(online_cells, batch_cells)
-        blame_flags[side] = episode_matrix(matrix, BLAME_THRESHOLD)
+        report.episode_cells[side] = _cell_scores(
+            detector.final_flags(side), batch_cells
+        )
 
+    batch = run_blame_analysis(dataset, BLAME_THRESHOLD).breakdown
     report.blame_online = dict(sorted(detector.blame.items()))
-    report.blame_batch = dict(sorted(_batch_blame(events, blame_flags).items()))
+    report.blame_batch = {
+        "both": batch.both, "client": batch.client_side,
+        "other": batch.other, "server": batch.server_side,
+    }
 
     snap = detector.snapshot()
     report.latency = snap["detection_latency_hours"]
@@ -285,8 +237,7 @@ def run_detect(run_dir: Path, manifest: RunManifest) -> DetectReport:
     report.digest = hashlib.sha256(
         serialize_alerts(exported["lines"])
     ).hexdigest()
-    recorded = (manifest.alerts_summary or {}).get("digest")
-    report.digest_recorded = recorded
+    report.digest_recorded = (manifest.alerts_summary or {}).get("digest")
     return report
 
 

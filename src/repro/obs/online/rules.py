@@ -199,7 +199,10 @@ def load_rules(path: str) -> List[AlertRule]:
                 "use a JSON rule file instead"
             )
         with open(path, "rb") as fh:
-            document = tomllib.load(fh)
+            try:
+                document = tomllib.load(fh)
+            except tomllib.TOMLDecodeError as exc:
+                raise RuleError(f"{path}: not valid TOML ({exc})") from exc
     else:
         with open(path, "r", encoding="utf-8") as fh:
             try:

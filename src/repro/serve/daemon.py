@@ -7,11 +7,11 @@ chunk it:
 1. **commits** the chunk's count arrays durably through
    :class:`~repro.obs.runstore.chunks.ChunkStore` (npz + hour-chained
    manifest under ``runs/<id>/chunks/``), *then*
-2. **feeds** the streaming :class:`~repro.obs.online.OnlineDetector`
-   one synthetic ``hour_stats`` event per simulated hour -- the same
-   per-entity vectors the columnar engine emits on the telemetry bus,
-   recomputed from the committed arrays (pure reads; the digest cannot
-   be perturbed).
+2. **folds** the committed arrays into the streaming
+   :class:`~repro.obs.online.OnlineDetector`
+   (:meth:`~repro.obs.online.OnlineDetector.fold_block`) -- the same
+   feed a batch ``simulate --detect`` run gives it once at the end
+   (pure reads; the digest cannot be perturbed).
 
 The daemon holds no dataset: the chunk store's hour chain *is* the
 dataset digest of the committed hours.  Because every hour draws from
@@ -45,10 +45,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro import obs
-from repro.core.dataset import fingerprint_sha256, hour_entity_stats_from_block
+from repro.core.dataset import fingerprint_sha256
+# Not called here: the detector reads its per-hour stats through this
+# function, and the benchmark's layer table (bench/leg.py) times it
+# under this module's name.
+from repro.core.dataset import hour_entity_stats_from_block  # noqa: F401
 from repro.obs.horizon import HistoryStore, SLOEngine
 from repro.obs.live.server import DEFAULT_HOST, MetricsServer, ShutdownCoordinator
 from repro.obs.metrics import MetricsRegistry
@@ -63,11 +65,8 @@ from repro.obs.runstore.store import (
     runs_index,
 )
 from repro.world.defaults import DEFAULT_HOURS
-from repro.world.faults import FaultGenerator
-from repro.world.outcome_model import AccessConfig
 from repro.world.parallel import plan_shards, run_block
-from repro.world.rng import RNGRegistry
-from repro.world.simulator import MonthSimulator
+from repro.world.simulator import MonthSimulator, default_simulator
 
 #: Identity schema for serve run ids (the *plan*, not the result).
 SERVE_SCHEMA = "repro.serve/1"
@@ -150,12 +149,28 @@ def plan_entities(config: Dict[str, Any]) -> Dict[str, Any]:
     from repro.world.defaults import build_default_world
 
     hours = int(config["hours"])
-    world = build_default_world(hours=hours if hours else DEFAULT_HOURS)
-    return {
-        "clients": [c.name for c in world.clients],
-        "servers": [w.name for w in world.websites],
-        "client_regions": [c.region.value for c in world.clients],
-    }
+    return build_default_world(hours=hours or DEFAULT_HOURS).roster()
+
+
+def plan_simulator(config: Dict[str, Any]) -> MonthSimulator:
+    """The simulator for a plan (``hours``, ``per_hour``, ``seed``,
+    ``fault``): :func:`~repro.world.simulator.default_simulator`, so its
+    hours digest identically to a batch run of the plan.  The daemon
+    simulates chunks with it; ``repro detect`` re-simulates a recorded
+    run's whole dataset (here for the same reason as
+    :func:`plan_entities`).
+
+    ``hours=0`` (an indefinite serve run) builds one 744-hour epoch.
+    """
+    transform = None
+    if config.get("fault"):
+        from repro.world.scenarios import parse_fault_spec
+
+        transform = parse_fault_spec(config["fault"])
+    return default_simulator(
+        int(config["hours"]) or DEFAULT_HOURS, int(config["per_hour"]),
+        int(config["seed"]), truth_transform=transform,
+    )
 
 
 class ServeError(RuntimeError):
@@ -248,29 +263,17 @@ class ServeDaemon:
         (a planted ``--fault`` recurs every 744 sim-hours), keeping
         world/truth memory constant over an unbounded run.
         """
-        from repro.world.defaults import build_default_world
-
-        config = self.config
-        self.world = build_default_world(hours=self.epoch_hours)
-        access = AccessConfig(per_hour=config.per_hour)
-        rngs = RNGRegistry(config.seed)
-        truth = FaultGenerator(self.world, None, rngs.fork("faults")).generate()
-        if config.fault:
-            from repro.world.scenarios import parse_fault_spec
-
-            truth = parse_fault_spec(config.fault)(self.world, truth)
-        self.truth = truth
-        self.simulator = MonthSimulator(
-            self.world, access=access, rngs=rngs, truth=truth
-        )
+        self.simulator = plan_simulator(self.config.identity_config())
+        self.world = self.simulator.world
+        self.truth = self.simulator.truth
 
     def prepare(self, resume: bool = False, fresh: bool = False) -> None:
         """Build the world and reconcile with any committed chunks.
 
         ``fresh`` discards previously committed chunks; ``resume``
-        verifies and replays them into the detector (identical
-        ``hour_stats`` sequence => identical alert stream) and moves the
-        cursor.  Committed chunks present with neither flag is an error:
+        verifies and replays them into the detector (identical hour
+        sequence => identical alert stream) and moves the cursor.
+        Committed chunks present with neither flag is an error:
         silently overwriting durable work would be worse than asking.
         """
         self._build_world()
@@ -278,13 +281,8 @@ class ServeDaemon:
             shutil.rmtree(self.chunks.chunks_dir, ignore_errors=True)
             self.chunks = ChunkStore(self.store.run_dir(self.run_id))
         self.detector.update({
-            "type": "run_start",
-            "hours": self.config.hours,
-            "clients": [c.name for c in self.world.clients],
-            "servers": [w.name for w in self.world.websites],
-            "client_regions": [
-                c.region.value for c in self.world.clients
-            ],
+            "type": "run_start", "hours": self.config.hours,
+            **self.world.roster(),
         })
         fingerprint = fingerprint_sha256(self.world)
         if self.chunks.exists():
@@ -316,9 +314,8 @@ class ServeDaemon:
                 if checkpoint is not None:
                     self._restore_checkpoint(checkpoint)
             for entry, arrays in self.chunks.replay(start_hour=self.cursor):
-                h0, h1 = int(entry["hour_start"]), int(entry["hour_stop"])
-                self._feed_detector(arrays, h0, h1)
-                self.cursor = h1
+                self.detector.fold_block(arrays, int(entry["hour_start"]))
+                self.cursor = int(entry["hour_stop"])
             self.resumed_hours = self.cursor
             if self.resumed_hours:
                 obs.logger.info(
@@ -352,16 +349,6 @@ class ServeDaemon:
         )
 
     # -- the chunk loop ---------------------------------------------------------
-
-    def _feed_detector(
-        self, arrays: Dict[str, np.ndarray], hour_start: int, hour_stop: int
-    ) -> None:
-        for t in range(hour_stop - hour_start):
-            self.detector.update({
-                "type": "hour_stats",
-                "hour": hour_start + t,
-                **hour_entity_stats_from_block(arrays, t),
-            })
 
     def request_stop(self) -> None:
         """Programmatic graceful stop (same path as SIGTERM)."""
@@ -423,7 +410,7 @@ class ServeDaemon:
                         workers=config.workers,
                     )
                     entry = self.chunks.commit(h0, h1, arrays)
-                    self._feed_detector(arrays, h0, h1)
+                    self.detector.fold_block(arrays, h0)
                     if self.retention is not None:
                         self._checkpoint_and_prune()
                 with self._state_lock:

@@ -65,7 +65,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.dataset import MeasurementDataset, hour_entity_stats_from_block
+from repro.core.dataset import MeasurementDataset
 
 # -- outcome categories -------------------------------------------------------
 #
@@ -503,10 +503,8 @@ class ColumnarEngine:
         Chunks the block for the rate lattices, runs every hour's draws
         from its own ``fast-engine/hour/<h>`` stream in a fixed call
         order into hour-major staging blocks, and flushes each chunk to
-        the sink as one block write per field.  Per-hour telemetry
-        (``hour_done``/``hour_stats``) streams off the staged planes
-        exactly as the loop engine's did, so ``--live`` and ``--detect``
-        consume an unchanged feed.
+        the sink as one block write per field.  Per-hour ``hour_done``
+        telemetry streams off the staged planes for ``--live``.
         """
         emitter = obs.emitter()
         stages = stage_seconds if stage_seconds is not None else {}
@@ -550,12 +548,6 @@ class ColumnarEngine:
                 (name, np.zeros((hc, s, r_width), dtype=np.int32))
                 for name in _SR_FIELDS
             )
-            # Hour-last views of the staging planes: the block layout
-            # hour_entity_stats_from_block reads (no copies).
-            hour_last = {
-                name: np.moveaxis(plane, 0, -1)
-                for name, plane in staging.items()
-            }
             for h in range(c0, c1):
                 stream = f"fast-engine/hour/{h}"
                 with obs.span("simulate.hour", hour=h):
@@ -566,11 +558,6 @@ class ColumnarEngine:
                         "hour_done", hour=h, stream=stream,
                         **_hour_counts(staging, h - c0),
                     )
-                    if getattr(emitter, "entity_stats", False):
-                        emitter.emit(
-                            "hour_stats", hour=h,
-                            **hour_entity_stats_from_block(hour_last, h - c0),
-                        )
             t2 = perf_counter()
             for name, block in staging.items():
                 sink.commit_block(name, c0, c1, block)

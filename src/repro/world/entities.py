@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dns.message import normalize_name
 from repro.net.addressing import IPv4Address, Prefix
@@ -233,6 +233,19 @@ class World:
     def site_idx(self, name: str) -> int:
         """Array index of a website."""
         return self._site_index[normalize_name(name)]
+
+    def roster(self) -> Dict[str, List[str]]:
+        """Entity names in array-index order, plus each client's region.
+
+        The online detector resolves array indices back to names at
+        alert time, and the horizon observers aggregate per region; both
+        take this dict on their ``run_start``.
+        """
+        return {
+            "clients": [c.name for c in self.clients],
+            "servers": [w.name for w in self.websites],
+            "client_regions": [c.region.value for c in self.clients],
+        }
 
     def clients_in_category(self, category: ClientCategory) -> List[Client]:
         """All clients of one category."""

@@ -275,12 +275,9 @@ def run_parallel(
 
     emitter = obs.emitter()
     if emitter.enabled:
-        from repro.world.simulator import _run_start_entities
-
         emitter.emit(
             "run_start", hours=world.hours, workers=len(shards),
             engine="fast", shards=[[h0, h1] for h0, h1 in shards],
-            **_run_start_entities(world, emitter),
         )
     dataset = MeasurementDataset(world)
     fallback_reason: Optional[str] = None

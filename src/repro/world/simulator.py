@@ -122,8 +122,7 @@ class MonthSimulator:
         emitter = obs.emitter()
         if emitter.enabled:
             emitter.emit(
-                "run_start", hours=self.world.hours, workers=1, engine="fast",
-                **_run_start_entities(self.world, emitter),
+                "run_start", hours=self.world.hours, workers=1, engine="fast"
             )
             emitter.emit(
                 "shard_start", hour_start=0, hour_stop=self.world.hours
@@ -276,24 +275,6 @@ class MonthSimulator:
         registry.gauge("simulate_hours").set(self.world.hours)
 
 
-def _run_start_entities(world, emitter) -> Dict[str, list]:
-    """Entity-name fields for ``run_start`` when stats were asked for.
-
-    The online detector resolves array indices back to names at alert
-    time; shipping the rosters once on ``run_start`` keeps every later
-    ``hour_stats`` event index-only and small.  ``client_regions`` rides
-    along so the horizon SLO/history observers can aggregate per region
-    (absent rosters just leave their region tables empty).
-    """
-    if not getattr(emitter, "entity_stats", False):
-        return {}
-    return {
-        "clients": [c.name for c in world.clients],
-        "servers": [w.name for w in world.websites],
-        "client_regions": [c.region.value for c in world.clients],
-    }
-
-
 def _dataset_totals(dataset: MeasurementDataset) -> Dict[str, int]:
     """Month-wide per-failure-type totals for the ``run_done`` event."""
     return {
@@ -349,18 +330,14 @@ def _expected_leading_failures(
     return out
 
 
-def simulate_default_month(
+def default_simulator(
     hours: int = 744,
     per_hour: int = 4,
     seed: int = 20050101,
     faults: Optional[FaultConfig] = None,
-    workers: Optional[int] = None,
     truth_transform=None,
-) -> SimulationResult:
-    """Convenience one-call entry point: default world, default faults.
-
-    ``workers`` > 1 runs the hour-sharded parallel engine; output is
-    bit-identical to the sequential path for the same seed.
+) -> MonthSimulator:
+    """The default world and its ground truth, ready to simulate.
 
     ``truth_transform(world, truth) -> truth`` edits the generated
     ground truth before simulation -- the fault-injection hook behind
@@ -378,6 +355,24 @@ def simulate_default_month(
     truth = FaultGenerator(world, faults, rngs.fork("faults")).generate()
     if truth_transform is not None:
         truth = truth_transform(world, truth)
-    return MonthSimulator(world, access=access, rngs=rngs, truth=truth).run(
-        workers=workers
-    )
+    return MonthSimulator(world, access=access, rngs=rngs, truth=truth)
+
+
+def simulate_default_month(
+    hours: int = 744,
+    per_hour: int = 4,
+    seed: int = 20050101,
+    faults: Optional[FaultConfig] = None,
+    workers: Optional[int] = None,
+    truth_transform=None,
+) -> SimulationResult:
+    """Convenience one-call entry point: default world, default faults.
+
+    ``workers`` > 1 runs the hour-sharded parallel engine; output is
+    bit-identical to the sequential path for the same seed.  The other
+    parameters are :func:`default_simulator`'s.
+    """
+    return default_simulator(
+        hours, per_hour, seed, faults=faults,
+        truth_transform=truth_transform,
+    ).run(workers=workers)

@@ -14,9 +14,6 @@ import json
 import pytest
 
 from repro.core import knee as knee_mod
-from repro.core.dataset import (
-    MeasurementDataset, hour_entity_stats_from_block,
-)
 from repro.obs.online import OnlineDetector
 from repro.obs.runstore.store import serialize_alerts
 
@@ -34,22 +31,10 @@ class _RecomputingDetector(OnlineDetector):
 def _fold(detector_cls, world, dataset, retention_hours):
     """Fold every hour of ``dataset`` into a fresh detector."""
     detector = detector_cls(retention_hours=retention_hours)
-    detector.update({
-        "type": "run_start", "t": 1.0, "seq": 0, "worker": None,
-        "hours": world.hours, "workers": 1, "engine": "fast",
-        "clients": [c.name for c in world.clients],
-        "servers": [w.name for w in world.websites],
-    })
-    arrays = {
-        name: getattr(dataset, name)
-        for name in MeasurementDataset._ARRAY_FIELDS
-    }
-    for hour in range(world.hours):
-        detector.update({
-            "type": "hour_stats", "t": 2.0, "seq": hour, "worker": 0,
-            "hour": hour,
-            **hour_entity_stats_from_block(arrays, hour),
-        })
+    detector.update(
+        {"type": "run_start", "hours": world.hours, **world.roster()}
+    )
+    detector.fold_block(dataset.arrays(), 0)
     return detector
 
 

@@ -21,6 +21,7 @@ from repro.obs.horizon.rolling import fold_block
 from repro.obs.horizon.slo import DOWN_THRESHOLD, SLOEngine, render_slo_table
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import SLO_BURN_RULES
+from tests.obs.test_online import stats_block
 
 #: A tiny resolution set so hypothesis streams cross cell and eviction
 #: boundaries in a few dozen hours instead of weeks.
@@ -275,14 +276,13 @@ class TestDetectorRetention:
             "clients": [f"c{i}" for i in range(n)],
             "servers": [f"s{i}" for i in range(n)],
         })
-        for hour in range(hours):
-            rate_up = 12 if (hour % 11) in (3, 4) else 0
-            detector.update({
-                "type": "hour_stats", "hour": hour,
-                "ct": [60] * n, "cf": [rate_up, 0, 0],
-                "st": [60] * n, "sf": [0, 0, rate_up],
-                "tcp": [],
-            })
+        # c0 -> s2 fails 12 of its 20 transactions in two hours of every
+        # eleven: both entities rise to 20% while the rest stay calm.
+        detector.fold_block(stats_block(
+            [{(0, 2): 12} if hour % 11 in (3, 4) else {}
+             for hour in range(hours)],
+            clients=n, servers=n, per_cell=20,
+        ), 0)
 
     def test_trimmed_state_is_bounded_and_checkpoint_continuous(self):
         retained = OnlineDetector(retention_hours=12)
@@ -290,19 +290,15 @@ class TestDetectorRetention:
         state = retained.export_state()
         for side in ("client", "server"):
             rates = state["sides"][side]["hour_rates"]
-            assert all(len(rates[i]) <= 12 for i in sorted(rates))
+            assert rates and all(len(rates[i]) <= 12 for i in sorted(rates))
         # Restore mid-stream == continuous fold (trimming included).
         a = OnlineDetector(retention_hours=12)
         self._stream(a, 50)
         b = OnlineDetector(retention_hours=12)
         b.restore_state(json.loads(json.dumps(a.export_state())))
+        calm = stats_block([{}] * 30, clients=3, servers=3, per_cell=20)
         for d in (a, b):
-            for hour in range(50, 80):
-                d.update({
-                    "type": "hour_stats", "hour": hour,
-                    "ct": [60] * 3, "cf": [0, 0, 0],
-                    "st": [60] * 3, "sf": [0, 0, 0], "tcp": [],
-                })
+            d.fold_block(calm, 50)
         assert a.export_state() == b.export_state()
 
     def test_slo_burn_rules_latch_on_sustained_burn(self):
@@ -311,12 +307,9 @@ class TestDetectorRetention:
             "type": "run_start", "hours": 10,
             "clients": ["c0"], "servers": ["s0"],
         })
-        for hour in range(4):
-            detector.update({
-                "type": "hour_stats", "hour": hour,
-                "ct": [100], "cf": [40], "st": [100], "sf": [40],
-                "tcp": [],
-            })
+        detector.fold_block(stats_block(
+            [{(0, 0): 40}] * 4, clients=1, servers=1, per_cell=100,
+        ), 0)
         fired = [a["rule"] for a in detector.snapshot()["alerts"]]
         assert fired.count("slo-fast-burn") == 1  # latching
         assert "slo-slow-burn" in fired

@@ -449,20 +449,14 @@ class TestLiveSession:
         long-horizon questions an indefinite serve run does.
         """
         import json
-        import time
         import urllib.request
 
         from repro.world.simulator import simulate_default_month
 
         with LiveSession(serve_port=0, detect=True) as session:
-            simulate_default_month(hours=12, per_hour=2, seed=11)
-            deadline = time.time() + 30
-            while (
-                session.detector.hours_folded < 12
-                and time.time() < deadline
-            ):
-                time.sleep(0.05)
-            session.detector.drain_pending()
+            result = simulate_default_month(hours=12, per_hour=2, seed=11)
+            session.fold_dataset(result.dataset)
+            assert session.detector.hours_folded == 12
             base = f"http://127.0.0.1:{session.port}"
             slo = json.load(urllib.request.urlopen(base + "/slo"))
             assert slo["hours_folded"] == 12

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 import urllib.error
 import urllib.request
 
@@ -22,6 +21,7 @@ import pytest
 from repro import cli
 from repro.core import knee as knee_mod
 from repro.core.blame import run_blame_analysis
+from repro.core.dataset import MeasurementDataset
 from repro.core.episodes import (
     RateMatrix, client_rate_matrix, detect_knee, episode_matrix,
     server_rate_matrix,
@@ -146,7 +146,7 @@ class TestRules:
 
 
 # --------------------------------------------------------------------------
-# The streaming detector on synthetic hour_stats
+# The streaming detector on synthetic blocks
 # --------------------------------------------------------------------------
 
 
@@ -158,15 +158,29 @@ def _run_start(hours, clients=("c0", "c1"), servers=("s0", "s1")):
     }
 
 
-def _hour(hour, cf, sf, tcp=(), per_entity=100):
-    """One ``hour_stats`` event with uniform per-entity transactions."""
-    return {
-        "type": "hour_stats", "t": 2.0, "seq": hour, "worker": 0,
-        "hour": hour,
-        "ct": [per_entity] * len(cf), "cf": list(cf),
-        "st": [per_entity] * len(sf), "sf": list(sf),
-        "tcp": [list(t) for t in tcp],
+def stats_block(failures, clients=2, servers=2, per_cell=50):
+    """A ``(client, site, hour)`` block for ``OnlineDetector.fold_block``.
+
+    Every cell sees ``per_cell`` transactions an hour; ``failures[t]``
+    maps ``(client, server)`` cells to hour ``t``'s TCP failures.
+    """
+    shape = (clients, servers, len(failures))
+    arrays = {
+        name: np.zeros(shape, dtype=np.int64)
+        for name in MeasurementDataset._TRANSACTION_FIELDS
     }
+    arrays["transactions"][...] = per_cell
+    for t, cells in enumerate(failures):
+        for (c, s), count in cells.items():
+            arrays["tcp_noconn"][c, s, t] = count
+    return arrays
+
+
+#: Client 0 failing 20% of its transactions, spread over both servers.
+#: With five clients each server sees only 4% of failures, under f = 5%,
+#: so only the client side is episodic.
+C0_FAILING = {(0, 0): 10, (0, 1): 10}
+CLIENTS = 5
 
 
 class TestDetector:
@@ -175,8 +189,9 @@ class TestDetector:
             AlertRule(name="open", kind="episode-opened", severity="page"),
         ])
         detector.update(_run_start(4))
-        detector.update(_hour(0, cf=[0, 0], sf=[0, 0]))
-        detector.update(_hour(1, cf=[20, 0], sf=[0, 0]))
+        detector.fold_block(
+            stats_block([{}, C0_FAILING], clients=CLIENTS), 0
+        )
         assert len(detector.alerts) == 1
         alert = detector.alerts[0]
         assert alert["hour"] == 1
@@ -190,18 +205,21 @@ class TestDetector:
     def test_hysteresis_closes_after_two_calm_hours(self):
         detector = OnlineDetector(rules=[])
         detector.update(_run_start(6))
-        detector.update(_hour(0, cf=[20, 0], sf=[0, 0]))  # opens
-        detector.update(_hour(1, cf=[0, 0], sf=[0, 0]))   # 1 below: still open
+        # Opens at hour 0; hour 1 is one calm hour: still open.
+        detector.fold_block(
+            stats_block([C0_FAILING, {}], clients=CLIENTS), 0
+        )
         snap = detector.snapshot()
         assert [e["entity"] for e in snap["open_episodes"]] == ["c0"]
-        detector.update(_hour(2, cf=[0, 0], sf=[0, 0]))   # 2 below: closes
+        # The second calm hour closes it.
+        detector.fold_block(stats_block([{}], clients=CLIENTS), 2)
         assert detector.snapshot()["open_episodes"] == []
         # A dip-and-return is one episode, not two ...
         detector2 = OnlineDetector(rules=[])
         detector2.update(_run_start(6))
-        detector2.update(_hour(0, cf=[20, 0], sf=[0, 0]))
-        detector2.update(_hour(1, cf=[0, 0], sf=[0, 0]))
-        detector2.update(_hour(2, cf=[20, 0], sf=[0, 0]))
+        detector2.fold_block(
+            stats_block([C0_FAILING, {}, C0_FAILING], clients=CLIENTS), 0
+        )
         assert detector2.snapshot()["episodes_opened"]["client"] == 1
 
     def test_burn_rule_latches_after_consecutive_hours(self):
@@ -210,28 +228,23 @@ class TestDetector:
         )
         detector = OnlineDetector(rules=[burn])
         detector.update(_run_start(8))
-        for hour in range(6):
-            detector.update(_hour(hour, cf=[6, 6], sf=[0, 0]))  # 6% overall
+        six_percent = {(c, s): 3 for c in range(2) for s in range(2)}
+        detector.fold_block(stats_block([six_percent] * 6), 0)
         fired = [a for a in detector.alerts if a["rule"] == "burn"]
         assert len(fired) == 1  # latching: once, not every hour after
         assert fired[0]["hour"] == 2  # the third consecutive hour
         assert fired[0]["detail"]["streak_hours"] == 3
 
-    def test_burn_streak_resets_across_a_gap(self):
-        burn = AlertRule(
-            name="burn", kind="failure-rate-burn", rate=0.05, hours=3,
-        )
-        detector = OnlineDetector(rules=[burn])
+    def test_fold_block_refuses_a_gap_or_a_repeat(self):
+        detector = OnlineDetector()
         detector.update(_run_start(8))
-        detector.update(_hour(0, cf=[6, 6], sf=[0, 0]))
-        detector.update(_hour(1, cf=[6, 6], sf=[0, 0]))
-        # Hour 2 never arrives (backpressure drop); hour 3 parks, the
-        # end-of-run drain folds it across the gap.
-        detector.update(_hour(3, cf=[6, 6], sf=[0, 0]))
-        assert detector.snapshot()["pending_hours"] == 1
-        detector.drain_pending()
-        # Three qualifying hours total, but never 3 *consecutive*.
-        assert [a for a in detector.alerts if a["rule"] == "burn"] == []
+        detector.fold_block(stats_block([{}, {}]), 0)
+        for hour_start in (3, 1, 0):
+            with pytest.raises(ValueError, match="next unfolded hour is 2"):
+                detector.fold_block(stats_block([{}]), hour_start)
+        assert detector.hours_folded == 2
+        detector.fold_block(stats_block([{}]), 2)
+        assert detector.last_folded_hour == 2
 
     def test_blame_verdict_latches_on_majority(self):
         verdict = AlertRule(
@@ -240,10 +253,13 @@ class TestDetector:
         )
         detector = OnlineDetector(rules=[verdict])
         detector.update(_run_start(4))
-        # s0 is episodic (20% >= f=5%), c* are calm: its TCP failures
+        # s0 is episodic (20% >= f = 5%); each client fails only 4% of
+        # its transactions over five servers, so the TCP failures
         # bucket server-side.
-        detector.update(_hour(0, cf=[0, 0], sf=[20, 0],
-                              tcp=[(0, 0, 60), (1, 0, 60)]))
+        s0_failing = {(0, 0): 60, (1, 0): 60}
+        detector.fold_block(
+            stats_block([s0_failing], servers=5, per_cell=300), 0
+        )
         assert detector.blame == {
             "server": 120, "client": 0, "both": 0, "other": 0,
         }
@@ -251,7 +267,9 @@ class TestDetector:
         assert len(fired) == 1
         assert fired[0]["detail"]["fraction"] == 1.0
         # Latched: more server-side failures do not re-fire it.
-        detector.update(_hour(1, cf=[0, 0], sf=[20, 0], tcp=[(0, 0, 60)]))
+        detector.fold_block(
+            stats_block([{(0, 0): 60}], servers=5, per_cell=300), 1
+        )
         assert len(
             [a for a in detector.alerts if a["rule"] == "srv-majority"]
         ) == 1
@@ -263,37 +281,16 @@ class TestDetector:
         )
         detector = OnlineDetector(rules=[verdict])
         detector.update(_run_start(4))
-        detector.update(_hour(0, cf=[0, 0], sf=[20, 0], tcp=[(0, 0, 99)]))
+        detector.fold_block(
+            stats_block([{(0, 0): 99}], servers=5, per_cell=300), 0
+        )
+        assert sum(detector.blame.values()) == 99
         assert detector.alerts == []  # 99 < min_total
-
-    def test_alert_stream_is_arrival_order_invariant(self):
-        # Shards interleave arbitrarily; the pending-map cursor must
-        # fold hours in order regardless, so the exported bytes are
-        # identical for any arrival permutation.
-        hours = [
-            _hour(h, cf=[20 if h % 3 == 0 else 0, 4], sf=[0, 15],
-                  tcp=[(0, 1, 5)])
-            for h in range(12)
-        ]
-
-        def stream(order):
-            detector = OnlineDetector()
-            detector.update(_run_start(12))
-            for event in order:
-                detector.update(event)
-            detector.drain_pending()
-            return serialize_alerts(detector.export()["lines"])
-
-        baseline = stream(hours)
-        shuffled = hours[:]
-        random.Random(5).shuffle(shuffled)
-        assert stream(shuffled) == baseline
-        assert stream(list(reversed(hours))) == baseline
 
     def test_registry_gauges(self):
         detector = OnlineDetector()
         detector.update(_run_start(4))
-        detector.update(_hour(0, cf=[20, 0], sf=[0, 0]))
+        detector.fold_block(stats_block([C0_FAILING], clients=CLIENTS), 0)
         snapshot = detector.to_registry().snapshot()
         assert snapshot["alert_count"] >= 1.0
         assert snapshot['alert_open_episodes{side="client"}'] == 1.0
@@ -317,7 +314,7 @@ class TestAlertsEndpoint:
 
         detector = OnlineDetector()
         detector.update(_run_start(4))
-        detector.update(_hour(0, cf=[20, 0], sf=[0, 0]))
+        detector.fold_block(stats_block([C0_FAILING], clients=CLIENTS), 0)
         server = MetricsServer(
             0, aggregator=LiveAggregator(), detector=detector
         )
@@ -374,6 +371,17 @@ def _load_events(path):
     ]
 
 
+def _folded(dataset):
+    """A fresh detector fed ``dataset`` the way a --detect run feeds it."""
+    detector = OnlineDetector()
+    world = dataset.world
+    detector.update(
+        {"type": "run_start", "hours": world.hours, **world.roster()}
+    )
+    detector.fold_block(dataset.arrays(), 0)
+    return detector
+
+
 class TestOnlineEqualsBatch:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
@@ -398,29 +406,31 @@ class TestOnlineEqualsBatch:
         store, manifests = recorded
         bodies = {
             w: (store.run_dir(m.run_id) / m.alerts_file).read_bytes()
-            for w, m in manifests.items()
+            for w, m in sorted(manifests.items())
         }
         assert bodies[1] == bodies[4]
-        for w, m in manifests.items():
+        for w, m in sorted(manifests.items()):
             assert m.alerts_summary["digest"] == hashlib.sha256(
                 bodies[w]
             ).hexdigest()
 
-    def test_final_flags_match_core_episodes_batch(self, recorded):
-        store, manifests = recorded
-        result = simulate_default_month(
-            hours=HOURS, per_hour=PER_HOUR, seed=SEED, workers=1,
-        )
-        dataset = result.dataset
-        for workers, manifest in manifests.items():
-            detector = OnlineDetector()
-            events_path = store.run_dir(manifest.run_id) / manifest.events_file
-            for event in _load_events(events_path):
-                detector.update(event)
-            detector.drain_pending()
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        """The seed world's dataset simulated at workers 1 and 4."""
+        return {
+            workers: simulate_default_month(
+                hours=HOURS, per_hour=PER_HOUR, seed=SEED, workers=workers,
+            ).dataset
+            for workers in (1, 4)
+        }
+
+    def test_final_flags_match_core_episodes_batch(self, datasets):
+        batch = datasets[1]
+        for dataset in datasets.values():
+            detector = _folded(dataset)
             for side, matrix in (
-                ("client", client_rate_matrix(dataset)),
-                ("server", server_rate_matrix(dataset)),
+                ("client", client_rate_matrix(batch)),
+                ("server", server_rate_matrix(batch)),
             ):
                 knee = detect_knee(matrix)
                 assert detector.final_threshold(side) == knee
@@ -430,27 +440,17 @@ class TestOnlineEqualsBatch:
                 }
                 assert detector.final_flags(side) == batch_cells
 
-    def test_running_blame_matches_batch_at_fixed_f(self, recorded):
-        store, manifests = recorded
-        result = simulate_default_month(
-            hours=HOURS, per_hour=PER_HOUR, seed=SEED, workers=1,
-        )
+    def test_running_blame_matches_batch_at_fixed_f(self, datasets):
         # Online blame runs with no pair exclusion: an online observer
         # cannot know which pairs will prove permanent.
         batch = run_blame_analysis(
-            result.dataset, BLAME_THRESHOLD, excluded_pairs=None
+            datasets[1], BLAME_THRESHOLD, excluded_pairs=None
         ).breakdown
-        manifest = manifests[1]
-        detector = OnlineDetector()
-        for event in _load_events(
-            store.run_dir(manifest.run_id) / manifest.events_file
-        ):
-            detector.update(event)
-        detector.drain_pending()
-        assert detector.blame == {
-            "server": batch.server_side, "client": batch.client_side,
-            "both": batch.both, "other": batch.other,
-        }
+        for dataset in datasets.values():
+            assert _folded(dataset).blame == {
+                "server": batch.server_side, "client": batch.client_side,
+                "both": batch.both, "other": batch.other,
+            }
 
     def test_detect_cli_scores_pass(self, recorded, capsys):
         store, manifests = recorded
@@ -510,6 +510,7 @@ class TestOnlineEqualsBatch:
         assert "summary:" in out
 
     def test_detect_without_events_is_a_usage_error(self, tmp_path, capsys):
+        # A run recorded without detection has no alerts.jsonl to score.
         code = cli.main([
             "--runs-dir", str(tmp_path / "runs"),
             "--hours", str(HOURS), "--per-hour", str(PER_HOUR),
@@ -522,6 +523,65 @@ class TestOnlineEqualsBatch:
             "detect", "latest", "--runs-dir", str(tmp_path / "runs"),
         ])
         assert code == 2
+        err = capsys.readouterr().err
+        assert "no alerts.jsonl" in err
+        assert "--detect" in err
+
+    def test_detect_names_both_digests_when_the_rebuild_drifts(
+        self, tmp_path, capsys
+    ):
+        runs = tmp_path / "runs"
+        code = cli.main([
+            "--runs-dir", str(runs),
+            "--hours", str(HOURS), "--per-hour", str(PER_HOUR),
+            "--seed", str(SEED),
+            "simulate", "--workers", "1", "--detect",
+        ])
+        assert code == 0
+        capsys.readouterr()
+        from repro.obs.runstore import RunStore
+
+        manifest = RunStore(runs).load("latest")
+        rebuilt = manifest.dataset["digest"]
+        path = RunStore(runs).run_dir(manifest.run_id) / "manifest.json"
+        document = json.loads(path.read_text())
+        document["dataset"]["digest"] = "0" * 64
+        path.write_text(json.dumps(document))
+        code = cli.main([
+            "detect", manifest.run_id, "--runs-dir", str(runs),
+            "--no-append",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert rebuilt in err
+        assert "0" * 64 in err
+
+
+class TestRuleFileErrors:
+    @pytest.mark.parametrize("name, body", [
+        ("bad.toml", "[[rules]\nname = "),
+        ("bad.json", "{not json"),
+    ])
+    def test_bad_rule_file_is_a_usage_error_and_leaves_no_spool(
+        self, name, body, tmp_path, monkeypatch, capsys
+    ):
+        import tempfile
+
+        rules = tmp_path / name
+        rules.write_text(body)
+        spool = tmp_path / "tmp"
+        spool.mkdir()
+        monkeypatch.setenv("TMPDIR", str(spool))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([
+                "--runs-dir", str(tmp_path / "runs"), "--hours", "4",
+                "simulate", "--alert-rules", str(rules),
+            ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and name in err
+        assert list(spool.iterdir()) == []
 
 
 class TestPlantedFault:
@@ -557,6 +617,27 @@ class TestPlantedFault:
         assert paged[0]["hour"] - fault_start <= 3
         # The latency the alert self-reports obeys the SLO too.
         assert paged[0]["detail"]["latency_hours"] <= 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_alert_stream_bytes_are_pinned(self, workers, tmp_path, capsys):
+        """The batch alert stream of the CI plan, pinned byte for byte."""
+        runs = tmp_path / "runs"
+        code = cli.main([
+            "--runs-dir", str(runs), "--hours", "48", "--per-hour", "2",
+            "--seed", "20050101",
+            "simulate", "--workers", str(workers), "--detect",
+            "--fault", "server:berkeley.edu:12-36:0.8",
+        ])
+        capsys.readouterr()
+        assert code == 0
+        from repro.obs.runstore import RunStore
+
+        store = RunStore(runs)
+        manifest = store.load("latest")
+        body = (store.run_dir(manifest.run_id) / manifest.alerts_file)
+        assert hashlib.sha256(body.read_bytes()).hexdigest() == (
+            "8d2967f0e3ecddb73819434f7cd346bc1cc8f70106cb5f64d970df755cbca8d0"
+        )
 
     def test_fault_spec_errors_are_usage_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="expected"):

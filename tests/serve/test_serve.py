@@ -10,6 +10,7 @@ while the daemon is still running.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -236,42 +237,20 @@ class TestHourStatsFromBlock:
         empty = hour_entity_stats_from_block(arrays, 1)
         assert empty["tcp"] == [] and sum(empty["ct"]) == 0
 
-    def test_columnar_hour_stats_events_are_the_block_stats(self):
-        # The engine emits hour_stats from its staging planes through the
-        # same function the daemon applies to committed blocks; the
-        # stream's bytes are pinned at the default seed.
-        import hashlib
-
-        class Capture:
-            enabled = True
-            entity_stats = True
-
-            def __init__(self):
-                self.events = []
-
-            def emit(self, kind, /, **fields):
-                if kind == "hour_stats":
-                    self.events.append(fields)
-
-        capture = Capture()
-        previous = obs.set_emitter(capture)
-        try:
-            dataset = simulate_default_month(
-                hours=12, per_hour=PER_HOUR, seed=SEED, workers=1
-            ).dataset
-        finally:
-            obs.set_emitter(previous)
-        arrays = {
-            name: getattr(dataset, name)
-            for name in MeasurementDataset._ARRAY_FIELDS
-        }
-        assert capture.events == [
-            {"hour": h, **hour_entity_stats_from_block(arrays, h)}
-            for h in range(12)
-        ]
+    def test_hour_stats_stream_is_pinned(self):
+        # The per-hour stats the detector folds from a batch dataset,
+        # serialized hour by hour; the stream's bytes are pinned at the
+        # default seed.
+        dataset = simulate_default_month(
+            hours=12, per_hour=PER_HOUR, seed=SEED, workers=1
+        ).dataset
+        arrays = dataset.arrays()
         stream = "".join(
-            json.dumps(event, sort_keys=True) + "\n"
-            for event in capture.events
+            json.dumps(
+                {"hour": h, **hour_entity_stats_from_block(arrays, h)},
+                sort_keys=True,
+            ) + "\n"
+            for h in range(12)
         )
         assert hashlib.sha256(stream.encode("utf-8")).hexdigest() == (
             "3f9186b77cae3838b8f35d6230dba5a2a8d8f5cfad08cbe3eff8f1b5d0fcbbff"
@@ -379,8 +358,8 @@ class TestKillAndResume:
         uninterrupted = reference.run()
         assert done["digest"] == uninterrupted["digest"]
         assert done["chain"] == uninterrupted["chain"]
-        # The replayed detector saw the identical hour_stats sequence,
-        # so the alert stream is bit-identical too.
+        # The replayed detector folded the identical hours, so the
+        # alert stream is bit-identical too.
         assert (
             resumed.detector.export()["lines"]
             == reference.detector.export()["lines"]
@@ -552,6 +531,20 @@ class TestPlantedFaultSLO:
         assert any(
             FAULT_ONSET <= e["onset_hour"] <= FAULT_ONSET + 3
             for e in planted
+        )
+
+
+    def test_alert_stream_bytes_are_pinned(self, tmp_path):
+        """The serve alert stream of the CI plan, pinned byte for byte."""
+        daemon = _serve(ServeConfig(
+            hours=FAULT_HOURS, per_hour=PER_HOUR, seed=SEED, fault=FAULT,
+            chunk_hours=6, runs_dir=str(tmp_path / "runs"),
+        ))
+        daemon.prepare()
+        assert daemon.run()["completed"]
+        body = daemon.store.run_dir(daemon.run_id) / "alerts.jsonl"
+        assert hashlib.sha256(body.read_bytes()).hexdigest() == (
+            "f679b74d2c088c78bf6684b0521161bfd5befc58e7f5d86c739919dc402478a0"
         )
 
 
