@@ -264,6 +264,28 @@ class MeasurementDataset:
         return out
 
     @classmethod
+    def from_arrays(
+        cls, world: World, arrays: Mapping[str, np.ndarray]
+    ) -> "MeasurementDataset":
+        """A dataset over ``arrays`` by reference: no count is copied.
+
+        ``arrays`` maps every array field to a whole-run block (a
+        :meth:`block_template` filled by the hour driver, or a loaded
+        archive); each must have the world's shape for that field.
+        """
+        dataset = cls(world)
+        for name in cls._ARRAY_FIELDS:
+            array = arrays[name]
+            expected = getattr(dataset, name).shape
+            if array.shape != expected:
+                raise ValueError(
+                    f"array {name}: shape {array.shape} does not match "
+                    f"world shape {expected}"
+                )
+            setattr(dataset, name, array)
+        return dataset
+
+    @classmethod
     def planned_dtypes(cls, world: World, per_hour: int) -> Dict[str, np.dtype]:
         """Per-field dtypes sized for this world's worst-case hourly counts.
 
@@ -301,38 +323,6 @@ class MeasurementDataset:
             name: _widened_dtype(int(bound), np.dtype(np.uint16))
             for name, bound in bounds.items()
         }
-
-    def merge_shards(
-        self,
-        shards: Iterable[
-            Tuple[Mapping[str, np.ndarray], Tuple[int, int]]
-        ],
-    ) -> None:
-        """Merge many hour-block shards, pre-sizing dtypes exactly once.
-
-        One pass over all shards finds each field's final peak count, the
-        arrays are promoted to their final dtype up front, and only then
-        are the shards accumulated -- a month merged from N shards used
-        to re-walk the uint16 -> uint32 -> int64 ladder (with a full
-        array copy per rung) once per shard; now it promotes at most once
-        per field for the whole merge.
-        """
-        shard_list = list(shards)
-        peaks: Dict[str, int] = {}
-        for arrays, _ in shard_list:
-            for name in self._ARRAY_FIELDS:
-                src = arrays.get(name)
-                if src is not None and src.size:
-                    peaks[name] = max(peaks.get(name, 0), int(src.max()))
-        for name, peak in peaks.items():
-            dst = getattr(self, name)
-            # Shards cover disjoint hour blocks, so the merged peak is
-            # bounded by existing peak + shard peak (equal when merging
-            # into a fresh dataset).
-            base = int(dst.max()) if dst.size else 0
-            self.ensure_count_capacity(base + peak, fields=(name,))
-        for arrays, (h0, h1) in shard_list:
-            self.merge(arrays, (h0, h1))
 
     @classmethod
     def block_digest(cls, arrays: Mapping[str, np.ndarray]) -> List[str]:
@@ -509,14 +499,14 @@ class MeasurementDataset:
         seed.  Archives written before the fingerprint existed fall back
         to the shape check with a warning.
         """
-        dataset = cls(world)
         with np.load(path) as data:
+            provenance: Dict[str, Any] = {}
             if "__meta__" in data.files:
                 meta = json.loads(str(data["__meta__"][()]))
-                _verify_fingerprint(meta.get("fingerprint", {}), dataset, path)
-                dataset.provenance = dict(meta.get("provenance", {}))
+                _verify_fingerprint(meta.get("fingerprint", {}), world, path)
+                provenance = dict(meta.get("provenance", {}))
                 if expected_seed is not None:
-                    stored = dataset.provenance.get("master_seed")
+                    stored = provenance.get("master_seed")
                     if stored is not None and stored != expected_seed:
                         raise ValueError(
                             f"{path}: archive was generated with master seed "
@@ -527,15 +517,10 @@ class MeasurementDataset:
                     "%s: no embedded world fingerprint (legacy archive); "
                     "falling back to shape checks only", path,
                 )
-            for name in cls._ARRAY_FIELDS:
-                stored = data[name]
-                current = getattr(dataset, name)
-                if stored.shape != current.shape:
-                    raise ValueError(
-                        f"array {name}: shape {stored.shape} does not match "
-                        f"world shape {current.shape}"
-                    )
-                setattr(dataset, name, stored)
+            dataset = cls.from_arrays(
+                world, {name: data[name] for name in cls._ARRAY_FIELDS}
+            )
+        dataset.provenance = provenance
         return dataset
 
 
@@ -640,11 +625,11 @@ def hour_entity_stats_from_block(
 
 
 def _verify_fingerprint(
-    stored: Dict[str, Any], dataset: MeasurementDataset, path: str
+    stored: Dict[str, Any], world: World, path: str
 ) -> None:
     """Raise with a precise mismatch description when an archive's world
     fingerprint does not match the world it is being loaded against."""
-    current = dataset.fingerprint()
+    current = MeasurementDataset.world_fingerprint(world)
     problems: List[str] = []
     for key in ("hours", "max_replicas"):
         if stored.get(key) != current[key]:

@@ -234,6 +234,9 @@ class ServeDaemon:
         self._started_monotonic = monotonic()
         self._last_chunk_seconds = 0.0
         self._pruned_chunks = 0
+        #: The latest chunk's ``run_block`` demotion to in-process
+        #: shards, stamped into the manifest like a batch dataset's.
+        self._parallel_fallback: Optional[Dict[str, Any]] = None
         #: Resolved once: the run manifest is rewritten every chunk and
         #: ``git rev-parse`` is a process spawn.
         self._git_rev = _git_revision()
@@ -405,10 +408,12 @@ class ServeDaemon:
                     ]
                 chunk_started = self._monotonic()
                 with obs.span("serve.chunk", hour_start=h0, hour_stop=h1):
-                    arrays = run_block(
+                    arrays, fallback = run_block(
                         self.simulator, e0, e0 + (h1 - h0),
                         workers=config.workers,
                     )
+                    if fallback is not None:
+                        self._parallel_fallback = fallback
                     entry = self.chunks.commit(h0, h1, arrays)
                     self.detector.fold_block(arrays, h0)
                     if self.retention is not None:
@@ -548,6 +553,8 @@ class ServeDaemon:
                 "rolling_digest": self.chunks.chain_digest(),
             },
         }
+        if self._parallel_fallback is not None:
+            provenance["parallel_fallback"] = self._parallel_fallback
         dataset_info: Dict[str, Any] = {
             "fingerprint_sha256": fingerprint_sha256(self.world),
             "provenance": provenance,

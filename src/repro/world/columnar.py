@@ -50,11 +50,14 @@ recorded in BENCH_trajectory.json.)
 Counts are staged per chunk in hour-major scratch blocks and flushed to
 the sink as one transposed block write per field, so the dataset's
 hour-last layout is touched once per chunk instead of once per hour.
-The writer abstraction (:class:`DatasetSink`, :class:`BlockSink`) lets
-the same engine commit into a live :class:`MeasurementDataset` (the
-sequential path, dtype promotion allowed), a standalone block of arrays
-(``run_shard``), or fixed-dtype shared-memory views sliced for one hour
-block (the parallel path, :mod:`repro.world.sharedmem`).
+Every write goes through one writer, :class:`BlockSink`, over block
+arrays covering an hour range: freshly allocated arrays (``run_shard``
+in-process, dtype promotion allowed -- the sequential month and the
+in-process fallback) or fixed-dtype shared-memory views sliced for one
+shard (pooled blocks, :mod:`repro.world.sharedmem`).  The hour driver
+(:func:`repro.world.parallel.run_block`) hands the finished block to
+its caller; a batch month wraps it in a
+:class:`~repro.core.dataset.MeasurementDataset` by reference.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro import obs
-from repro.core.dataset import MeasurementDataset
+from repro.core.dataset import _widened_dtype
 
 # -- outcome categories -------------------------------------------------------
 #
@@ -130,30 +133,14 @@ def expected_leading_failures(
     )
 
 
-class DatasetSink:
-    """Commit hour blocks into a live dataset, promoting dtypes on demand."""
-
-    def __init__(self, dataset: MeasurementDataset) -> None:
-        self.dataset = dataset
-
-    def commit_block(self, name: str, h0: int, h1: int,
-                     block: np.ndarray) -> None:
-        """Write hour-major ``(Hb, ...)`` counts for hours ``[h0, h1)``."""
-        arr = getattr(self.dataset, name)
-        peak = int(block.max()) if block.size else 0
-        if peak > np.iinfo(arr.dtype).max:
-            self.dataset.ensure_count_capacity(peak, fields=(name,))
-            arr = getattr(self.dataset, name)
-        arr[..., h0:h1] = np.moveaxis(block, 0, -1)
-
-
 class BlockSink:
     """Commit hour blocks into standalone arrays covering ``[h0, h1)``.
 
     ``fixed_dtype=True`` (the shared-memory path) forbids promotion: the
     parent pre-sized every array's dtype from the access configuration
-    (:meth:`MeasurementDataset.planned_dtypes`), so an overflow means
-    the plan was wrong and must fail loudly, never wrap.
+    (:meth:`~repro.core.dataset.MeasurementDataset.planned_dtypes`), so
+    an overflow means the plan was wrong and must fail loudly, never
+    wrap.
     """
 
     def __init__(
@@ -178,8 +165,6 @@ class BlockSink:
                     f"{arr.dtype.name} shard buffer -- the planned count "
                     "dtype underestimated this access configuration"
                 )
-            from repro.core.dataset import _widened_dtype
-
             arr = arr.astype(_widened_dtype(peak, arr.dtype))
             self.arrays[name] = arr
         t0 = h0 - self.hour_start

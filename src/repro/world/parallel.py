@@ -1,34 +1,40 @@
-"""Deterministic hour-sharded parallel month simulation.
+"""The hour-block driver: deterministic, hour-sharded simulation.
 
-The fast engine's month loop is embarrassingly parallel once every hour
+The fast engine's hour loop is embarrassingly parallel once every hour
 draws from its own derived RNG stream (``fast-engine/hour/<h>``): a worker
 process simulating hours ``[h0, h1)`` produces exactly the counts the
 sequential engine would for those hours, because seed derivation depends
 only on the master seed and the hour -- never on which process runs it or
-what ran before.  The month is sharded into contiguous hour blocks, one
-per worker; workers write their counts directly into one
-``multiprocessing.shared_memory`` block (:mod:`repro.world.sharedmem`)
-the parent adopts after the join -- no pickled count arrays, no
-per-shard re-merge.
+what ran before.
 
-Determinism contract: for a given master seed the merged dataset is
+:func:`run_block` is the one hour driver.  A batch month
+(:meth:`~repro.world.simulator.MonthSimulator.run`) is the block
+``[0, hours)``; a serve chunk (:mod:`repro.serve`) is any sub-range.  A
+block is sharded into contiguous hour ranges, one per worker; workers
+write their counts directly into one ``multiprocessing.shared_memory``
+buffer sized for the block (:mod:`repro.world.sharedmem`), which the
+parent adopts after the join -- no pickled count arrays, no merge loop.
+A block with a single shard runs in this process.
+
+Determinism contract: for a given master seed the block's arrays are
 bit-identical for *any* worker count -- ``--workers 1``, the in-process
 fallback, and any process-pool width all digest equal.
 
-Fallback: when the pool or the shared block cannot be used (sandboxed
+Fallback: when the pool or the shared buffer cannot be used (sandboxed
 environments, unpicklable worlds, broken pools, undersized planned
-dtypes) every shard runs in this process sequentially and the results
-merge through :meth:`~repro.core.dataset.MeasurementDataset.merge_shards`.
-The switch is *observable*: the ``parallel_fallback_total`` counter
-increments and the dataset provenance (and therefore the run manifest)
-records the reason, so ``repro runs show`` reveals that a "parallel" run
-actually ran sequentially.
+dtypes) every shard runs in this process sequentially, writing into
+one block-wide sink that may promote dtypes.  The switch is
+*observable*: the ``parallel_fallback_total`` counter increments and
+:func:`run_block` returns the reason, which batch datasets and serve
+manifests record as ``provenance.parallel_fallback`` -- so
+``repro runs show`` reveals that a "parallel" run actually ran
+sequentially.
 
-Observability: each worker runs under its own fresh
+Observability: each shard runs under its own fresh
 :class:`~repro.obs.metrics.MetricsRegistry` (instruments hold locks and
 cannot cross process boundaries), dumps it into the
 :class:`~repro.world.simulator.ShardResult`, and the parent folds every
-worker's state back into the active registry after the join.  The parent's
+shard's state back into the active registry after the join.  The parent's
 trace gains one ``simulate.shard`` span per shard carrying the worker's
 hour range and wall time.
 """
@@ -40,7 +46,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,11 +54,12 @@ from repro import obs
 from repro.core.dataset import MeasurementDataset
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.world.columnar import BlockSink
 from repro.world.rng import RNGRegistry
 from repro.world.sharedmem import SharedMonthBuffer, attach_shard_arrays
 
 if TYPE_CHECKING:  # circular at runtime: simulator dispatches to us
-    from repro.world.simulator import MonthSimulator, ShardResult, SimulationResult
+    from repro.world.simulator import MonthSimulator, ShardResult
 
 #: Floor on shard size: below this, process spin-up dominates the work and
 #: the auto worker count backs off toward sequential.
@@ -118,10 +125,10 @@ def plan_shards(hours: int, workers: int) -> List[Tuple[int, int]]:
     return shards
 
 
-def _simulate_shard(payload) -> "ShardResult":
-    """Worker entry point: simulate one hour block under fresh obs state.
+def _simulate_shard(payload, sink=None) -> "ShardResult":
+    """Simulate one shard of an hour block under fresh obs state.
 
-    Runs in a worker process (or in-process on fallback).  A fresh
+    Runs in a worker process, or in-process on fallback.  A fresh
     metrics registry captures exactly this shard's instruments for the
     parent to merge; the tracer is disabled -- worker processes must not
     interleave writes into the parent's trace file.  Live telemetry, in
@@ -130,26 +137,28 @@ def _simulate_shard(payload) -> "ShardResult":
     to it (labelled with its worker index) so per-hour progress streams
     to the parent while the shard runs.
 
-    With a shared-memory block name in the payload the shard's counts go
+    With a shared-memory block in the payload the shard's counts go
     straight into the parent's block (sliced to this shard's hours,
-    fixed dtypes) and the returned result carries no arrays -- only the
-    tiny bookkeeping fields ride the pickle.
+    fixed dtypes) and only the tiny bookkeeping fields ride the pickle.
+    The in-process fallback passes ``sink`` instead: the parent's
+    block-wide :class:`~repro.world.columnar.BlockSink`, which may
+    promote dtypes.
     """
-    from repro.world.columnar import BlockSink
     from repro.world.simulator import MonthSimulator
 
     (world, truth, access, master_seed, hour_start, hour_stop, worker,
-     shm_name) = payload
+     block) = payload
     registry = MetricsRegistry()
     old_registry = obs.set_registry(registry)
     old_tracer = obs.set_tracer(Tracer())
     old_emitter = obs.set_emitter(obs.inherited_emitter(worker))
     shm = None
     try:
-        sink = None
-        if shm_name is not None:
+        if block is not None:
+            shm_name, block_start, n_hours = block
             shm, arrays = attach_shard_arrays(
-                shm_name, world, access.per_hour, hour_start, hour_stop
+                shm_name, world, access.per_hour, n_hours,
+                hour_start - block_start, hour_stop - block_start,
             )
             sink = BlockSink(arrays, hour_start, fixed_dtype=True)
         simulator = MonthSimulator(
@@ -181,21 +190,18 @@ def run_block(
     hour_start: int,
     hour_stop: int,
     workers: int = 1,
-    in_process: bool = False,
-) -> dict:
-    """Simulate one contiguous hour block; returns its count arrays.
+) -> Tuple[Dict[str, np.ndarray], Optional[Dict[str, Any]]]:
+    """Simulate one contiguous hour block; the only hour driver.
 
-    The chunk-sized unit the service daemon (:mod:`repro.serve`) drives:
-    where :func:`run_parallel` owns a whole month and a dataset, this
-    simulates just ``[hour_start, hour_stop)`` and hands back block
-    arrays (shape ``(clients, sites, hours)``) for the caller to commit.
-    Per-hour RNG streams make the output bit-identical to the same hours
-    of a batch run, for any ``workers`` split.
+    Returns ``(arrays, fallback)``: block count arrays of shape
+    ``(clients, sites, hour_stop - hour_start)`` (the batch month is the
+    block ``[0, hours)``, a serve chunk any sub-range), and ``None`` or
+    the ``{"reason", "shards"}`` record of a demotion to in-process
+    shards, for the caller's provenance.  Per-hour RNG streams make the
+    arrays bit-identical to the same hours of any other split.
 
-    ``workers`` > 1 sub-shards the block across a process pool on the
-    pickled-arrays path (chunks are small; shared memory isn't worth its
-    setup here).  Pool failures fall back to in-process shards with the
-    same ``parallel_fallback_total`` accounting as the month driver.
+    ``workers`` > 1 sub-shards the block across a process pool; counts
+    return through one shared-memory buffer sized for the block.
     """
     world = simulator.world
     if not 0 <= hour_start <= hour_stop <= world.hours:
@@ -209,142 +215,64 @@ def run_block(
         for h0, h1 in plan_shards(n_hours, max(1, workers))
     ]
     if len(shards) <= 1:
-        shard = simulator.run_shard(hour_start, hour_stop)
-        return shard.arrays if shard.arrays is not None else {}
-    payloads = [
-        (world, simulator.truth, simulator.access,
-         simulator.rngs.master_seed, h0, h1, i, None)
-        for i, (h0, h1) in enumerate(shards)
-    ]
-    results: Optional[List["ShardResult"]] = None
-    if not in_process:
-        try:
-            results = _pool_dispatch(payloads)
-        except _FALLBACK_ERRORS as exc:
-            obs.logger.warning(
-                "parallel dispatch unavailable (%s); running %d block "
-                "shards in-process", exc, len(shards),
-            )
-            obs.event(
-                "simulate.parallel_fallback", reason=repr(exc),
-                shards=len(shards),
-            )
-            obs.registry().counter("parallel_fallback_total").inc()
-    if results is None:
-        results = [_simulate_shard(p) for p in payloads]
-    arrays = MeasurementDataset.block_template(world, n_hours)
-    registry = obs.registry()
-    for shard in results:
-        lo = shard.hour_start - hour_start
-        hi = shard.hour_stop - hour_start
-        for name, block in (shard.arrays or {}).items():
-            np.copyto(arrays[name][..., lo:hi], block, casting="safe")
-        if shard.metrics:
-            registry.merge_state(shard.metrics)
-    return arrays
-
-
-def run_parallel(
-    simulator: "MonthSimulator",
-    workers: int,
-    in_process: bool = False,
-) -> "SimulationResult":
-    """Shard ``simulator``'s month across ``workers`` and merge the results.
-
-    ``in_process=True`` forces the sequential-shards path (every shard
-    runs in this process; no shared memory, no fallback accounting) --
-    useful for tests and environments without working process pools;
-    output is identical.
-    """
-    from repro.world.simulator import SimulationResult
-
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    world = simulator.world
-    shards = plan_shards(world.hours, workers)
-    if len(shards) <= 1:
-        return simulator.run(workers=1)
-    master_seed = simulator.rngs.master_seed
+        return simulator.run_shard(hour_start, hour_stop).arrays, None
     access = simulator.access
 
-    def payloads(shm_name: Optional[str]) -> List[tuple]:
+    def payloads(block: Optional[tuple]) -> List[tuple]:
         return [
-            (world, simulator.truth, access, master_seed, h0, h1, i, shm_name)
+            (world, simulator.truth, access, simulator.rngs.master_seed,
+             h0, h1, i, block)
             for i, (h0, h1) in enumerate(shards)
         ]
 
-    emitter = obs.emitter()
-    if emitter.enabled:
-        emitter.emit(
-            "run_start", hours=world.hours, workers=len(shards),
-            engine="fast", shards=[[h0, h1] for h0, h1 in shards],
+    fallback: Optional[Dict[str, Any]] = None
+    buffer = None
+    try:
+        buffer = SharedMonthBuffer(world, access.per_hour, n_hours)
+        results = _pool_dispatch(
+            payloads((buffer.name, hour_start, n_hours))
         )
-    dataset = MeasurementDataset(world)
-    fallback_reason: Optional[str] = None
-    with obs.stage(
-        "simulate.month", hours=world.hours, workers=len(shards)
-    ) as month_stage:
-        results: Optional[List["ShardResult"]] = None
-        if not in_process and len(shards) > 1:
-            buffer = None
-            try:
-                buffer = SharedMonthBuffer(world, access.per_hour)
-                results = _pool_dispatch(payloads(buffer.name))
-                buffer.adopt_into(dataset)
-            except _FALLBACK_ERRORS as exc:
-                fallback_reason = repr(exc)
-                results = None
-                obs.logger.warning(
-                    "parallel dispatch unavailable (%s); running %d shards "
-                    "in-process", exc, len(shards),
-                )
-                obs.event(
-                    "simulate.parallel_fallback", reason=fallback_reason,
-                    shards=len(shards),
-                )
-                obs.registry().counter("parallel_fallback_total").inc()
-            finally:
-                if buffer is not None:
-                    buffer.destroy()
-        if results is None:
-            results = [_simulate_shard(p) for p in payloads(None)]
-            dataset.merge_shards(
-                (shard.arrays, (shard.hour_start, shard.hour_stop))
-                for shard in results
-            )
-        registry = obs.registry()
-        for i, shard in enumerate(results):
-            with obs.span(
-                "simulate.shard",
-                worker=i,
-                hour_start=shard.hour_start,
-                hour_stop=shard.hour_stop,
-                worker_seconds=round(shard.elapsed_seconds, 6),
-                worker_cpu_seconds=round(shard.cpu_seconds, 6),
-                transactions=shard.transactions,
-            ):
-                if shard.metrics:
-                    registry.merge_state(shard.metrics)
-            # Per-shard wall/CPU accounting: run manifests report
-            # aggregate worker compute alongside the parent's wall time.
-            registry.gauge(
-                "simulate_shard_seconds", worker=str(i)
-            ).set(shard.elapsed_seconds)
-            registry.counter(
-                "simulate_worker_cpu_seconds_total"
-            ).inc(shard.cpu_seconds)
-        month_stage.add_items(int(dataset.transactions.sum()))
-    simulator._commit_outcome_metrics(dataset)
-    simulator._attach_provenance(dataset, workers=len(shards))
-    if fallback_reason is not None:
-        dataset.provenance["parallel_fallback"] = {
-            "reason": fallback_reason,
-            "shards": len(shards),
-        }
-    if emitter.enabled:
-        from repro.world.simulator import _dataset_totals
-
-        emitter.emit("run_done", **_dataset_totals(dataset))
-    return SimulationResult(
-        dataset=dataset, truth=simulator.truth, model=simulator.model
-    )
+        arrays = MeasurementDataset.block_template(world, n_hours)
+        buffer.adopt_into(arrays)
+    except _FALLBACK_ERRORS as exc:
+        fallback = {"reason": repr(exc), "shards": len(shards)}
+        obs.logger.warning(
+            "parallel dispatch unavailable (%s); running %d shards "
+            "in-process", exc, len(shards),
+        )
+        obs.event(
+            "simulate.parallel_fallback", reason=fallback["reason"],
+            shards=len(shards),
+        )
+        obs.registry().counter("parallel_fallback_total").inc()
+    finally:
+        if buffer is not None:
+            buffer.destroy()
+    if fallback is not None:
+        sink = BlockSink(
+            MeasurementDataset.block_template(world, n_hours), hour_start
+        )
+        results = [_simulate_shard(p, sink) for p in payloads(None)]
+        arrays = sink.arrays
+    registry = obs.registry()
+    for i, shard in enumerate(results):
+        with obs.span(
+            "simulate.shard",
+            worker=i,
+            hour_start=shard.hour_start,
+            hour_stop=shard.hour_stop,
+            worker_seconds=round(shard.elapsed_seconds, 6),
+            worker_cpu_seconds=round(shard.cpu_seconds, 6),
+            transactions=shard.transactions,
+        ):
+            if shard.metrics:
+                registry.merge_state(shard.metrics)
+        # Per-shard wall/CPU accounting: run manifests report aggregate
+        # worker compute alongside the parent's wall time.
+        registry.gauge(
+            "simulate_shard_seconds", worker=str(i)
+        ).set(shard.elapsed_seconds)
+        registry.counter(
+            "simulate_worker_cpu_seconds_total"
+        ).inc(shard.cpu_seconds)
+    return arrays, fallback

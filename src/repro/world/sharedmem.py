@@ -1,23 +1,21 @@
-"""Shared-memory transfer of shard counts between worker processes.
+"""Shared-memory transport of hour-block counts between processes.
 
-The parallel engine used to pickle every worker's full count arrays back
-through the process pool: ~50 MB of serialized numpy per month shipped
-over a pipe, copied twice, then re-summed through the dtype-promotion
-ladder.  This module replaces the transfer with one
-``multiprocessing.shared_memory`` block sized for the whole month: the
-parent creates it, every worker attaches and writes its *disjoint*
-contiguous hour slice directly (no locks needed -- shards partition the
-hour axis), and the parent adopts the finished arrays with a single
-bulk copy per field.
+Every pooled hour block -- a whole batch month or one serve chunk --
+moves its counts through one ``multiprocessing.shared_memory`` block
+sized for that block: the parent creates it, every worker attaches and
+writes its *disjoint* contiguous hour slice directly (no locks needed --
+shards partition the block's hour axis), and the parent adopts the
+finished arrays with a single bulk copy per field.  No count array
+rides a pickle.
 
 Layout is deterministic: field order follows
 ``MeasurementDataset._ARRAY_FIELDS``, every field is aligned to its
-itemsize, and dtypes come from
-:meth:`~repro.core.dataset.MeasurementDataset.planned_dtypes` -- sized
-once, up front, from the access configuration, because a shared block
-cannot be promoted mid-run.  Workers recompute the same layout from the
-same ``(world, per_hour)`` inputs, so only the block *name* rides the
-task payload.
+itemsize, the hour axis spans the block's hour count, and dtypes come
+from :meth:`~repro.core.dataset.MeasurementDataset.planned_dtypes` --
+sized once, up front, from the access configuration, because a shared
+block cannot be promoted mid-run.  Workers recompute the same layout
+from the same ``(world, per_hour, block hours)`` inputs, so only the
+block's *name*, start hour and hour count ride the task payload.
 
 Lifecycle: the parent owns the block and unlinks it in a ``finally`` --
 on success, on worker crash, and on KeyboardInterrupt.  Workers must
@@ -34,7 +32,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.dataset import MeasurementDataset
+from repro.core.dataset import MeasurementDataset, _widened_dtype
 from repro.world.entities import World
 
 _REPLICA_FIELDS = ("replica_connections", "replica_failed_connections")
@@ -50,20 +48,21 @@ class FieldSpec:
     offset: int
 
 
-def plan_layout(world: World, per_hour: int) -> Tuple[List[FieldSpec], int]:
-    """Field placements plus total byte size for one month-wide block.
+def plan_layout(
+    world: World, per_hour: int, n_hours: int
+) -> Tuple[List[FieldSpec], int]:
+    """Field placements plus total byte size for an ``n_hours`` block.
 
-    Pure function of ``(world, per_hour)``: parent and workers derive
-    identical layouts independently.
+    Pure function of ``(world, per_hour, n_hours)``: parent and workers
+    derive identical layouts independently.
     """
     c, s = len(world.clients), len(world.websites)
     r = max(1, world.max_replicas())
-    h = world.hours
     dtypes = MeasurementDataset.planned_dtypes(world, per_hour)
     fields: List[FieldSpec] = []
     offset = 0
     for name in MeasurementDataset._ARRAY_FIELDS:
-        shape = (s, r, h) if name in _REPLICA_FIELDS else (c, s, h)
+        shape = (s, r, n_hours) if name in _REPLICA_FIELDS else (c, s, n_hours)
         dtype = np.dtype(dtypes[name])
         # Align to the itemsize so every view is a native-aligned array.
         offset = -(-offset // dtype.itemsize) * dtype.itemsize
@@ -83,27 +82,36 @@ def _views(shm: shared_memory.SharedMemory,
 
 
 class SharedMonthBuffer:
-    """Parent-side owner of the month-wide shared count block."""
+    """Parent-side owner of one hour block's shared count buffer.
 
-    def __init__(self, world: World, per_hour: int) -> None:
-        self.layout, self.size = plan_layout(world, per_hour)
+    Sized for ``n_hours`` (a whole month is the largest block).
+    """
+
+    def __init__(self, world: World, per_hour: int, n_hours: int) -> None:
+        self.layout, self.size = plan_layout(world, per_hour, n_hours)
         self._shm = shared_memory.SharedMemory(create=True, size=self.size)
         #: POSIX shared memory is zero-filled on creation, so fields need
         #: no explicit clear before workers write their hour slices.
         self.name = self._shm.name
         self.arrays = _views(self._shm, self.layout)
 
-    def adopt_into(self, dataset: MeasurementDataset) -> None:
-        """Copy every finished field into ``dataset`` (one pass each).
+    def adopt_into(self, arrays: Dict[str, np.ndarray]) -> None:
+        """Copy every finished field into the block ``arrays`` (one pass each).
 
-        The dataset's arrays are promoted to fit each field's actual
-        peak first, so the copy itself can never wrap.
+        ``arrays`` starts as a
+        :meth:`~repro.core.dataset.MeasurementDataset.block_template`; a
+        field whose actual peak outgrows its dtype is replaced by a
+        widened array first, so the copy itself can never wrap.
         """
         for spec in self.layout:
             view = self.arrays[spec.name]
             peak = int(view.max()) if view.size else 0
-            dataset.ensure_count_capacity(peak, fields=(spec.name,))
-            getattr(dataset, spec.name)[...] = view
+            target = arrays[spec.name]
+            if peak > np.iinfo(target.dtype).max:
+                target = arrays[spec.name] = np.empty(
+                    target.shape, _widened_dtype(peak, target.dtype)
+                )
+            target[...] = view
 
     def destroy(self) -> None:
         """Detach and unlink; safe to call more than once."""
@@ -116,16 +124,19 @@ class SharedMonthBuffer:
 
 
 def attach_shard_arrays(
-    name: str, world: World, per_hour: int, hour_start: int, hour_stop: int
+    name: str, world: World, per_hour: int, n_hours: int,
+    lo: int, hi: int,
 ) -> Tuple[shared_memory.SharedMemory, Dict[str, np.ndarray]]:
-    """Worker-side attach: views restricted to ``[hour_start, hour_stop)``.
+    """Worker-side attach: views restricted to block hours ``[lo, hi)``.
 
-    The returned views cover only this shard's hour slice, so a sink
-    writing through them cannot touch another worker's hours, and
-    summing a view observes only this shard's counts.  Caller closes the
-    returned segment when the shard is done (the parent unlinks).
+    ``n_hours`` is the whole block's hour count (it fixes the layout);
+    ``lo``/``hi`` are this shard's offsets into it.  The returned views
+    cover only this shard's hour slice, so a sink writing through them
+    cannot touch another worker's hours, and summing a view observes
+    only this shard's counts.  Caller closes the returned segment when
+    the shard is done (the parent unlinks).
     """
-    layout, _ = plan_layout(world, per_hour)
+    layout, _ = plan_layout(world, per_hour, n_hours)
     # Attaching registers the segment with the resource tracker (fixed
     # only in Python 3.13's track=False).  Under *spawn* the worker owns
     # a private tracker that would unlink the parent's live block when
@@ -141,8 +152,5 @@ def attach_shard_arrays(
     if not tracker_inherited:
         resource_tracker.unregister(shm._name, "shared_memory")
     views = _views(shm, layout)
-    sliced = {
-        field: view[..., hour_start:hour_stop]
-        for field, view in views.items()
-    }
+    sliced = {field: view[..., lo:hi] for field, view in views.items()}
     return shm, sliced

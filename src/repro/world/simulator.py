@@ -30,7 +30,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.dataset import MeasurementDataset
-from repro.world.columnar import BlockSink, ColumnarEngine, DatasetSink
+from repro.world.columnar import BlockSink, ColumnarEngine
 from repro.world.entities import ClientCategory, World
 from repro.world.faults import FaultConfig, FaultGenerator, GroundTruth
 from repro.world.outcome_model import AccessConfig, OutcomeModel
@@ -55,10 +55,11 @@ class ShardResult:
     """One worker's simulated contiguous hour block.
 
     ``arrays`` maps every dataset array field to its counts restricted to
-    ``[hour_start, hour_stop)``.  On the shared-memory transfer path
-    (:mod:`repro.world.sharedmem`) the counts travel through the shared
-    block instead and ``arrays`` is ``None`` -- only the bookkeeping
-    fields ride the (tiny) pickled result.
+    ``[hour_start, hour_stop)``.  When the caller supplied the sink (the
+    shared-memory path, :mod:`repro.world.sharedmem`, or the in-process
+    fallback's block sink) the counts already live in the caller's
+    arrays and ``arrays`` is ``None`` -- only the bookkeeping fields
+    ride the (tiny) pickled result.
     """
 
     hour_start: int
@@ -105,47 +106,33 @@ class MonthSimulator:
     def run(self, workers: Optional[int] = None) -> SimulationResult:
         """Simulate every hour and return the filled dataset.
 
-        ``workers`` > 1 shards the month across that many worker
-        processes in contiguous hour blocks (see
-        :mod:`repro.world.parallel`); the result is bit-identical to the
-        sequential path for the same master seed.  ``None`` or 1 runs
-        in-process.
+        The month is one hour block for
+        :func:`~repro.world.parallel.run_block`: ``workers`` > 1 shards
+        it across that many worker processes in contiguous hour ranges;
+        ``None`` or 1 runs in-process.  The result is bit-identical for
+        any worker count at the same master seed.
         """
-        if workers is not None and workers > 1:
-            from repro.world.parallel import run_parallel
+        from repro.world.parallel import plan_shards, run_block
 
-            return run_parallel(self, workers)
-        dataset = MeasurementDataset(self.world)
-        # Per-stage wall time is accumulated locally and committed to the
-        # registry once, so the hot loop pays only perf_counter() calls.
-        self._stage_seconds = {"dns": 0.0, "tcp": 0.0, "http": 0.0, "commit": 0.0}
+        hours = self.world.hours
+        shards = plan_shards(hours, max(1, workers or 1))
         emitter = obs.emitter()
         if emitter.enabled:
             emitter.emit(
-                "run_start", hours=self.world.hours, workers=1, engine="fast"
+                "run_start", hours=hours, workers=len(shards),
+                engine="fast", shards=[[h0, h1] for h0, h1 in shards],
             )
-            emitter.emit(
-                "shard_start", hour_start=0, hour_stop=self.world.hours
-            )
-        started = perf_counter()
-        cpu_started = process_time()
         with obs.stage(
-            "simulate.month", hours=self.world.hours
+            "simulate.month", hours=hours, workers=len(shards)
         ) as month_stage:
-            self._simulate_block(0, self.world.hours, DatasetSink(dataset))
+            arrays, fallback = run_block(self, 0, hours, len(shards))
+            dataset = MeasurementDataset.from_arrays(self.world, arrays)
             month_stage.add_items(int(dataset.transactions.sum()))
-        self._commit_stage_metrics(self.world.hours)
         self._commit_outcome_metrics(dataset)
-        self._attach_provenance(dataset, workers=1)
+        self._attach_provenance(dataset, workers=len(shards))
+        if fallback is not None:
+            dataset.provenance["parallel_fallback"] = fallback
         if emitter.enabled:
-            emitter.emit(
-                "shard_done",
-                hour_start=0,
-                hour_stop=self.world.hours,
-                transactions=int(dataset.transactions.sum(dtype=np.int64)),
-                elapsed_seconds=round(perf_counter() - started, 6),
-                cpu_seconds=round(process_time() - cpu_started, 6),
-            )
             emitter.emit("run_done", **_dataset_totals(dataset))
         return SimulationResult(dataset=dataset, truth=self.truth, model=self.model)
 
@@ -157,12 +144,13 @@ class MonthSimulator:
     ) -> ShardResult:
         """Simulate one contiguous hour block and return its counts.
 
-        The unit of work the parallel engine dispatches to worker
-        processes.  Stage wall-times are committed to the active (per
-        worker) metrics registry.  By default the counts land in freshly
-        allocated block arrays shipped back on the result; when the
-        caller passes a ``sink`` (the shared-memory path, whose views
-        the parent already owns) the result carries no arrays.
+        The unit of work :func:`~repro.world.parallel.run_block` runs
+        in-process or dispatches to worker processes.  Stage wall-times
+        are committed to the active (per worker) metrics registry.  By
+        default the counts land in freshly allocated block arrays
+        returned on the result; when the caller passes a ``sink`` (whose
+        arrays the caller already owns, possibly wider than this shard)
+        the result carries no arrays.
         """
         if not 0 <= hour_start <= hour_stop <= self.world.hours:
             raise ValueError(
@@ -188,9 +176,14 @@ class MonthSimulator:
         with obs.stage(
             "simulate.shard", hour_start=hour_start, hour_stop=hour_stop
         ) as shard_stage:
-            self._simulate_block(hour_start, hour_stop, sink)
+            self.engine.simulate_block(
+                hour_start, hour_stop, sink, self._stage_seconds
+            )
+            t0 = hour_start - sink.hour_start
             transactions = int(
-                sink.arrays["transactions"].sum(dtype=np.int64)
+                sink.arrays["transactions"][
+                    ..., t0 : t0 + (hour_stop - hour_start)
+                ].sum(dtype=np.int64)
             )
             shard_stage.add_items(transactions)
         self._commit_stage_metrics(hour_stop - hour_start)
@@ -213,17 +206,6 @@ class MonthSimulator:
             elapsed_seconds=elapsed_seconds,
             stage_seconds=dict(self._stage_seconds),
             cpu_seconds=cpu_seconds,
-        )
-
-    def _simulate_block(self, hour_start: int, hour_stop: int, sink) -> None:
-        """Simulate ``[hour_start, hour_stop)`` into ``sink``.
-
-        Each hour draws from its own freshly derived stream, so blocks
-        are order- and process-independent (see
-        :meth:`~repro.world.columnar.ColumnarEngine.simulate_block`).
-        """
-        self.engine.simulate_block(
-            hour_start, hour_stop, sink, self._stage_seconds
         )
 
     def _attach_provenance(

@@ -10,6 +10,7 @@ while the daemon is still running.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -412,6 +413,86 @@ class TestKillAndResume:
         stale = _serve(config)
         with pytest.raises(ServeError, match="fingerprint"):
             stale.prepare(resume=True)
+
+
+def _shm_blocks():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+requires_dev_shm = pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
+)
+
+
+class TestPooledChunks:
+    """Chunks at ``workers=2`` go through the shared-memory block
+    transport, or record their demotion to in-process shards."""
+
+    @pytest.fixture(scope="class")
+    def batch_digest(self):
+        return simulate_default_month(
+            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, workers=1
+        ).dataset.digest()
+
+    def _config(self, tmp_path):
+        return ServeConfig(
+            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, chunk_hours=6,
+            workers=2, runs_dir=str(tmp_path / "runs"),
+        )
+
+    def test_fallback_recorded_and_shown(
+        self, batch_digest, tmp_path, capsys, monkeypatch
+    ):
+        from repro.world import parallel
+
+        def broken(payloads):
+            raise OSError("pool refused")
+
+        monkeypatch.setattr(parallel, "_pool_dispatch", broken)
+        daemon = _serve(self._config(tmp_path))
+        daemon.prepare()
+        result = daemon.run()
+        assert result["completed"]
+        assert result["chain"] == result["digest"] == batch_digest
+        manifest = daemon.store.load(daemon.run_id)
+        fallback = manifest.dataset["provenance"]["parallel_fallback"]
+        assert fallback["shards"] == 2
+        capsys.readouterr()
+        code = cli.main([
+            "runs", "--runs-dir", str(tmp_path / "runs"), "show",
+            daemon.run_id,
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fallback:" in out
+        assert "pool refused" in out
+
+    @requires_dev_shm
+    def test_block_unlinked_after_completed_run(
+        self, batch_digest, tmp_path
+    ):
+        before = _shm_blocks()
+        daemon = _serve(self._config(tmp_path))
+        daemon.prepare()
+        result = daemon.run()
+        assert result["completed"]
+        assert result["digest"] == batch_digest
+        manifest = daemon.store.load(daemon.run_id)
+        assert "parallel_fallback" not in manifest.dataset["provenance"]
+        assert _shm_blocks() <= before
+
+    @requires_dev_shm
+    def test_block_unlinked_after_stop_mid_run(self, tmp_path):
+        before = _shm_blocks()
+        daemon = _serve(
+            self._config(tmp_path),
+            chunk_callback=lambda d, e: d.request_stop(),
+        )
+        daemon.prepare()
+        result = daemon.run()
+        assert not result["completed"]
+        assert result["committed_hours"] == 6
+        assert _shm_blocks() <= before
 
 
 class TestOneDigest:
@@ -898,7 +979,7 @@ class TestRetentionAndHorizon:
         # h % 10 (the fault and RNG streams recur each epoch).
         from repro.world.parallel import run_block
 
-        epoch = run_block(daemon.simulator, 0, 10, workers=1)
+        epoch, _ = run_block(daemon.simulator, 0, 10, workers=1)
         for entry, arrays in chunks.replay(start_hour=chunks.pruned_hours()):
             h0 = int(entry["hour_start"])
             for t in range(int(entry["hour_stop"]) - h0):

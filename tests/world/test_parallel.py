@@ -1,8 +1,9 @@
 """Tests for the hour-sharded parallel engine.
 
-The determinism contract under test: for one master seed, the merged
-dataset is bit-identical for any worker count -- sequential, process-pool
-parallel, and the in-process fallback all agree array-for-array.
+The determinism contract under test: for one master seed, the dataset
+is bit-identical for any worker count -- sequential, process-pool
+parallel, and the in-process fallback all agree array-for-array.  The
+fallback is reached the way users hit it: a pool dispatch that fails.
 """
 
 import glob
@@ -24,6 +25,10 @@ from repro.world.simulator import MonthSimulator
 
 HOURS = 36
 SEED = 318
+
+requires_dev_shm = pytest.mark.skipif(
+    not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +54,16 @@ def _simulator(small_world, small_truth):
 @pytest.fixture(scope="module")
 def sequential(small_world, small_truth):
     return _simulator(small_world, small_truth).run()
+
+
+def _refuse_pool(payloads):
+    raise OSError("pool refused")
+
+
+@pytest.fixture
+def broken_pool(monkeypatch):
+    """Every pool dispatch fails: pooled runs demote to in-process."""
+    monkeypatch.setattr(parallel, "_pool_dispatch", _refuse_pool)
 
 
 class TestShardPlanning:
@@ -102,12 +117,28 @@ class TestDeterminism:
             assert (np.asarray(ours) == np.asarray(theirs)).all(), name
         assert result.dataset.digest() == sequential.dataset.digest()
 
-    def test_in_process_fallback_identical(
-        self, small_world, small_truth, sequential
+    def test_pool_failure_fallback_identical(
+        self, small_world, small_truth, sequential, broken_pool
     ):
         sim = _simulator(small_world, small_truth)
-        result = parallel.run_parallel(sim, 3, in_process=True)
+        result = sim.run(workers=3)
+        assert result.dataset.provenance["parallel_fallback"]["shards"] == 3
         assert result.dataset.digest() == sequential.dataset.digest()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_dtypes_are_the_narrowest_fit(
+        self, small_world, small_truth, workers
+    ):
+        # No count here outgrows the starting dtypes, so neither the
+        # in-process sink nor the planned (wider) shared-buffer dtypes
+        # may leak into the dataset.
+        result = _simulator(small_world, small_truth).run(workers=workers)
+        fresh = MeasurementDataset(small_world)
+        for name in MeasurementDataset._ARRAY_FIELDS:
+            assert (
+                getattr(result.dataset, name).dtype
+                == getattr(fresh, name).dtype
+            ), name
 
     def test_rerun_identical(self, small_world, small_truth):
         """Per-hour fresh streams make run() itself repeatable on one
@@ -141,8 +172,68 @@ class TestShardExecution:
         assert set(shard.arrays) == set(MeasurementDataset._ARRAY_FIELDS)
 
 
+class TestRunBlock:
+    """Offset blocks, the serve chunk unit, through shared memory."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_offset_block_equals_batch_slice(
+        self, small_world, small_truth, sequential, workers
+    ):
+        h0, h1 = 7, 29
+        arrays, fallback = parallel.run_block(
+            _simulator(small_world, small_truth), h0, h1, workers=workers
+        )
+        assert fallback is None
+        assert set(arrays) == set(MeasurementDataset._ARRAY_FIELDS)
+        for name, block in arrays.items():
+            expected = getattr(sequential.dataset, name)[..., h0:h1]
+            assert block.shape == expected.shape, name
+            assert np.array_equal(block, expected), name
+
+    def test_fallback_returned_to_caller(
+        self, small_world, small_truth, sequential, broken_pool
+    ):
+        arrays, fallback = parallel.run_block(
+            _simulator(small_world, small_truth), 5, 20, workers=2
+        )
+        assert fallback == {"reason": "OSError('pool refused')", "shards": 2}
+        assert np.array_equal(
+            arrays["transactions"],
+            sequential.dataset.transactions[..., 5:20],
+        )
+
+    @requires_dev_shm
+    def test_adopt_widens_only_fields_that_outgrow_their_dtype(
+        self, small_world
+    ):
+        from repro.world.sharedmem import SharedMonthBuffer
+
+        # per_hour sized so the planned transactions dtype is uint32.
+        buffer = SharedMonthBuffer(small_world, 70_000, 5)
+        try:
+            buffer.arrays["transactions"][0, 0, 4] = 70_000
+            buffer.arrays["dns_ldns"][1, 2, 0] = 3
+            arrays = MeasurementDataset.block_template(small_world, 5)
+            buffer.adopt_into(arrays)
+        finally:
+            buffer.destroy()
+        assert arrays["transactions"].dtype == np.uint32
+        assert int(arrays["transactions"][0, 0, 4]) == 70_000
+        assert int(arrays["transactions"].sum()) == 70_000
+        assert arrays["dns_ldns"].dtype == np.uint16
+        assert int(arrays["dns_ldns"][1, 2, 0]) == 3
+
+    def test_rejects_block_outside_experiment(self, small_world, small_truth):
+        with pytest.raises(ValueError):
+            parallel.run_block(
+                _simulator(small_world, small_truth), 0, HOURS + 1
+            )
+
+
 class TestObservability:
-    def test_outcome_metrics_match_sequential(self, small_world, small_truth):
+    def test_outcome_metrics_match_sequential(
+        self, small_world, small_truth, broken_pool
+    ):
         # Per-worker timing metrics (simulate_shard_seconds,
         # simulate_worker_cpu_seconds_total) are wall-clock and exist
         # only under parallel runs; the equivalence contract covers the
@@ -163,21 +254,19 @@ class TestObservability:
 
         seq = totals(lambda: _simulator(small_world, small_truth).run())
         par = totals(
-            lambda: parallel.run_parallel(
-                _simulator(small_world, small_truth), 3, in_process=True
-            )
+            lambda: _simulator(small_world, small_truth).run(workers=3)
         )
         assert seq == par
 
-    def test_shard_spans_in_trace(self, small_world, small_truth):
+    def test_shard_spans_in_trace(
+        self, small_world, small_truth, broken_pool
+    ):
         from repro.obs.tracing import Tracer
 
         tracer = Tracer()
         tracer.enable(keep_in_memory=True)
         with obs.use(None, tracer):
-            parallel.run_parallel(
-                _simulator(small_world, small_truth), 2, in_process=True
-            )
+            _simulator(small_world, small_truth).run(workers=2)
         shard_spans = tracer.find("simulate.shard")
         assert len(shard_spans) == 2
         blocks = sorted(
@@ -185,10 +274,10 @@ class TestObservability:
         )
         assert blocks == parallel.plan_shards(HOURS, 2)
 
-    def test_provenance_records_workers(self, small_world, small_truth):
-        result = parallel.run_parallel(
-            _simulator(small_world, small_truth), 2, in_process=True
-        )
+    def test_provenance_records_workers(
+        self, small_world, small_truth, broken_pool
+    ):
+        result = _simulator(small_world, small_truth).run(workers=2)
         assert result.dataset.provenance["workers"] == 2
         assert result.dataset.provenance["master_seed"] == SEED
 
@@ -249,7 +338,7 @@ def _shm_blocks():
 _REAL_SIMULATE_SHARD = parallel._simulate_shard
 
 
-def _crash_in_child(payload):
+def _crash_in_child(payload, sink=None):
     """Pool task that dies hard in workers but works in the parent.
 
     Module-level so fork workers can unpickle it by reference; the
@@ -257,12 +346,7 @@ def _crash_in_child(payload):
     """
     if multiprocessing.parent_process() is not None:
         os._exit(13)
-    return _REAL_SIMULATE_SHARD(payload)
-
-
-requires_dev_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
-)
+    return _REAL_SIMULATE_SHARD(payload, sink)
 
 
 class TestSharedMemoryLifecycle:
@@ -281,9 +365,7 @@ class TestSharedMemoryLifecycle:
         before = _shm_blocks()
         registry = MetricsRegistry()
         with obs.use(registry):
-            result = parallel.run_parallel(
-                _simulator(small_world, small_truth), 2
-            )
+            result = _simulator(small_world, small_truth).run(workers=2)
         assert _shm_blocks() <= before
         # The crash demoted the run to the in-process fallback, which
         # must still produce the canonical dataset -- and say so.
@@ -303,23 +385,17 @@ class TestSharedMemoryLifecycle:
         monkeypatch.setattr(parallel, "_pool_dispatch", interrupted)
         before = _shm_blocks()
         with pytest.raises(KeyboardInterrupt):
-            parallel.run_parallel(_simulator(small_world, small_truth), 2)
+            _simulator(small_world, small_truth).run(workers=2)
         assert _shm_blocks() <= before
 
 
 class TestFallbackObservability:
     def test_fallback_counted_and_stamped(
-        self, small_world, small_truth, sequential, monkeypatch
+        self, small_world, small_truth, sequential, broken_pool
     ):
-        def broken(payloads):
-            raise OSError("pool refused")
-
-        monkeypatch.setattr(parallel, "_pool_dispatch", broken)
         registry = MetricsRegistry()
         with obs.use(registry):
-            result = parallel.run_parallel(
-                _simulator(small_world, small_truth), 3
-            )
+            result = _simulator(small_world, small_truth).run(workers=3)
         assert registry.counter("parallel_fallback_total").value == 1
         fallback = result.dataset.provenance["parallel_fallback"]
         assert "pool refused" in fallback["reason"]
@@ -327,7 +403,5 @@ class TestFallbackObservability:
         assert result.dataset.digest() == sequential.dataset.digest()
 
     def test_no_fallback_stamp_on_clean_run(self, small_world, small_truth):
-        result = parallel.run_parallel(
-            _simulator(small_world, small_truth), 2, in_process=True
-        )
+        result = _simulator(small_world, small_truth).run(workers=2)
         assert "parallel_fallback" not in result.dataset.provenance
