@@ -20,8 +20,15 @@ Determinism contract: for a given master seed the block's arrays are
 bit-identical for *any* worker count -- ``--workers 1``, the in-process
 fallback, and any process-pool width all digest equal.
 
+Workers inherit the block's simulator over ``fork``: :func:`run_block`
+parks it in a module-level slot before the pool forks (as
+:mod:`repro.obs.live.bus` parks the telemetry queue), so a shard payload
+carries only its hour range, worker index and buffer name -- the world
+and ground truth never ride a pickle.  The pool therefore requires the
+``fork`` start method; a spawned child would find no parked simulator.
+
 Fallback: when the pool or the shared buffer cannot be used (sandboxed
-environments, unpicklable worlds, broken pools, undersized planned
+environments, no fork start method, broken pools, undersized planned
 dtypes) every shard runs in this process sequentially, writing into
 one block-wide sink that may promote dtypes.  The switch is
 *observable*: the ``parallel_fallback_total`` counter increments and
@@ -55,7 +62,6 @@ from repro.core.dataset import MeasurementDataset
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.world.columnar import BlockSink
-from repro.world.rng import RNGRegistry
 from repro.world.sharedmem import SharedMonthBuffer, attach_shard_arrays
 
 if TYPE_CHECKING:  # circular at runtime: simulator dispatches to us
@@ -64,6 +70,10 @@ if TYPE_CHECKING:  # circular at runtime: simulator dispatches to us
 #: Floor on shard size: below this, process spin-up dominates the work and
 #: the auto worker count backs off toward sequential.
 MIN_HOURS_PER_SHARD = 24
+
+#: The simulator of the block being dispatched, parked here for forked
+#: workers to inherit; ``None`` outside :func:`run_block`.
+_BLOCK_SIMULATOR: Optional["MonthSimulator"] = None
 
 #: Exceptions that demote a parallel run to the in-process fallback.
 #: ``OverflowError`` is the fixed-dtype shared-buffer overflow -- the
@@ -128,9 +138,12 @@ def plan_shards(hours: int, workers: int) -> List[Tuple[int, int]]:
 def _simulate_shard(payload, sink=None) -> "ShardResult":
     """Simulate one shard of an hour block under fresh obs state.
 
-    Runs in a worker process, or in-process on fallback.  A fresh
-    metrics registry captures exactly this shard's instruments for the
-    parent to merge; the tracer is disabled -- worker processes must not
+    Runs in a forked worker process, or in-process on fallback; either
+    way on the block's simulator parked in :data:`_BLOCK_SIMULATOR`
+    (a forked worker inherits it), so the payload is just
+    ``(hour_start, hour_stop, worker, block)``.  A fresh metrics
+    registry captures exactly this shard's instruments for the parent to
+    merge; the tracer is disabled -- worker processes must not
     interleave writes into the parent's trace file.  Live telemetry, in
     contrast, *is* wired through: when the parent parked a telemetry
     queue before forking the pool, the worker installs an emitter bound
@@ -144,10 +157,8 @@ def _simulate_shard(payload, sink=None) -> "ShardResult":
     block-wide :class:`~repro.world.columnar.BlockSink`, which may
     promote dtypes.
     """
-    from repro.world.simulator import MonthSimulator
-
-    (world, truth, access, master_seed, hour_start, hour_stop, worker,
-     block) = payload
+    hour_start, hour_stop, worker, block = payload
+    simulator = _BLOCK_SIMULATOR
     registry = MetricsRegistry()
     old_registry = obs.set_registry(registry)
     old_tracer = obs.set_tracer(Tracer())
@@ -157,13 +168,10 @@ def _simulate_shard(payload, sink=None) -> "ShardResult":
         if block is not None:
             shm_name, block_start, n_hours = block
             shm, arrays = attach_shard_arrays(
-                shm_name, world, access.per_hour, n_hours,
-                hour_start - block_start, hour_stop - block_start,
+                shm_name, simulator.world, simulator.access.per_hour,
+                n_hours, hour_start - block_start, hour_stop - block_start,
             )
             sink = BlockSink(arrays, hour_start, fixed_dtype=True)
-        simulator = MonthSimulator(
-            world, access=access, rngs=RNGRegistry(master_seed), truth=truth
-        )
         shard = simulator.run_shard(hour_start, hour_stop, sink=sink)
         shard.metrics = registry.dump_state()
         return shard
@@ -176,11 +184,18 @@ def _simulate_shard(payload, sink=None) -> "ShardResult":
 
 
 def _pool_dispatch(payloads: Sequence[tuple]) -> List["ShardResult"]:
-    """Run every shard payload on a process pool (fork when available)."""
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    """Run every shard payload on a fork process pool.
+
+    Workers find the block's simulator in :data:`_BLOCK_SIMULATOR`, which
+    only ``fork`` hands down; without it this raises ``OSError`` so the
+    caller demotes to in-process shards.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise OSError("no fork start method: workers cannot inherit the "
+                      "block's simulator")
     with ProcessPoolExecutor(
-        max_workers=len(payloads), mp_context=ctx
+        max_workers=len(payloads),
+        mp_context=multiprocessing.get_context("fork"),
     ) as pool:
         return list(pool.map(_simulate_shard, payloads))
 
@@ -216,44 +231,48 @@ def run_block(
     ]
     if len(shards) <= 1:
         return simulator.run_shard(hour_start, hour_stop).arrays, None
-    access = simulator.access
 
     def payloads(block: Optional[tuple]) -> List[tuple]:
-        return [
-            (world, simulator.truth, access, simulator.rngs.master_seed,
-             h0, h1, i, block)
-            for i, (h0, h1) in enumerate(shards)
-        ]
+        return [(h0, h1, i, block) for i, (h0, h1) in enumerate(shards)]
 
+    global _BLOCK_SIMULATOR
+    _BLOCK_SIMULATOR = simulator
     fallback: Optional[Dict[str, Any]] = None
     buffer = None
     try:
-        buffer = SharedMonthBuffer(world, access.per_hour, n_hours)
-        results = _pool_dispatch(
-            payloads((buffer.name, hour_start, n_hours))
-        )
-        arrays = MeasurementDataset.block_template(world, n_hours)
-        buffer.adopt_into(arrays)
-    except _FALLBACK_ERRORS as exc:
-        fallback = {"reason": repr(exc), "shards": len(shards)}
-        obs.logger.warning(
-            "parallel dispatch unavailable (%s); running %d shards "
-            "in-process", exc, len(shards),
-        )
-        obs.event(
-            "simulate.parallel_fallback", reason=fallback["reason"],
-            shards=len(shards),
-        )
-        obs.registry().counter("parallel_fallback_total").inc()
+        try:
+            buffer = SharedMonthBuffer(
+                world, simulator.access.per_hour, n_hours
+            )
+            results = _pool_dispatch(
+                payloads((buffer.name, hour_start, n_hours))
+            )
+            arrays = MeasurementDataset.block_template(world, n_hours)
+            buffer.adopt_into(arrays)
+        except _FALLBACK_ERRORS as exc:
+            fallback = {"reason": repr(exc), "shards": len(shards)}
+            obs.logger.warning(
+                "parallel dispatch unavailable (%s); running %d shards "
+                "in-process", exc, len(shards),
+            )
+            obs.event(
+                "simulate.parallel_fallback", reason=fallback["reason"],
+                shards=len(shards),
+            )
+            obs.registry().counter("parallel_fallback_total").inc()
+        finally:
+            if buffer is not None:
+                buffer.destroy()
+        if fallback is not None:
+            sink = BlockSink(
+                MeasurementDataset.block_template(world, n_hours), hour_start
+            )
+            results = [_simulate_shard(p, sink) for p in payloads(None)]
+            arrays = sink.arrays
     finally:
-        if buffer is not None:
-            buffer.destroy()
-    if fallback is not None:
-        sink = BlockSink(
-            MeasurementDataset.block_template(world, n_hours), hour_start
-        )
-        results = [_simulate_shard(p, sink) for p in payloads(None)]
-        arrays = sink.arrays
+        # Release the month's world and truth: a long-lived serve
+        # process must not keep a finished block pinned here.
+        _BLOCK_SIMULATOR = None
     registry = obs.registry()
     for i, shard in enumerate(results):
         with obs.span(

@@ -18,16 +18,15 @@ from the same ``(world, per_hour, block hours)`` inputs, so only the
 block's *name*, start hour and hour count ride the task payload.
 
 Lifecycle: the parent owns the block and unlinks it in a ``finally`` --
-on success, on worker crash, and on KeyboardInterrupt.  Workers must
-detach their resource-tracker registration on attach (Python < 3.13
-registers attached segments too) or the tracker would unlink the
-parent's live block when the first worker exits.
+on success, on worker crash, and on KeyboardInterrupt.  Workers are
+forked after the parent created the block, so they share its resource
+tracker, and their attach-time registration is an idempotent re-add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -137,20 +136,7 @@ def attach_shard_arrays(
     the shard is done (the parent unlinks).
     """
     layout, _ = plan_layout(world, per_hour, n_hours)
-    # Attaching registers the segment with the resource tracker (fixed
-    # only in Python 3.13's track=False).  Under *spawn* the worker owns
-    # a private tracker that would unlink the parent's live block when
-    # the worker exits, so the registration must be dropped.  Under
-    # *fork* the tracker process is shared with the parent -- there the
-    # re-registration is an idempotent set-add that must be left alone,
-    # or the parent's own unlink-time unregister would double-remove.
-    # A tracker already running before we attach means it was inherited.
-    tracker_inherited = (
-        resource_tracker._resource_tracker._fd is not None
-    )
     shm = shared_memory.SharedMemory(name=name)
-    if not tracker_inherited:
-        resource_tracker.unregister(shm._name, "shared_memory")
     views = _views(shm, layout)
     sliced = {field: view[..., lo:hi] for field, view in views.items()}
     return shm, sliced

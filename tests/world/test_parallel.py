@@ -18,7 +18,8 @@ from repro.core.dataset import MeasurementDataset
 from repro.obs.metrics import MetricsRegistry
 from repro.world import parallel
 from repro.world.defaults import build_default_world
-from repro.world.faults import FaultGenerator
+from repro.world.entities import World
+from repro.world.faults import FaultGenerator, GroundTruth
 from repro.world.outcome_model import AccessConfig
 from repro.world.rng import RNGRegistry
 from repro.world.simulator import MonthSimulator
@@ -356,6 +357,7 @@ class TestSharedMemoryLifecycle:
         result = _simulator(small_world, small_truth).run(workers=2)
         assert result.dataset.provenance.get("parallel_fallback") is None
         assert _shm_blocks() <= before
+        assert parallel._BLOCK_SIMULATOR is None
 
     @requires_dev_shm
     def test_block_unlinked_on_worker_crash(
@@ -387,6 +389,77 @@ class TestSharedMemoryLifecycle:
         with pytest.raises(KeyboardInterrupt):
             _simulator(small_world, small_truth).run(workers=2)
         assert _shm_blocks() <= before
+        assert parallel._BLOCK_SIMULATOR is None
+
+
+def _refuse_pickle(self, protocol):
+    raise AssertionError(f"{type(self).__name__} crossed the process pipe")
+
+
+class TestInheritedSimulator:
+    """Forked workers inherit the block's simulator; payloads carry hours."""
+
+    @pytest.fixture
+    def unpicklable_world(self, monkeypatch):
+        monkeypatch.setattr(World, "__reduce_ex__", _refuse_pickle)
+        monkeypatch.setattr(GroundTruth, "__reduce_ex__", _refuse_pickle)
+
+    def test_world_never_pickled_for_a_pooled_run(
+        self, small_world, small_truth, sequential, unpicklable_world
+    ):
+        registry = MetricsRegistry()
+        with obs.use(registry):
+            result = _simulator(small_world, small_truth).run(workers=2)
+        assert "parallel_fallback" not in result.dataset.provenance
+        assert registry.counter("parallel_fallback_total").value == 0
+        assert result.dataset.digest() == sequential.dataset.digest()
+
+    def test_world_never_pickled_for_an_offset_block(
+        self, small_world, small_truth, sequential, unpicklable_world
+    ):
+        arrays, fallback = parallel.run_block(
+            _simulator(small_world, small_truth), 6, 18, workers=2
+        )
+        assert fallback is None
+        for name, block in arrays.items():
+            expected = getattr(sequential.dataset, name)[..., 6:18]
+            assert np.array_equal(block, expected), name
+
+    def test_payloads_are_hour_ranges_and_slot_is_parked(
+        self, small_world, small_truth, monkeypatch
+    ):
+        sim = _simulator(small_world, small_truth)
+        seen = []
+        real_dispatch = parallel._pool_dispatch
+
+        def recording(payloads):
+            seen.append((parallel._BLOCK_SIMULATOR, list(payloads)))
+            return real_dispatch(payloads)
+
+        monkeypatch.setattr(parallel, "_pool_dispatch", recording)
+        parallel.run_block(sim, 0, HOURS, workers=2)
+        [(parked, payloads)] = seen
+        assert parked is sim
+        assert [(h0, h1, i) for h0, h1, i, _block in payloads] == [
+            (h0, h1, i)
+            for i, (h0, h1) in enumerate(parallel.plan_shards(HOURS, 2))
+        ]
+        assert parallel._BLOCK_SIMULATOR is None
+
+    def test_no_fork_demotes_in_process(
+        self, small_world, small_truth, sequential, monkeypatch
+    ):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        registry = MetricsRegistry()
+        with obs.use(registry):
+            result = _simulator(small_world, small_truth).run(workers=2)
+        fallback = result.dataset.provenance["parallel_fallback"]
+        assert "fork" in fallback["reason"]
+        assert fallback["shards"] == 2
+        assert registry.counter("parallel_fallback_total").value == 1
+        assert result.dataset.digest() == sequential.dataset.digest()
 
 
 class TestFallbackObservability:
@@ -401,6 +474,7 @@ class TestFallbackObservability:
         assert "pool refused" in fallback["reason"]
         assert fallback["shards"] == 3
         assert result.dataset.digest() == sequential.dataset.digest()
+        assert parallel._BLOCK_SIMULATOR is None
 
     def test_no_fallback_stamp_on_clean_run(self, small_world, small_truth):
         result = _simulator(small_world, small_truth).run(workers=2)
