@@ -4,7 +4,7 @@ The simulation's headline guarantee -- same seed, same dataset digest, at
 any worker count -- rests on code conventions nothing in the runtime can
 check: every random draw comes from a named :class:`~repro.world.rng.
 RNGRegistry` stream, engine code never reads the wall clock, and nothing
-hashes or serializes data in set/dict iteration order.  This package
+hashes or serializes data in set iteration order.  This package
 enforces those conventions statically, as named rules over the AST:
 
 ========  ========  ==========================================================
@@ -14,8 +14,6 @@ DET001    error     no unseeded RNG construction
 DET002    error     no module-level ``random.*`` calls (hidden global state)
 DET003    error     no wall-clock reads in engine packages (``obs`` exempt)
 DET004    error     ``world/`` derives seeded RNGs via ``RNGRegistry`` only
-SAF001    error     no set/dict-order iteration feeding a digest or
-                    serialized output
 GEN001    warning   no mutable default arguments
 GEN002    warning   no bare ``except:``
 ========  ========  ==========================================================
@@ -26,23 +24,3 @@ suppress), or grandfathered wholesale via a committed baseline file.
 
 Run it as ``repro lint [paths] [--strict]`` or ``python -m repro.lint``.
 """
-
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.engine import LintResult, lint_paths
-from repro.lint.findings import Finding, Severity
-from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import Rule, all_rules, get_rule
-
-__all__ = [
-    "Finding",
-    "Severity",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "LintResult",
-    "lint_paths",
-    "load_baseline",
-    "write_baseline",
-    "render_text",
-    "render_json",
-]

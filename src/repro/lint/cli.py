@@ -4,8 +4,7 @@ Usage::
 
     repro lint [paths ...] [--strict] [--format text|json]
                [--baseline FILE] [--write-baseline FILE]
-               [--prune-baseline] [--jobs N]
-               [--select DET001,DET004]
+               [--prune-baseline] [--select DET001,DET004]
 
 Exit codes: 0 clean, 1 findings (errors always; any finding under
 ``--strict``; a stale baseline under ``--prune-baseline``), 2 usage or
@@ -18,8 +17,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint.engine import lint_paths
-from repro.lint.reporters import render_json, render_text
 from repro.lint.rules import all_rules, select_rules
 
 DEFAULT_PATHS = ["src/repro"]
@@ -55,11 +52,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "gate)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="thread-pool width for the per-file pass (output order is "
-        "identical at any width)",
-    )
-    parser.add_argument(
         "--select", metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
     )
@@ -80,6 +72,12 @@ def _rule_table() -> str:
 
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation."""
+    # The engine loads here, not at import: every ``repro`` process
+    # builds this parser, and only ``repro lint`` needs the analyzer.
+    from repro.lint.baseline import prune_baseline, write_baseline
+    from repro.lint.engine import lint_paths
+    from repro.lint.reporters import render_json, render_text
+
     if args.list_rules:
         print(_rule_table())
         return 0
@@ -102,22 +100,12 @@ def run(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        result = lint_paths(
-            paths,
-            rules=rules,
-            baseline_path=args.baseline,
-            jobs=args.jobs,
-        )
-    except FileNotFoundError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
+        result = lint_paths(paths, rules=rules, baseline_path=args.baseline)
     except (OSError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
     if args.write_baseline:
-        from repro.lint.baseline import write_baseline
-
         count = write_baseline(args.write_baseline, result.findings)
         print(
             f"wrote {count} finding{'' if count == 1 else 's'} to "
@@ -126,8 +114,6 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.prune_baseline:
-        from repro.lint.baseline import prune_baseline
-
         dropped = prune_baseline(args.baseline, result.stale_baseline)
         if dropped:
             print(

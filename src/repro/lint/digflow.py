@@ -117,8 +117,10 @@ class SetOrderToDigestRule(_DigestTaintRule):
     Set iteration order varies across processes (hash randomization),
     so a list built from a set serializes differently run to run even
     under ``sort_keys=True`` -- key sorting cannot fix *value* order.
-    This is the flow-aware big sibling of SAF001 (which only sees a
-    ``for x in someset`` directly inside a digesting scope).
+    It is the only set-order rule: it follows the set through
+    assignments, calls and container mutation (``out.append(x)``,
+    ``d[x] = v``) to the sink.  Dict iteration is insertion-ordered and
+    never flagged.
     """
 
     id = "DIG003"

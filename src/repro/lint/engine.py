@@ -1,13 +1,12 @@
 """The lint engine: file discovery, parsing, rule dispatch.
 
 Two passes per run.  The per-file pass parses each file, builds its
-:class:`FileContext`, and runs the per-file rules -- independently per
-file, so it parallelizes across a thread pool (``jobs``) with output
-order fixed by sorting afterwards.  The project pass then runs every
-:class:`~repro.lint.project.ProjectRule` once against a
+:class:`FileContext`, and runs the per-file rules.  The project pass
+then runs every :class:`~repro.lint.project.ProjectRule` once against a
 :class:`~repro.lint.project.ProjectContext` holding *all* parsed files:
 import graph, symbol table, and taint analysis are shared across the
-project rules and built lazily on first use.
+project rules and built lazily on first use.  Findings are sorted at
+the end, so the report does not depend on discovery order.
 
 Suppressions are per file but apply to both passes: a project finding
 anchors at its sink file/line, and the ``# repro: lint-ok[...]``
@@ -18,8 +17,6 @@ at stake -- even when the taint source is in another file.
 from __future__ import annotations
 
 import ast
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -33,27 +30,6 @@ from repro.lint.suppress import SuppressionIndex
 
 #: Meta-finding id for files the parser rejects.
 SYNTAX_ERROR_RULE = "LNT001"
-
-#: Thread-pool width when the caller does not choose one.  Linting is
-#: parse-bound; beyond a handful of threads the GIL flattens the curve.
-DEFAULT_JOBS = 4
-
-#: Serializes ``ast.parse`` across the pool's threads.  CPython 3.11
-#: keeps the AST conversion's recursion-depth counter in interpreter
-#: state, so two threads converting at once (a collection running
-#: Python code mid-conversion switches threads) fail with "AST
-#: constructor recursion depth mismatch".  Parsing holds the GIL
-#: anyway, so the lock costs nothing.
-_PARSE_LOCK = threading.Lock()
-
-
-@dataclass
-class FileReport:
-    """One file's surviving findings plus suppression accounting."""
-
-    path: str
-    findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
 
 
 @dataclass
@@ -141,8 +117,7 @@ def _parse_file(path: str) -> ParsedFile:
             ],
         )
     try:
-        with _PARSE_LOCK:
-            tree = ast.parse(source, filename=path)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return ParsedFile(
             shown,
@@ -166,20 +141,20 @@ def _parse_file(path: str) -> ParsedFile:
 
 def _run_per_file(
     parsed: ParsedFile, rules: Sequence[Rule]
-) -> FileReport:
-    report = FileReport(path=parsed.shown)
-    report.findings.extend(parsed.error_findings)
+) -> Tuple[List[Finding], int]:
+    """Per-file findings (suppressions applied) and the suppressed count."""
+    findings = list(parsed.error_findings)
+    suppressed = 0
     if parsed.ctx is None or parsed.suppressions is None:
-        return report
+        return findings, suppressed
     for rule in rules:
         for finding in rule.check(parsed.ctx):
             if parsed.suppressions.matches(finding):
-                report.suppressed += 1
+                suppressed += 1
             else:
-                report.findings.append(finding)
-    report.findings.extend(parsed.suppressions.inert_findings(parsed.shown))
-    report.findings.sort(key=lambda f: f.sort_key)
-    return report
+                findings.append(finding)
+    findings.extend(parsed.suppressions.inert_findings(parsed.shown))
+    return findings, suppressed
 
 
 def _run_project(
@@ -207,56 +182,26 @@ def _run_project(
     return findings, suppressed
 
 
-def lint_file(
-    path: str, rules: Optional[Sequence[Rule]] = None
-) -> FileReport:
-    """Lint one file (meta-findings LNT000/LNT001 included).
-
-    Project rules run too, against a one-file project -- fixtures and
-    single-file invocations exercise DIG/SHM/DTY/ARC without spelling
-    the two-pass machinery out.
-    """
-    parsed = _parse_file(path)
-    per_file, project = split_rules(
-        rules if rules is not None else all_rules()
-    )
-    report = _run_per_file(parsed, per_file)
-    findings, suppressed = _run_project([parsed], project)
-    report.findings.extend(findings)
-    report.suppressed += suppressed
-    report.findings.sort(key=lambda f: f.sort_key)
-    return report
-
-
 def lint_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     baseline_path: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> LintResult:
-    """Lint every python file under ``paths``.
+    """Lint every python file under ``paths`` (meta-findings
+    LNT000/LNT001 included).
 
-    ``jobs`` widens the per-file pass across a thread pool; the report
-    is sorted afterwards, so output is identical at any width.
+    Project rules run over the files given, so a single fixture file is
+    a one-file project: DIG/SHM/DTY/ARC run on it too.
     """
     per_file, project = split_rules(
         rules if rules is not None else all_rules()
     )
     result = LintResult()
-    files = list(iter_python_files(paths))
-    workers = jobs if jobs and jobs > 0 else DEFAULT_JOBS
-    if workers > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parsed_files = list(pool.map(_parse_file, files))
-            reports = list(
-                pool.map(lambda p: _run_per_file(p, per_file), parsed_files)
-            )
-    else:
-        parsed_files = [_parse_file(path) for path in files]
-        reports = [_run_per_file(p, per_file) for p in parsed_files]
-    for report in reports:
-        result.findings.extend(report.findings)
-        result.suppressed += report.suppressed
+    parsed_files = [_parse_file(path) for path in iter_python_files(paths)]
+    for parsed in parsed_files:
+        findings, suppressed = _run_per_file(parsed, per_file)
+        result.findings.extend(findings)
+        result.suppressed += suppressed
         result.files_scanned += 1
     project_findings, suppressed = _run_project(parsed_files, project)
     result.findings.extend(project_findings)

@@ -7,8 +7,10 @@ functions -- or different files.  A per-file AST walk cannot see that;
 this engine can, cheaply:
 
 * **Intra-procedural**: one forward pass per function propagates taint
-  through assignments, containers, loops (bodies walked twice so
-  loop-carried taint converges), and branches (environments union).
+  through assignments, containers (in-place mutation included:
+  ``out.append(x)`` and ``d[k] = v`` taint ``out`` and ``d``), loops
+  (bodies walked twice so loop-carried taint converges), and branches
+  (environments union).
 * **Inter-procedural**: every project function gets a *summary* --
   which parameters flow into which sinks, which parameters flow to the
   return value, and what taint the function generates internally and
@@ -30,7 +32,7 @@ from __future__ import annotations
 import ast
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.context import FileContext
 from repro.lint.determinism import (
@@ -75,6 +77,13 @@ LISTING_SOURCES = frozenset({
 #: Builtins whose call result drops ORDER taint (deterministic
 #: reductions / orderings of unordered input).
 ORDER_SANITIZERS = frozenset({"sorted", "len", "min", "max"})
+
+#: Methods that mutate their receiver in place: ``out.append(x)`` leaves
+#: ``out`` carrying ``x``'s taint (set order entering a list by mutation).
+CONTAINER_MUTATORS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "appendleft", "extendleft",
+})
 
 #: External sink calls: dotted path -> sink kind.
 SINK_CALLS = {
@@ -444,11 +453,16 @@ class _FunctionWalker:
                     element = element.value
                 self._bind(element, taint, self._tuple_item(value, i))
         elif isinstance(target, ast.Subscript):
-            # arr[i] = tainted  =>  the container is now tainted too.
-            if isinstance(target.value, ast.Name):
-                self.env[target.value.id] = taint.union(
-                    self.env.get(target.value.id, CLEAN)
-                )
+            # arr[i] = tainted  =>  the container is now tainted too, by
+            # the value and by the key (set-ordered dict keys).
+            self._taint_container(
+                target.value, taint.union(self._eval(target.slice))
+            )
+
+    def _taint_container(self, node: ast.expr, taint: TaintInfo) -> None:
+        """A mutated container keeps its taint and gains ``taint``."""
+        if isinstance(node, ast.Name):
+            self.env[node.id] = taint.union(self.env.get(node.id, CLEAN))
 
     def _tuple_item(self, value: ast.expr, index: int) -> ast.expr:
         if isinstance(value, (ast.Tuple, ast.List)) and index < len(
@@ -685,6 +699,8 @@ class _FunctionWalker:
         receiver = CLEAN
         if isinstance(func, ast.Attribute):
             receiver = self._eval(func.value)
+            if func.attr in CONTAINER_MUTATORS:
+                self._taint_container(func.value, all_taint)
         return all_taint.union(receiver)
 
     def _sorts_keys(self, node: ast.Call) -> bool:
@@ -795,12 +811,3 @@ class _FunctionWalker:
             if dotted in HASHLIB_CONSTRUCTORS:
                 return "hash"
         return ""
-
-
-def iter_sink_hits(
-    analysis: FlowAnalysis, kinds: Tuple[str, ...], mask: int
-) -> Iterator[SinkHit]:
-    """The analysis' hits filtered to sink kinds and a taint mask."""
-    for hit in analysis.hits:
-        if hit.sink.kind in kinds and hit.taint.flags & mask:
-            yield hit

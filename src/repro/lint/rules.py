@@ -15,8 +15,8 @@ Registering is one decorator::
         def check(self, ctx):
             ...
 
-The registry is the single source of truth: the engine, the CLI's rule
-table, and the README documentation generator all iterate it.
+The registry is the single source of truth: the engine and the CLI's
+rule table (``repro lint --list-rules``) both iterate it.
 """
 
 from __future__ import annotations

@@ -1,132 +1,13 @@
-"""Safety & hygiene rules: SAF001, GEN001, GEN002."""
+"""Hygiene rules: GEN001, GEN002."""
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import Rule, register
-
-#: Calls that turn data into a digest or serialized bytes -- order of
-#: the data they are fed becomes observable output.
-DIGEST_SINKS = frozenset({
-    "hashlib.md5", "hashlib.sha1", "hashlib.sha224", "hashlib.sha256",
-    "hashlib.sha384", "hashlib.sha512", "hashlib.blake2b",
-    "hashlib.blake2s", "hashlib.new",
-    "json.dump", "json.dumps",
-    "pickle.dump", "pickle.dumps",
-})
-
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-_UNORDERED_METHODS = frozenset({"keys", "values", "items"})
-
-
-def _unordered_iter_reason(node: ast.AST) -> str:
-    """Why iterating ``node`` is order-unstable, or '' if it is not.
-
-    Matches the *direct* iterable only: ``sorted(d.items())`` has a
-    ``sorted`` call as the iterable and is therefore fine.
-    """
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "a set"
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return f"{func.id}(...)"
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _UNORDERED_METHODS
-        ):
-            return f".{func.attr}() of a dict"
-    return ""
-
-
-class _ScopeCollector(ast.NodeVisitor):
-    """Per-scope sinks and unordered loops, without crossing into
-    nested function scopes (a helper closure hashing nothing should not
-    inherit its parent's digest sink)."""
-
-    def __init__(self, ctx: FileContext) -> None:
-        self.ctx = ctx
-        self.has_sink = False
-        self.loops: List[Tuple[ast.AST, str]] = []
-
-    def visit_Call(self, node: ast.Call) -> None:
-        target = self.ctx.imports.resolve(node.func)
-        if target in DIGEST_SINKS:
-            self.has_sink = True
-        elif (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "hexdigest"
-        ):
-            self.has_sink = True
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        reason = _unordered_iter_reason(node.iter)
-        if reason:
-            self.loops.append((node, reason))
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node) -> None:
-        for gen in node.generators:
-            reason = _unordered_iter_reason(gen.iter)
-            if reason:
-                self.loops.append((node, reason))
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-
-    def visit_FunctionDef(self, node) -> None:
-        pass  # nested scope: analyzed separately
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_Lambda = visit_FunctionDef
-
-
-@register
-class UnorderedDigestFeedRule(Rule):
-    """SAF001: set/dict-order iteration in a digesting/serializing scope.
-
-    Set iteration order depends on insertion history and hash
-    randomization; dict order on insertion order.  Feeding either into
-    a digest or serialized output makes "equal data" hash or serialize
-    unequal across runs and processes.  Heuristic scope: a function (or
-    the module body) that constructs a hashlib digest, calls
-    ``.hexdigest()``, or calls ``json``/``pickle`` ``dump(s)``.
-    """
-
-    id = "SAF001"
-    severity = Severity.ERROR
-    title = "unordered iteration feeds a digest or serialized output"
-    hint = "iterate sorted(...) so the byte stream is order-independent"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        scopes: List[ast.AST] = [ctx.tree]
-        scopes.extend(
-            n for n in ast.walk(ctx.tree) if isinstance(n, _SCOPE_NODES)
-        )
-        for scope in scopes:
-            collector = _ScopeCollector(ctx)
-            body = scope.body if not isinstance(scope, ast.Lambda) else []
-            if isinstance(scope, ast.Lambda):
-                collector.visit(scope.body)
-            else:
-                for stmt in body:
-                    collector.visit(stmt)
-            if not (collector.has_sink and collector.loops):
-                continue
-            for node, reason in collector.loops:
-                yield self.finding(
-                    ctx, node,
-                    f"iteration over {reason} in a scope that digests or "
-                    "serializes data",
-                )
 
 
 @register

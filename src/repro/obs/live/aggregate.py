@@ -192,16 +192,6 @@ class LiveAggregator:
 
     # -- derived views --------------------------------------------------------
 
-    def episode_threshold_estimate(self) -> Optional[float]:
-        """Running knee estimate over the hourly overall failure rates.
-
-        ``None`` when the rates seen so far are too degenerate for a
-        meaningful knee (see :func:`knee_of_rates`).
-        """
-        with self._lock:
-            rates = list(self._hour_rates)
-        return knee_of_rates(rates)
-
     def snapshot(self) -> Dict[str, Any]:
         """A consistent, render-ready view of everything (locked copy)."""
         with self._lock:

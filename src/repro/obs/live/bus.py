@@ -17,10 +17,10 @@ Workers (and the parent itself, on the sequential path) hold a
 The queue is shared with forked worker processes by *inheritance*: the
 parent parks it in a module-level global before the process pool is
 created (:func:`TelemetryBus.start`), and :func:`inherited_emitter`
-picks it up inside the child.  On platforms without ``fork`` the pool
-children simply see no queue and emit nothing -- the run itself is
-unaffected, and the parent still emits shard-completion events as
-results arrive.
+picks it up inside the child.  Without ``fork`` there is no pool: the
+shards run in the parent, and each still installs
+:func:`inherited_emitter` with its own worker index, so the same events
+reach the same queue.
 
 Emission must never perturb the simulation: emitters swallow queue
 errors, carry no RNG state, and only ever *read* dataset counts.  The

@@ -219,11 +219,6 @@ class MetricsServer:
                 body += to_prometheus_text(registry, prefix="repro_")
         return body
 
-    def render_alerts(self) -> str:
-        """The ``/alerts`` JSON document (the detector's snapshot)."""
-        _, document = self._alerts_document()
-        return _encode_json(document).decode("utf-8")
-
     # -- JSON documents -------------------------------------------------------
 
     def _index_document(self) -> Tuple[int, Dict[str, Any]]:

@@ -30,7 +30,6 @@ import os
 import tempfile
 from typing import Any, Dict, Optional
 
-from repro.obs import runtime
 from repro.obs.live.aggregate import LiveAggregator
 from repro.obs.live.bus import TelemetryBus
 from repro.obs.live.dashboard import LiveDashboard
@@ -168,19 +167,3 @@ class LiveSession:
     def __exit__(self, *exc_info) -> None:
         self.stop()
         self.cleanup()
-
-
-def log_endpoints(session: LiveSession) -> None:
-    """Announce the scrape endpoints on the ``repro`` logger."""
-    if session.port is not None:
-        runtime.logger.info(
-            "live metrics: scrape http://127.0.0.1:%d/metrics", session.port
-        )
-        if session.detector is not None:
-            runtime.logger.info(
-                "live alerts: http://127.0.0.1:%d/alerts", session.port
-            )
-            runtime.logger.info(
-                "live SLO: http://127.0.0.1:%d/slo  history: /history",
-                session.port,
-            )

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.lint.engine import lint_file, lint_paths
+from repro.lint.engine import lint_paths
 
 
 @pytest.fixture
@@ -17,17 +17,14 @@ def lint_tree(tmp_path):
     exercised without touching the shipped sources.
     """
 
-    def run(files, rules=None, jobs=None, baseline_path=None):
+    def run(files, rules=None, baseline_path=None):
         root = tmp_path / "src" / "repro"
         for relpath, source in files.items():
             target = root / relpath
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(textwrap.dedent(source))
         return lint_paths(
-            [str(root)],
-            rules=rules,
-            jobs=jobs,
-            baseline_path=baseline_path,
+            [str(root)], rules=rules, baseline_path=baseline_path
         )
 
     return run
@@ -46,7 +43,7 @@ def lint_snippet(tmp_path):
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source))
-        return lint_file(str(target), rules=rules)
+        return lint_paths([str(target)], rules=rules)
 
     return run
 

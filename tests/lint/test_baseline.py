@@ -107,7 +107,7 @@ class TestBaselineV2:
             "version": 1,
             "findings": [
                 {"path": "a.py", "rule": "DET001", "line": 4},
-                {"path": "b.py", "rule": "SAF001", "line": 9},
+                {"path": "b.py", "rule": "GEN002", "line": 9},
             ],
         }))
         dropped = prune_baseline(str(v1), [("a.py", "DET001", 4)])
@@ -115,7 +115,7 @@ class TestBaselineV2:
         data = json.loads(v1.read_text())
         assert data["version"] == 2
         assert data["findings"] == [
-            {"path": "b.py", "rule": "SAF001", "line": 9, "col": 0},
+            {"path": "b.py", "rule": "GEN002", "line": 9, "col": 0},
         ]
 
     def test_engine_reports_stale_entries(self, violating_tree, tmp_path):

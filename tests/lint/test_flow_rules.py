@@ -6,6 +6,8 @@ keep it quiet.  Cross-file cases run through ``lint_tree`` so the
 inter-procedural summaries are exercised end to end.
 """
 
+import pytest
+
 DIG_RULES = ("DIG001", "DIG002", "DIG003")
 
 
@@ -212,6 +214,80 @@ class TestDIG003Order:
         flagged = only(findings, "DIG003")
         assert len(flagged) == 1
         assert "json.dumps" in flagged[0].message
+
+
+#: Set order entering a container by mutation, then the container
+#: reaching a sink (``{sink}`` is filled per case).
+_MUTATION_BODIES = {
+    "append": "out = []\n    for n in set(xs):\n        out.append(n)",
+    "extend": "out = []\n    for n in set(xs):\n        out.extend([n, n])",
+    "insert": "out = []\n    for n in set(xs):\n        out.insert(0, n)",
+    "subscript-key": "out = {}\n    for n in set(xs):\n        out[n] = 1",
+}
+
+_SINKS = {
+    "json.dumps": "return json.dumps(out)",
+    "h.update": (
+        "h = hashlib.sha256()\n    h.update(repr(out).encode())\n"
+        "    return h.hexdigest()"
+    ),
+}
+
+
+class TestDIG003ContainerMutation:
+    """DIG003 follows set order into a container filled by mutation,
+    and fires on a set loop of any spelling that reaches a digest."""
+
+    @pytest.mark.parametrize("sink", sorted(_SINKS))
+    @pytest.mark.parametrize("mutation", sorted(_MUTATION_BODIES))
+    def test_mutation_carries_set_order(self, findings_of, mutation, sink):
+        source = (
+            "import hashlib\nimport json\n\n\ndef encode(xs):\n    "
+            + _MUTATION_BODIES[mutation] + "\n    " + _SINKS[sink] + "\n"
+        )
+        (f,) = only(findings_of(source), "DIG003")
+        assert "set(...)" in f.message
+
+    @pytest.mark.parametrize(
+        "iterable",
+        ["set(names)", "frozenset(names)", "{names[0], names[1]}",
+         "{n for n in names}"],
+        ids=["set", "frozenset", "set-literal", "set-comprehension"],
+    )
+    def test_direct_set_loop_feeding_digest(self, findings_of, iterable):
+        findings = findings_of(
+            f"""\
+            import hashlib
+
+            def digest(names):
+                h = hashlib.sha256()
+                for name in {iterable}:
+                    h.update(name.encode())
+                return h.hexdigest()
+            """
+        )
+        (f,) = only(findings, "DIG003")
+        assert f.line == 6
+
+    @pytest.mark.parametrize(
+        "loop",
+        [
+            "out = []\n    for n in sorted(set(xs)):\n        out.append(n)",
+            "out = {}\n    for n in sorted(set(xs)):\n        out[n] = 1",
+            # dict iteration is insertion-ordered, so deterministic
+            "out = []\n    for n, v in counts.items():\n"
+            "        out.append((n, v))",
+        ],
+        ids=["sorted-append", "sorted-subscript", "dict-items"],
+    )
+    def test_ordered_loops_stay_quiet(self, findings_of, loop):
+        source = (
+            "import hashlib\nimport json\n\n\ndef encode(xs, counts):\n"
+            "    " + loop + "\n    h = hashlib.sha256()\n"
+            "    h.update(json.dumps(out).encode())\n"
+            "    return h.hexdigest()\n"
+        )
+        assert only(findings_of(source), "DIG003") == []
 
 
 class TestDigestRulesStayQuietOnCleanCode:

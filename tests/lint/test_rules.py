@@ -148,6 +148,29 @@ class TestDET003WallClock:
         )
         assert "DET003" not in ids(findings)
 
+    def test_clock_steering_a_branch_into_a_digest(self, findings_of):
+        # Why DET003 stays beside DIG002: DIG002 tracks data flow, not
+        # control flow, so a clock read that only picks a branch never
+        # taints the digested value.  DET003 bans the read itself.
+        findings = findings_of(
+            """\
+            import hashlib
+            import time
+
+            def fingerprint():
+                x = 0
+                if time.time() > 5:
+                    x += 1
+                h = hashlib.sha256()
+                h.update(str(x).encode())
+                return h.hexdigest()
+            """,
+            relpath="src/repro/core/snippet.py",
+        )
+        (f,) = only(findings, "DET003")
+        assert f.line == 6
+        assert only(findings, "DIG002") == []
+
     def test_perf_counter_allowed_in_engine(self, findings_of):
         findings = findings_of(
             """\
@@ -195,61 +218,6 @@ class TestDET004DirectRNGInWorld:
             relpath="src/repro/dns/snippet.py",
         )
         assert "DET004" not in ids(findings)
-
-
-class TestSAF001UnorderedDigestFeed:
-    def test_set_iteration_feeding_digest(self, findings_of):
-        findings = findings_of(
-            """\
-            import hashlib
-
-            def digest(names):
-                h = hashlib.sha256()
-                for name in set(names):
-                    h.update(name.encode())
-                return h.hexdigest()
-            """
-        )
-        (f,) = only(findings, "SAF001")
-        assert f.line == 5
-
-    def test_dict_items_feeding_json(self, findings_of):
-        findings = findings_of(
-            """\
-            import json
-
-            def serialize(counts, fh):
-                for key, value in counts.items():
-                    fh.write(json.dumps([key, value]))
-            """
-        )
-        assert ids(only(findings, "SAF001")) == ["SAF001"]
-
-    def test_sorted_iteration_passes(self, findings_of):
-        findings = findings_of(
-            """\
-            import hashlib
-
-            def digest(names):
-                h = hashlib.sha256()
-                for name in sorted(set(names)):
-                    h.update(name.encode())
-                return h.hexdigest()
-            """
-        )
-        assert "SAF001" not in ids(findings)
-
-    def test_set_loop_without_digest_passes(self, findings_of):
-        findings = findings_of(
-            """\
-            def total(counts):
-                acc = 0
-                for key in counts.keys():
-                    acc += counts[key]
-                return acc
-            """
-        )
-        assert "SAF001" not in ids(findings)
 
 
 class TestGEN001MutableDefault:
