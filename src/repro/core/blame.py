@@ -25,12 +25,7 @@ import numpy as np
 from repro import obs
 
 from repro.core.dataset import MeasurementDataset
-from repro.core.episodes import (
-    RateMatrix,
-    client_rate_matrix,
-    episode_matrix,
-    server_rate_matrix,
-)
+from repro.core.episodes import RateMatrix, episode_matrix, rate_matrices
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,13 @@ class BlameBreakdown:
 
 @dataclass
 class BlameAnalysis:
-    """Everything downstream sections need: flags, rates, and breakdowns."""
+    """Everything downstream sections need: flags, rates, and breakdowns.
+
+    Every array is per entity-hour or per (client, server) pair; the
+    analysis keeps no (C, S, H) plane.  ``server_attributed`` is the
+    (C, S) month total the spread analysis reads, and there is no
+    client-side counterpart because no analysis needs one.
+    """
 
     threshold: float
     client_rates: RateMatrix
@@ -75,12 +76,70 @@ class BlameAnalysis:
     client_episodes: np.ndarray  # (C, H) bool
     server_episodes: np.ndarray  # (S, H) bool
     breakdown: BlameBreakdown
-    #: Failure counts attributed per (entity, hour): used by spread and
-    #: similarity analyses.
-    server_attributed: np.ndarray  # (C, S, H) failures in server-side hours
-    client_attributed: np.ndarray
+    #: TCP failures in each server's episode hours, summed over the month
+    #: per (C, S): the spread analysis's input.
+    server_attributed: np.ndarray  # (C, S) int64
     #: The (C, S) permanent-pair exclusion mask used (None if no exclusion).
     excluded_pairs: Optional[np.ndarray] = None
+
+
+def _tcp_failures(
+    dataset: MeasurementDataset, excluded_pairs: Optional[np.ndarray]
+) -> np.ndarray:
+    """The (C, S, H) TCP failure plane, excluded pairs zeroed."""
+    if excluded_pairs is None:
+        return dataset.tcp_failures
+    return dataset.pair_exclusion_view(excluded_pairs).tcp_failures
+
+
+def _classify(
+    threshold: float,
+    tcp: np.ndarray,
+    tcp_by_client_hour: np.ndarray,
+    client_flags: np.ndarray,
+    server_flags: np.ndarray,
+) -> BlameBreakdown:
+    """Bucket the TCP failures by who was in an episode that hour.
+
+    Every bucket is a sum of per-(client, hour) totals: ``in_server`` is
+    the client-hour's failures towards servers in an episode, and the
+    rest of the client-hour's failures went to servers that were not.
+    The client's own flag then picks the bucket, so no (C, S, H)
+    product is ever formed and the integer sums are exact.
+    """
+    in_server = np.einsum("csh,sh->ch", tcp, server_flags, dtype=np.int64)
+    elsewhere = tcp_by_client_hour - in_server
+    server_only = int(in_server[~client_flags].sum())
+    both = int(in_server[client_flags].sum())
+    client_only = int(elsewhere[client_flags].sum())
+    other = int(elsewhere[~client_flags].sum())
+
+    registry = obs.registry()
+    threshold_label = f"{threshold:g}"
+    for side, count in (
+        ("server", server_only), ("client", client_only),
+        ("both", both), ("other", other),
+    ):
+        registry.gauge(
+            "blame_attributed_failures", side=side, threshold=threshold_label
+        ).set(count)
+    # Evidence trail: the verdict counts plus which entities were in an
+    # episode at all (the facts `repro runs diff` explains churn with).
+    obs.current_span().event(
+        "blame.verdicts",
+        threshold=threshold,
+        server_side=server_only, client_side=client_only,
+        both=both, other=other,
+        clients_flagged=int(client_flags.any(axis=1).sum()),
+        servers_flagged=int(server_flags.any(axis=1).sum()),
+    )
+    return BlameBreakdown(
+        threshold=threshold,
+        server_side=server_only,
+        client_side=client_only,
+        both=both,
+        other=other,
+    )
 
 
 @obs.timed("blame.run")
@@ -94,60 +153,18 @@ def run_blame_analysis(
     ``excluded_pairs`` is the (C, S) permanent-pair mask; when None, no
     exclusion is applied.
     """
-    if excluded_pairs is not None:
-        view = dataset.pair_exclusion_view(excluded_pairs)
-        transactions = view.transactions
-        failures = view.failures
-        tcp_failures = view.tcp_failures
-    else:
-        transactions = dataset.transactions
-        failures = dataset.failures
-        tcp_failures = dataset.tcp_failures
-
-    client_rates = client_rate_matrix(dataset, transactions, failures)
-    server_rates = server_rate_matrix(dataset, transactions, failures)
+    client_rates, server_rates = rate_matrices(dataset, excluded_pairs)
     client_flags = episode_matrix(client_rates, threshold)
     server_flags = episode_matrix(server_rates, threshold)
-
-    # Broadcast the flags to (C, S, H) and bucket the TCP failures.
-    c_flag = client_flags[:, None, :]
-    s_flag = server_flags[None, :, :]
-    tcp = tcp_failures.astype(np.int64)
-
-    server_only = int((tcp * (s_flag & ~c_flag)).sum())
-    client_only = int((tcp * (c_flag & ~s_flag)).sum())
-    both = int((tcp * (c_flag & s_flag)).sum())
-    other = int((tcp * (~c_flag & ~s_flag)).sum())
-
-    breakdown = BlameBreakdown(
-        threshold=threshold,
-        server_side=server_only,
-        client_side=client_only,
-        both=both,
-        other=other,
+    tcp = _tcp_failures(dataset, excluded_pairs)
+    breakdown = _classify(
+        threshold, tcp, tcp.sum(axis=1, dtype=np.int64),
+        client_flags, server_flags,
     )
-    registry = obs.registry()
-    threshold_label = f"{threshold:g}"
-    for side, count in (
-        ("server", server_only), ("client", client_only),
-        ("both", both), ("other", other),
-    ):
-        registry.gauge(
-            "blame_attributed_failures", side=side, threshold=threshold_label
-        ).set(count)
     obs.current_span().set(
-        threshold=threshold, server_side=server_only, client_side=client_only,
-        both=both, other=other,
-    )
-    # Evidence trail: the verdict counts plus which entities were in an
-    # episode at all (the facts `repro runs diff` explains churn with).
-    obs.current_span().event(
-        "blame.verdicts",
-        threshold=threshold,
-        server_side=server_only, client_side=client_only,
-        both=both, other=other,
-        clients_flagged=int(client_flags.any(axis=1).sum()),
-        servers_flagged=int(server_flags.any(axis=1).sum()),
+        threshold=threshold, server_side=breakdown.server_side,
+        client_side=breakdown.client_side, both=breakdown.both,
+        other=breakdown.other,
     )
     return BlameAnalysis(
         threshold=threshold,
@@ -156,8 +173,9 @@ def run_blame_analysis(
         client_episodes=client_flags,
         server_episodes=server_flags,
         breakdown=breakdown,
-        server_attributed=(tcp * s_flag).astype(np.int64),
-        client_attributed=(tcp * c_flag).astype(np.int64),
+        server_attributed=np.einsum(
+            "csh,sh->cs", tcp, server_flags, dtype=np.int64
+        ),
         excluded_pairs=excluded_pairs,
     )
 
@@ -168,8 +186,18 @@ def blame_table(
     thresholds: Tuple[float, ...] = (0.05, 0.10),
     excluded_pairs: Optional[np.ndarray] = None,
 ) -> Tuple[BlameBreakdown, ...]:
-    """Table 5: the breakdown at each threshold setting."""
+    """Table 5: the breakdown at each threshold setting.
+
+    The rate matrices and the TCP plane do not depend on f, so they are
+    built once and only the episode flags are recomputed per threshold.
+    """
+    client_rates, server_rates = rate_matrices(dataset, excluded_pairs)
+    tcp = _tcp_failures(dataset, excluded_pairs)
+    tcp_by_client_hour = tcp.sum(axis=1, dtype=np.int64)
     return tuple(
-        run_blame_analysis(dataset, f, excluded_pairs).breakdown
+        _classify(
+            f, tcp, tcp_by_client_hour,
+            episode_matrix(client_rates, f), episode_matrix(server_rates, f),
+        )
         for f in thresholds
     )

@@ -17,6 +17,12 @@ from repro.core.dataset import MeasurementDataset
 from repro.world.entities import ClientCategory
 
 
+def _per_client(plane: np.ndarray) -> np.ndarray:
+    """Month totals per client, shape (C,): each derived plane is built
+    once and every category sums its clients' entries."""
+    return plane.sum(axis=(1, 2), dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class CategorySummary:
     """One row of Table 3."""
@@ -49,24 +55,26 @@ def category_summary(dataset: MeasurementDataset) -> List[CategorySummary]:
     Connection counts for CN are withheld (the proxy masks them), exactly
     as in the paper.
     """
+    transactions = _per_client(dataset.transactions)
+    failures = _per_client(dataset.failures)
+    connections = _per_client(dataset.connections)
+    failed_connections = _per_client(dataset.failed_connections)
     rows = []
     for category in ClientCategory:
         mask = dataset.category_mask(category)
         if not mask.any():
             continue
-        transactions = int(dataset.transactions[mask].sum())
-        failures = int(dataset.failures[mask].sum())
         if category is ClientCategory.CORPNET:
-            connections = failed = None
+            conns = failed = None
         else:
-            connections = int(dataset.connections[mask].sum())
-            failed = int(dataset.failed_connections[mask].sum())
+            conns = int(connections[mask].sum())
+            failed = int(failed_connections[mask].sum())
         rows.append(
             CategorySummary(
                 category=category,
-                transactions=transactions,
-                failed_transactions=failures,
-                connections=connections,
+                transactions=int(transactions[mask].sum()),
+                failed_transactions=int(failures[mask].sum()),
+                connections=conns,
                 failed_connections=failed,
             )
         )
@@ -105,6 +113,10 @@ def failure_type_breakdown(
 ) -> List[TypeBreakdown]:
     """Figure 1: failure rate by type per category (CN excluded: its
     failures are proxy-masked and cannot be broken down)."""
+    transactions = _per_client(dataset.transactions)
+    dns = _per_client(dataset.dns_failures)
+    tcp = _per_client(dataset.tcp_failures)
+    http = _per_client(dataset.http_errors)
     rows = []
     for category in ClientCategory:
         if category is ClientCategory.CORPNET:
@@ -115,10 +127,10 @@ def failure_type_breakdown(
         rows.append(
             TypeBreakdown(
                 category=category,
-                transactions=int(dataset.transactions[mask].sum()),
-                dns=int(dataset.dns_failures[mask].sum()),
-                tcp=int(dataset.tcp_failures[mask].sum()),
-                http=int(dataset.http_errors[mask].sum()),
+                transactions=int(transactions[mask].sum()),
+                dns=int(dns[mask].sum()),
+                tcp=int(tcp[mask].sum()),
+                http=int(http[mask].sum()),
             )
         )
     # Evidence trail: the classified totals a run manifest's diff can

@@ -138,6 +138,28 @@ class MeasurementDataset:
 
     # -- derived aggregates ---------------------------------------------------
 
+    #: The count fields each derived plane below adds up.
+    DNS_FAILURE_FIELDS = ("dns_ldns", "dns_nonldns", "dns_error")
+    TCP_FAILURE_FIELDS = (
+        "tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous",
+    )
+    FAILURE_FIELDS = (
+        DNS_FAILURE_FIELDS + TCP_FAILURE_FIELDS
+        + ("http_errors", "masked_failures")
+    )
+
+    def total(self, fields: Iterable[str], index: Any) -> int:
+        """Sum of ``fields`` over ``index``: ``total(FAILURE_FIELDS, ci)``
+        equals ``int(self.failures[ci].sum())``.
+
+        Each field is indexed before the add, so a slice's total never
+        builds the whole derived (C, S, H) plane.
+        """
+        return sum(
+            int(getattr(self, name)[index].sum(dtype=np.int64))
+            for name in fields
+        )
+
     @property
     def dns_failures(self) -> np.ndarray:
         """All DNS failures per cell."""
@@ -222,11 +244,7 @@ class MeasurementDataset:
     #: The transaction-level count arrays (initially ``uint16``): every
     #: per-cell count in this group is bounded by ``transactions``, so one
     #: capacity check on the transaction draw covers them all.
-    _TRANSACTION_FIELDS = (
-        "transactions", "dns_ldns", "dns_nonldns", "dns_error",
-        "tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous",
-        "http_errors", "masked_failures",
-    )
+    _TRANSACTION_FIELDS = ("transactions",) + FAILURE_FIELDS
 
     def ensure_count_capacity(
         self, max_count: int, fields: Optional[Iterable[str]] = None

@@ -75,7 +75,7 @@ def diagnose_pair(
     partial = int(
         dataset.tcp_partial[ci, si].sum() + dataset.tcp_ambiguous[ci, si].sum()
     )
-    dns = int(dataset.dns_failures[ci, si].sum())
+    dns = dataset.total(dataset.DNS_FAILURE_FIELDS, (ci, si))
     total = max(1, noconn + noresp + partial + dns)
     signature = {
         "no_connection": noconn / total,
@@ -95,18 +95,16 @@ def diagnose_pair(
     else:
         mode = PermanentFailureMode.MIXED
 
-    # Asymmetry: how each endpoint fares with everyone else.
-    client_trans = int(dataset.transactions[ci].sum()) - int(
-        dataset.transactions[ci, si].sum()
-    )
-    client_fails = int(dataset.failures[ci].sum()) - int(
-        dataset.failures[ci, si].sum()
-    )
-    server_trans = int(dataset.transactions[:, si].sum()) - int(
-        dataset.transactions[ci, si].sum()
-    )
-    server_fails = int(dataset.failures[:, si].sum()) - int(
-        dataset.failures[ci, si].sum()
+    # Asymmetry: how each endpoint fares with everyone else.  Failure
+    # totals are summed field by field over each slice, so a pair's
+    # triage never builds the whole (C, S, H) failures plane.
+    pair_trans = int(dataset.transactions[ci, si].sum())
+    pair_fails = dataset.total(dataset.FAILURE_FIELDS, (ci, si))
+    client_trans = int(dataset.transactions[ci].sum()) - pair_trans
+    client_fails = dataset.total(dataset.FAILURE_FIELDS, ci) - pair_fails
+    server_trans = int(dataset.transactions[:, si].sum()) - pair_trans
+    server_fails = (
+        dataset.total(dataset.FAILURE_FIELDS, (slice(None), si)) - pair_fails
     )
     return PairDiagnosis(
         pair=pair,

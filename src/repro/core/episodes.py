@@ -30,6 +30,9 @@ class RateMatrix:
 
     rates: np.ndarray  # (N, H), NaN where too few samples
     transactions: np.ndarray  # (N, H)
+    #: (N, H) failure counts, the rates' numerators (None when the
+    #: matrix was built from rates alone).
+    failures: Optional[np.ndarray] = None
 
     @property
     def valid(self) -> np.ndarray:
@@ -79,11 +82,30 @@ def server_rate_matrix(
     return _rates(trans, fails, min_samples)
 
 
+def rate_matrices(
+    dataset: MeasurementDataset, excluded_pairs: Optional[np.ndarray] = None
+) -> Tuple[RateMatrix, RateMatrix]:
+    """(client, server) rate matrices from one build of the count planes.
+
+    ``excluded_pairs`` is the (C, S) permanent-pair mask; when given, the
+    masked planes are built once and both sides sum over them.
+    """
+    if excluded_pairs is not None:
+        view = dataset.pair_exclusion_view(excluded_pairs)
+        transactions, failures = view.transactions, view.failures
+    else:
+        transactions, failures = dataset.transactions, dataset.failures
+    return (
+        client_rate_matrix(dataset, transactions, failures),
+        server_rate_matrix(dataset, transactions, failures),
+    )
+
+
 def _rates(trans: np.ndarray, fails: np.ndarray, min_samples: int) -> RateMatrix:
     rates = np.full(trans.shape, np.nan, dtype=float)
     enough = trans >= min_samples
     rates[enough] = fails[enough] / trans[enough]
-    return RateMatrix(rates=rates, transactions=trans)
+    return RateMatrix(rates=rates, transactions=trans, failures=fails)
 
 
 # --------------------------------------------------------------------------

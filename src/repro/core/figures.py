@@ -132,13 +132,7 @@ def figure4_series(
     Both CDFs are resampled onto a common ``points``-long grid so they can
     share one table.
     """
-    if excluded_pairs is not None:
-        view = dataset.pair_exclusion_view(excluded_pairs)
-        transactions, failures = view.transactions, view.failures
-    else:
-        transactions = failures = None
-    client_m = episodes.client_rate_matrix(dataset, transactions, failures)
-    server_m = episodes.server_rate_matrix(dataset, transactions, failures)
+    client_m, server_m = episodes.rate_matrices(dataset, excluded_pairs)
     quantiles = np.linspace(0.0, 1.0, points)
     columns: Dict[str, List[float]] = {"cdf": quantiles.tolist()}
     for label, matrix in (("client_rate", client_m), ("server_rate", server_m)):

@@ -87,8 +87,8 @@ def find_permanent_pairs(
     masked_failed_conns = (
         dataset.failed_connections.sum(axis=2, dtype=np.int64)[mask].sum()
     )
-    total_failures = dataset.failures.sum(dtype=np.int64)
-    masked_failures = dataset.failures.sum(axis=2, dtype=np.int64)[mask].sum()
+    total_failures = failures.sum()
+    masked_failures = failures[mask].sum()
 
     valid_rates = rates[eligible]
     return PermanentPairReport(

@@ -293,11 +293,7 @@ def figure3(dataset: MeasurementDataset) -> str:
 @obs.timed("report.figure4")
 def figure4(dataset: MeasurementDataset, excluded=None) -> str:
     """Figure 4: CDF of per-episode failure rates + detected knee."""
-    view = dataset.pair_exclusion_view(excluded) if excluded is not None else None
-    transactions = view.transactions if view else None
-    failures = view.failures if view else None
-    client_m = episodes.client_rate_matrix(dataset, transactions, failures)
-    server_m = episodes.server_rate_matrix(dataset, transactions, failures)
+    client_m, server_m = episodes.rate_matrices(dataset, excluded)
     rows = []
     for label, matrix in (("clients", client_m), ("servers", server_m)):
         rates, _ = episodes.rate_cdf(matrix)

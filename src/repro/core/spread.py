@@ -46,8 +46,7 @@ def server_spreads(
     Clients are counted against the set that was actually active (made any
     accesses) during the experiment.
     """
-    # Failures attributed to server-side episodes, per (C, S).
-    attributed = analysis.server_attributed.sum(axis=2)
+    attributed = analysis.server_attributed
     active_clients = (dataset.transactions.sum(axis=(1, 2), dtype=np.int64) > 0)
     total_active = int(active_clients.sum())
 

@@ -190,17 +190,18 @@ class EvidenceBundle:
 def _side_evidence(
     side: str,
     names: List[str],
-    rates: np.ndarray,
-    transactions: np.ndarray,
-    failures: np.ndarray,
+    matrix,
     threshold: float,
     max_records: int,
     max_bins: int,
 ) -> Dict[str, Any]:
-    """Flagged entities, episode records, and peak rates for one side."""
-    from repro.core.episodes import RateMatrix, coalesce_episodes, episode_matrix
+    """Flagged entities, episode records, and peak rates for one side,
+    from its :class:`~repro.core.episodes.RateMatrix`."""
+    from repro.core.episodes import coalesce_episodes, episode_matrix
 
-    matrix = RateMatrix(rates=rates, transactions=transactions)
+    rates, transactions, failures = (
+        matrix.rates, matrix.transactions, matrix.failures
+    )
     flags = episode_matrix(matrix, threshold)
     episodes = coalesce_episodes(flags)
 
@@ -264,27 +265,21 @@ def collect_evidence(
     numbers.
     """
     from repro.core.blame import run_blame_analysis
-    from repro.core.episodes import client_rate_matrix, detect_knee, server_rate_matrix
+    from repro.core.episodes import detect_knee
 
-    if excluded_pairs is not None:
-        view = dataset.pair_exclusion_view(excluded_pairs)
-        transactions, failures = view.transactions, view.failures
-    else:
-        transactions, failures = dataset.transactions, dataset.failures
-
+    # The blame pass builds the masked rate matrices; the knee evidence
+    # reads the same ones instead of building a second pair.
+    blame = run_blame_analysis(
+        dataset, threshold=PAPER_THRESHOLD, excluded_pairs=excluded_pairs
+    )
     client_names = [c.name for c in dataset.world.clients]
     server_names = [w.name for w in dataset.world.websites]
 
-    client_matrix = client_rate_matrix(dataset, transactions, failures)
-    server_matrix = server_rate_matrix(dataset, transactions, failures)
-    client_fails = failures.sum(axis=1, dtype=np.int64)
-    server_fails = failures.sum(axis=0, dtype=np.int64)
-
     thresholds: Dict[str, float] = {}
     sides: Dict[str, Dict[str, Any]] = {}
-    for side, matrix, fails, names in (
-        ("client", client_matrix, client_fails, client_names),
-        ("server", server_matrix, server_fails, server_names),
+    for side, matrix, names in (
+        ("client", blame.client_rates, client_names),
+        ("server", blame.server_rates, server_names),
     ):
         try:
             knee = detect_knee(matrix)
@@ -292,13 +287,9 @@ def collect_evidence(
             knee = PAPER_THRESHOLD  # no valid rates at all: paper's f
         thresholds[side] = round(float(knee), 6)
         sides[side] = _side_evidence(
-            side, names, matrix.rates, matrix.transactions, fails,
-            thresholds[side], max_records, max_bins,
+            side, names, matrix, thresholds[side], max_records, max_bins,
         )
 
-    blame = run_blame_analysis(
-        dataset, threshold=PAPER_THRESHOLD, excluded_pairs=excluded_pairs
-    )
     breakdown = blame.breakdown
     bundle = EvidenceBundle(
         thresholds=thresholds,

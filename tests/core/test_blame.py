@@ -1,9 +1,17 @@
 """Tests for blame attribution (Section 4.4) -- the paper's key analysis."""
 
+import gc
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import blame, permanent
+from repro.core.dataset import MeasurementDataset
+from repro.world.defaults import build_default_world
 
 
 @pytest.fixture(scope="module")
@@ -96,3 +104,128 @@ class TestExclusionMatters:
         without = blame.run_blame_analysis(dataset, 0.05, None)
         # The permanent pairs inflate the failure pool substantially.
         assert without.breakdown.total > with_exclusion.breakdown.total
+
+
+# --------------------------------------------------------------------------
+# Per-client-hour sums against the (C, S, H) broadcast they replace
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def short_worlds():
+    """The default roster at 1-3 hours, keyed by hours."""
+    return {hours: build_default_world(hours=hours) for hours in (1, 2, 3)}
+
+
+def _broadcast_oracle(tcp_plane, client_flags, server_flags):
+    """The bucket sums and server_attributed as (C, S, H) products."""
+    c_flag = client_flags[:, None, :]
+    s_flag = server_flags[None, :, :]
+    tcp = tcp_plane.astype(np.int64)
+    buckets = (
+        int((tcp * (s_flag & ~c_flag)).sum()),
+        int((tcp * (c_flag & ~s_flag)).sum()),
+        int((tcp * (c_flag & s_flag)).sum()),
+        int((tcp * (~c_flag & ~s_flag)).sum()),
+    )
+    return buckets, (tcp * s_flag).sum(axis=2)
+
+
+def _flags(rng, shape, mode):
+    if mode == "none":
+        return np.zeros(shape, dtype=bool)
+    if mode == "all":
+        return np.ones(shape, dtype=bool)
+    return rng.random(shape) < 0.3
+
+
+class TestBucketsMatchBroadcast:
+    @given(
+        hours=st.integers(min_value=1, max_value=3),
+        dtype=st.sampled_from([np.uint16, np.uint32, np.int64]),
+        masked=st.booleans(),
+        client_mode=st.sampled_from(["random", "none", "all"]),
+        server_mode=st.sampled_from(["random", "none", "all"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_buckets_and_attribution(
+        self, short_worlds, hours, dtype, masked, client_mode, server_mode,
+        seed,
+    ):
+        world = short_worlds[hours]
+        rng = np.random.default_rng(seed)
+        arrays = MeasurementDataset.block_template(world, hours)
+        for name in MeasurementDataset._TRANSACTION_FIELDS:
+            arrays[name] = rng.integers(
+                0, 40, size=arrays[name].shape
+            ).astype(dtype)
+        dataset = MeasurementDataset.from_arrays(world, arrays)
+        c, s, _ = dataset.shape
+        excluded = rng.random((c, s)) < 0.1 if masked else None
+        client_flags = _flags(rng, (c, hours), client_mode)
+        server_flags = _flags(rng, (s, hours), server_mode)
+
+        def chosen_flags(matrix, threshold):
+            return client_flags if len(matrix.rates) == c else server_flags
+
+        with mock.patch.object(blame, "episode_matrix", chosen_flags):
+            analysis = blame.run_blame_analysis(dataset, 0.05, excluded)
+            (table_row,) = blame.blame_table(dataset, (0.05,), excluded)
+
+        tcp = (
+            dataset.pair_exclusion_view(excluded).tcp_failures
+            if masked else dataset.tcp_failures
+        )
+        buckets, attributed = _broadcast_oracle(tcp, client_flags, server_flags)
+        b = analysis.breakdown
+        assert (b.server_side, b.client_side, b.both, b.other) == buckets
+        assert table_row == b
+        assert analysis.server_attributed.shape == (c, s)
+        assert analysis.server_attributed.dtype == np.int64
+        np.testing.assert_array_equal(analysis.server_attributed, attributed)
+
+
+class TestBlameMemory:
+    def test_one_call_stays_within_per_entity_memory(self, dataset, perm_mask):
+        """One masked blame call peaks below two (C, S, H) int64 planes
+        and keeps less than a quarter plane alive afterwards."""
+        plane = int(np.prod(dataset.shape)) * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            analysis = blame.run_blame_analysis(dataset, 0.05, perm_mask)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert analysis.breakdown.total > 0
+        assert peak < 2 * plane
+        assert held < 0.25 * plane
+
+
+class TestReportRateMatrixBuilds:
+    def test_report_builds_each_masked_pair_four_times(self, tmp_path):
+        """The report's analysis path builds the masked client/server rate
+        matrices once per use: the f=5% analysis, the evidence (which
+        reuses its own blame pass), Figure 4 and Table 5 (one build for
+        both thresholds)."""
+        from repro import cli
+
+        metrics = tmp_path / "metrics.txt"
+        assert cli.main(
+            ["--hours", "24", "report", "--metrics", str(metrics)]
+        ) == 0
+        calls = {}
+        for line in metrics.read_text().splitlines():
+            if line.startswith("repro_stage_calls_total{"):
+                key, value = line.rsplit(" ", 1)
+                calls[key] = float(value)
+        for side in ("client", "server"):
+            key = (
+                'repro_stage_calls_total'
+                f'{{stage="episodes.{side}_rate_matrix"}}'
+            )
+            assert calls[key] == 4
+        assert calls['repro_stage_calls_total{stage="blame.run"}'] == 2

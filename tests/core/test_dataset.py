@@ -109,6 +109,16 @@ class TestAggregates:
         )
         assert total == parts
 
+    def test_total_matches_derived_planes(self, dataset):
+        """``total`` over a slice equals the derived plane's slice sum."""
+        for fields, plane in (
+            (dataset.FAILURE_FIELDS, dataset.failures),
+            (dataset.DNS_FAILURE_FIELDS, dataset.dns_failures),
+            (dataset.TCP_FAILURE_FIELDS, dataset.tcp_failures),
+        ):
+            for index in ((), 3, (3, 5), (slice(None), 5)):
+                assert dataset.total(fields, index) == int(plane[index].sum())
+
     def test_rates_are_nan_when_empty(self, world):
         ds = MeasurementDataset(world)
         assert np.isnan(ds.client_failure_rates()).all()

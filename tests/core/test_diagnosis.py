@@ -48,6 +48,38 @@ class TestDiagnoses:
         assert target.server_elsewhere_rate < 0.1
 
 
+class TestPinnedFormula:
+    def test_diagnoses_match_whole_plane_formula(self, dataset, investigation):
+        """Field-by-field slice sums give exactly what the derived
+        (C, S, H) planes give for every permanent pair."""
+        failures, dns_failures = dataset.failures, dataset.dns_failures
+        for d in investigation.diagnoses:
+            ci = dataset.world.client_idx(d.pair.client_name)
+            si = dataset.world.site_idx(d.pair.site_name)
+            noconn = int(dataset.tcp_noconn[ci, si].sum())
+            noresp = int(dataset.tcp_noresp[ci, si].sum())
+            partial = int(
+                dataset.tcp_partial[ci, si].sum()
+                + dataset.tcp_ambiguous[ci, si].sum()
+            )
+            dns = int(dns_failures[ci, si].sum())
+            total = max(1, noconn + noresp + partial + dns)
+            assert d.signature == {
+                "no_connection": noconn / total,
+                "no_response": noresp / total,
+                "partial_response": partial / total,
+                "dns": dns / total,
+            }
+            pair_trans = int(dataset.transactions[ci, si].sum())
+            pair_fails = int(failures[ci, si].sum())
+            client_trans = int(dataset.transactions[ci].sum()) - pair_trans
+            client_fails = int(failures[ci].sum()) - pair_fails
+            server_trans = int(dataset.transactions[:, si].sum()) - pair_trans
+            server_fails = int(failures[:, si].sum()) - pair_fails
+            assert d.client_elsewhere_rate == client_fails / max(1, client_trans)
+            assert d.server_elsewhere_rate == server_fails / max(1, server_trans)
+
+
 class TestGrouping:
     def test_chinese_sites_widely_blocked(self, investigation):
         groups = investigation.blocked_site_groups(min_clients=3)
