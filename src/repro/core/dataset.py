@@ -36,6 +36,10 @@ MIN_SAMPLES_PER_HOUR = 10
 #: dtype the array is widened to the next step instead of wrapping.
 _DTYPE_LADDER = (np.uint16, np.uint32, np.int64)
 
+#: The ``(sites, replicas, hours)`` fields; every other count array is
+#: ``(clients, sites, hours)``.
+_REPLICA_FIELDS = ("replica_connections", "replica_failed_connections")
+
 #: Archive format version for :meth:`MeasurementDataset.save`.
 _ARCHIVE_FORMAT = 1
 
@@ -81,28 +85,14 @@ class MeasurementDataset:
         self.world = world
         c, s, h = len(world.clients), len(world.websites), world.hours
         self.shape = (c, s, h)
-        count = lambda dtype=np.uint16: np.zeros(self.shape, dtype=dtype)
-        # Transaction-level counts.
-        self.transactions = count()
-        self.dns_ldns = count()
-        self.dns_nonldns = count()
-        self.dns_error = count()
-        self.tcp_noconn = count()
-        self.tcp_noresp = count()
-        self.tcp_partial = count()
-        self.tcp_ambiguous = count()
-        self.http_errors = count()
-        self.masked_failures = count()  # proxied (CN) failures, nature hidden
-        # Connection-level counts (unavailable for proxied clients).
-        self.connections = count(np.uint32)
-        self.failed_connections = count(np.uint32)
-        # Replica-level counts, aggregated over clients.
-        r = max(1, world.max_replicas())
-        self.max_replicas = r
-        self.replica_connections = np.zeros((s, r, h), dtype=np.uint32)
-        self.replica_failed_connections = np.zeros((s, r, h), dtype=np.uint32)
-        # Optional packet-loss estimate (retransmission-inferred).
-        self.packet_losses = count(np.uint32)
+        self.max_replicas = max(1, world.max_replicas())
+        # Zeroed count arrays at the one dtype plan (planned_dtypes):
+        # transaction-level counts (``masked_failures`` are proxied (CN)
+        # failures, nature hidden), connection-level counts (unavailable
+        # for proxied clients), replica-level counts aggregated over
+        # clients, and the retransmission-inferred ``packet_losses``.
+        for name, array in self.block_template(world, h).items():
+            setattr(self, name, array)
         #: Free-form provenance (master seed, engine, worker count ...):
         #: embedded in saved archives and restored on load.
         self.provenance: Dict[str, Any] = {}
@@ -263,23 +253,33 @@ class MeasurementDataset:
                 setattr(self, name, arr.astype(_widened_dtype(max_count, arr.dtype)))
 
     @classmethod
-    def block_template(cls, world: World, n_hours: int) -> Dict[str, np.ndarray]:
-        """Fresh zeroed arrays for an ``n_hours``-wide block of this world.
-
-        The per-field shapes and starting dtypes mirror ``__init__``;
-        shard workers fill a template and ship (or share) it back.
-        """
+    def block_shapes(
+        cls, world: World, n_hours: int
+    ) -> Dict[str, Tuple[int, ...]]:
+        """Every array field's shape for an ``n_hours``-wide block."""
         c, s = len(world.clients), len(world.websites)
         r = max(1, world.max_replicas())
-        out: Dict[str, np.ndarray] = {}
-        for name in cls._ARRAY_FIELDS:
-            if name in ("replica_connections", "replica_failed_connections"):
-                out[name] = np.zeros((s, r, n_hours), dtype=np.uint32)
-            elif name in ("connections", "failed_connections", "packet_losses"):
-                out[name] = np.zeros((c, s, n_hours), dtype=np.uint32)
-            else:
-                out[name] = np.zeros((c, s, n_hours), dtype=np.uint16)
-        return out
+        return {
+            name: (s, r, n_hours) if name in _REPLICA_FIELDS
+            else (c, s, n_hours)
+            for name in cls._ARRAY_FIELDS
+        }
+
+    @classmethod
+    def block_template(
+        cls, world: World, n_hours: int, per_hour: int = 1
+    ) -> Dict[str, np.ndarray]:
+        """Fresh zeroed arrays for an ``n_hours``-wide block of this world.
+
+        Dtypes are the plan for ``per_hour`` (:meth:`planned_dtypes`);
+        the default is the narrowest plan, which a fresh dataset starts
+        at.  Shard workers fill a template and hand it back.
+        """
+        dtypes = cls.planned_dtypes(world, per_hour)
+        return {
+            name: np.zeros(shape, dtype=dtypes[name])
+            for name, shape in cls.block_shapes(world, n_hours).items()
+        }
 
     @classmethod
     def from_arrays(
@@ -287,9 +287,10 @@ class MeasurementDataset:
     ) -> "MeasurementDataset":
         """A dataset over ``arrays`` by reference: no count is copied.
 
-        ``arrays`` maps every array field to a whole-run block (a
-        :meth:`block_template` filled by the hour driver, or a loaded
-        archive); each must have the world's shape for that field.
+        ``arrays`` maps every array field to a whole-run block (the
+        hour driver's -- a filled :meth:`block_template` or the pooled
+        buffer's views -- or a loaded archive); each must have the
+        world's shape for that field.
         """
         dataset = cls(world)
         for name in cls._ARRAY_FIELDS:
@@ -307,12 +308,14 @@ class MeasurementDataset:
     def planned_dtypes(cls, world: World, per_hour: int) -> Dict[str, np.dtype]:
         """Per-field dtypes sized for this world's worst-case hourly counts.
 
-        Used to size fixed-dtype (shared-memory) shard buffers up front,
-        where mid-run promotion is impossible: the bound per cell is the
-        Poisson transaction tail times each field's worst-case
-        connections-per-transaction multiplier, with generous slack --
-        a planned dtype that is one rung too wide costs bytes, one rung
-        too narrow aborts the shard.
+        The one dtype plan: a fresh dataset, every block template and
+        the pooled block buffer (:mod:`repro.world.sharedmem`) start
+        here.  The pooled buffer cannot be promoted mid-run, so the
+        bound per cell is the Poisson transaction tail times each
+        field's worst-case connections-per-transaction multiplier, with
+        generous slack -- a planned dtype that is one rung too wide
+        costs bytes, one rung too narrow demotes the pooled block to
+        in-process shards, which promote.
         """
         lam = float(max(1, per_hour))
         # P(Poisson(lam) > lam + 12*sqrt(lam) + 32) is negligible at any
@@ -329,7 +332,7 @@ class MeasurementDataset:
         loss_factor = 48.0
         bounds: Dict[str, float] = {}
         for name in cls._ARRAY_FIELDS:
-            if name in ("replica_connections", "replica_failed_connections"):
+            if name in _REPLICA_FIELDS:
                 bounds[name] = n_bound * conns_factor * c
             elif name in ("connections", "failed_connections"):
                 bounds[name] = n_bound * conns_factor

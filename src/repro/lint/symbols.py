@@ -26,7 +26,7 @@ class FunctionSymbol:
     """One function or method definition."""
 
     module: str
-    qualname: str  # "plan_layout" or "SharedMonthBuffer.destroy"
+    qualname: str  # "run_block" or "SharedMonthBuffer.adopt_into"
     node: FunctionNode
     ctx: FileContext
 
@@ -107,7 +107,7 @@ class SymbolTable:
         """The definition behind a canonical dotted path, if in-project.
 
         ``repro.obs.runstore.manifest.canonical_json`` resolves to the
-        function; ``repro.world.sharedmem.SharedMonthBuffer.destroy`` to
+        function; ``repro.world.sharedmem.SharedMonthBuffer.adopt_into`` to
         the method.  Aliases (re-exports) are followed a bounded number
         of hops.
         """

@@ -416,6 +416,10 @@ class ServeDaemon:
                         self._parallel_fallback = fallback
                     entry = self.chunks.commit(h0, h1, arrays)
                     self.detector.fold_block(arrays, h0)
+                    # A pooled chunk's arrays are a shared mapping that
+                    # lives as long as this reference: release it before
+                    # the next chunk allocates its own.
+                    del arrays
                     if self.retention is not None:
                         self._checkpoint_and_prune()
                 with self._state_lock:

@@ -53,10 +53,10 @@ hour-last layout is touched once per chunk instead of once per hour.
 Every write goes through one writer, :class:`BlockSink`, over block
 arrays covering an hour range: freshly allocated arrays (``run_shard``
 in-process, dtype promotion allowed -- the sequential month and the
-in-process fallback) or fixed-dtype shared-memory views sliced for one
-shard (pooled blocks, :mod:`repro.world.sharedmem`).  The hour driver
-(:func:`repro.world.parallel.run_block`) hands the finished block to
-its caller; a batch month wraps it in a
+in-process fallback) or fixed-dtype views of the pooled block's shared
+mapping, sliced for one shard (:mod:`repro.world.sharedmem`).  The hour
+driver (:func:`repro.world.parallel.run_block`) hands the finished
+block to its caller; a batch month wraps it in a
 :class:`~repro.core.dataset.MeasurementDataset` by reference.
 """
 
@@ -136,11 +136,12 @@ def expected_leading_failures(
 class BlockSink:
     """Commit hour blocks into standalone arrays covering ``[h0, h1)``.
 
-    ``fixed_dtype=True`` (the shared-memory path) forbids promotion: the
-    parent pre-sized every array's dtype from the access configuration
+    ``fixed_dtype=True`` (a pooled shard writing into the block's
+    shared mapping) forbids promotion: the parent pre-sized every
+    array's dtype from the access configuration
     (:meth:`~repro.core.dataset.MeasurementDataset.planned_dtypes`), so
     an overflow means the plan was wrong and must fail loudly, never
-    wrap.
+    wrap; the pooled block then demotes to in-process shards.
     """
 
     def __init__(

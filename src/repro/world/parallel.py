@@ -11,21 +11,22 @@ what ran before.
 (:meth:`~repro.world.simulator.MonthSimulator.run`) is the block
 ``[0, hours)``; a serve chunk (:mod:`repro.serve`) is any sub-range.  A
 block is sharded into contiguous hour ranges, one per worker; workers
-write their counts directly into one ``multiprocessing.shared_memory``
-buffer sized for the block (:mod:`repro.world.sharedmem`), which the
-parent adopts after the join -- no pickled count arrays, no merge loop.
-A block with a single shard runs in this process.
+write their counts directly into one anonymous shared mapping sized for
+the block (:mod:`repro.world.sharedmem`), whose views the parent hands
+on as the block's arrays after the join -- no pickled count arrays, no
+copy, no merge loop.  A block with a single shard runs in this process.
 
 Determinism contract: for a given master seed the block's arrays are
 bit-identical for *any* worker count -- ``--workers 1``, the in-process
 fallback, and any process-pool width all digest equal.
 
-Workers inherit the block's simulator over ``fork``: :func:`run_block`
-parks it in a module-level slot before the pool forks (as
-:mod:`repro.obs.live.bus` parks the telemetry queue), so a shard payload
-carries only its hour range, worker index and buffer name -- the world
-and ground truth never ride a pickle.  The pool therefore requires the
-``fork`` start method; a spawned child would find no parked simulator.
+Workers inherit the block's simulator and buffer over ``fork``:
+:func:`run_block` parks both in module-level slots before the pool
+forks (as :mod:`repro.obs.live.bus` parks the telemetry queue), so a
+shard payload carries only its hour range, worker index and block start
+-- the world, the ground truth and the buffer never ride a pickle or a
+name.  The pool therefore requires the ``fork`` start method; a spawned
+child would find neither slot filled.
 
 Fallback: when the pool or the shared buffer cannot be used (sandboxed
 environments, no fork start method, broken pools, undersized planned
@@ -62,7 +63,7 @@ from repro.core.dataset import MeasurementDataset
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.world.columnar import BlockSink
-from repro.world.sharedmem import SharedMonthBuffer, attach_shard_arrays
+from repro.world.sharedmem import SharedMonthBuffer
 
 if TYPE_CHECKING:  # circular at runtime: simulator dispatches to us
     from repro.world.simulator import MonthSimulator, ShardResult
@@ -75,8 +76,12 @@ MIN_HOURS_PER_SHARD = 24
 #: workers to inherit; ``None`` outside :func:`run_block`.
 _BLOCK_SIMULATOR: Optional["MonthSimulator"] = None
 
+#: The pooled block's count buffer, parked beside the simulator; forked
+#: workers write their hour slices through its inherited views.
+_BLOCK_BUFFER: Optional[SharedMonthBuffer] = None
+
 #: Exceptions that demote a parallel run to the in-process fallback.
-#: ``OverflowError`` is the fixed-dtype shared-buffer overflow -- the
+#: ``OverflowError`` is the fixed-dtype block-buffer overflow -- the
 #: in-process path can promote dtypes mid-run, so it can still finish.
 _FALLBACK_ERRORS = (
     OSError, ValueError, pickle.PicklingError, BrokenProcessPool,
@@ -141,7 +146,7 @@ def _simulate_shard(payload, sink=None) -> "ShardResult":
     Runs in a forked worker process, or in-process on fallback; either
     way on the block's simulator parked in :data:`_BLOCK_SIMULATOR`
     (a forked worker inherits it), so the payload is just
-    ``(hour_start, hour_stop, worker, block)``.  A fresh metrics
+    ``(hour_start, hour_stop, worker, block_start)``.  A fresh metrics
     registry captures exactly this shard's instruments for the parent to
     merge; the tracer is disabled -- worker processes must not
     interleave writes into the parent's trace file.  Live telemetry, in
@@ -150,34 +155,30 @@ def _simulate_shard(payload, sink=None) -> "ShardResult":
     to it (labelled with its worker index) so per-hour progress streams
     to the parent while the shard runs.
 
-    With a shared-memory block in the payload the shard's counts go
-    straight into the parent's block (sliced to this shard's hours,
-    fixed dtypes) and only the tiny bookkeeping fields ride the pickle.
-    The in-process fallback passes ``sink`` instead: the parent's
-    block-wide :class:`~repro.world.columnar.BlockSink`, which may
-    promote dtypes.
+    A pooled shard (``block_start`` set) writes straight into the
+    inherited :data:`_BLOCK_BUFFER`, sliced to this shard's hours at
+    fixed dtypes, and only the tiny bookkeeping fields ride the pickle.
+    The in-process fallback passes ``block_start=None`` and ``sink``
+    instead: the parent's block-wide
+    :class:`~repro.world.columnar.BlockSink`, which may promote dtypes.
     """
-    hour_start, hour_stop, worker, block = payload
-    simulator = _BLOCK_SIMULATOR
+    hour_start, hour_stop, worker, block_start = payload
     registry = MetricsRegistry()
     old_registry = obs.set_registry(registry)
     old_tracer = obs.set_tracer(Tracer())
     old_emitter = obs.set_emitter(obs.inherited_emitter(worker))
-    shm = None
     try:
-        if block is not None:
-            shm_name, block_start, n_hours = block
-            shm, arrays = attach_shard_arrays(
-                shm_name, simulator.world, simulator.access.per_hour,
-                n_hours, hour_start - block_start, hour_stop - block_start,
+        if block_start is not None:
+            sink = BlockSink(
+                _BLOCK_BUFFER.shard_arrays(
+                    hour_start - block_start, hour_stop - block_start
+                ),
+                hour_start, fixed_dtype=True,
             )
-            sink = BlockSink(arrays, hour_start, fixed_dtype=True)
-        shard = simulator.run_shard(hour_start, hour_stop, sink=sink)
+        shard = _BLOCK_SIMULATOR.run_shard(hour_start, hour_stop, sink=sink)
         shard.metrics = registry.dump_state()
         return shard
     finally:
-        if shm is not None:
-            shm.close()
         obs.set_registry(old_registry)
         obs.set_tracer(old_tracer)
         obs.set_emitter(old_emitter)
@@ -186,8 +187,9 @@ def _simulate_shard(payload, sink=None) -> "ShardResult":
 def _pool_dispatch(payloads: Sequence[tuple]) -> List["ShardResult"]:
     """Run every shard payload on a fork process pool.
 
-    Workers find the block's simulator in :data:`_BLOCK_SIMULATOR`, which
-    only ``fork`` hands down; without it this raises ``OSError`` so the
+    Workers find the block's simulator and buffer in
+    :data:`_BLOCK_SIMULATOR` and :data:`_BLOCK_BUFFER`, which only
+    ``fork`` hands down; without it this raises ``OSError`` so the
     caller demotes to in-process shards.
     """
     if "fork" not in multiprocessing.get_all_start_methods():
@@ -215,8 +217,10 @@ def run_block(
     shards, for the caller's provenance.  Per-hour RNG streams make the
     arrays bit-identical to the same hours of any other split.
 
-    ``workers`` > 1 sub-shards the block across a process pool; counts
-    return through one shared-memory buffer sized for the block.
+    ``workers`` > 1 sub-shards the block across a process pool; the
+    returned arrays are views of the one shared mapping the workers
+    wrote (:class:`~repro.world.sharedmem.SharedMonthBuffer`), which
+    lives as long as they do.
     """
     world = simulator.world
     if not 0 <= hour_start <= hour_stop <= world.hours:
@@ -232,24 +236,22 @@ def run_block(
     if len(shards) <= 1:
         return simulator.run_shard(hour_start, hour_stop).arrays, None
 
-    def payloads(block: Optional[tuple]) -> List[tuple]:
-        return [(h0, h1, i, block) for i, (h0, h1) in enumerate(shards)]
+    def payloads(block_start: Optional[int]) -> List[tuple]:
+        return [(h0, h1, i, block_start) for i, (h0, h1) in enumerate(shards)]
 
-    global _BLOCK_SIMULATOR
+    global _BLOCK_SIMULATOR, _BLOCK_BUFFER
     _BLOCK_SIMULATOR = simulator
+    per_hour = simulator.access.per_hour
     fallback: Optional[Dict[str, Any]] = None
-    buffer = None
     try:
         try:
-            buffer = SharedMonthBuffer(
-                world, simulator.access.per_hour, n_hours
-            )
-            results = _pool_dispatch(
-                payloads((buffer.name, hour_start, n_hours))
-            )
-            arrays = MeasurementDataset.block_template(world, n_hours)
-            buffer.adopt_into(arrays)
+            _BLOCK_BUFFER = SharedMonthBuffer(world, per_hour, n_hours)
+            results = _pool_dispatch(payloads(hour_start))
+            arrays: Dict[str, np.ndarray] = {}
+            _BLOCK_BUFFER.adopt_into(arrays)
         except _FALLBACK_ERRORS as exc:
+            # Drop the half-written mapping before the in-process pass.
+            _BLOCK_BUFFER = None
             fallback = {"reason": repr(exc), "shards": len(shards)}
             obs.logger.warning(
                 "parallel dispatch unavailable (%s); running %d shards "
@@ -260,19 +262,17 @@ def run_block(
                 shards=len(shards),
             )
             obs.registry().counter("parallel_fallback_total").inc()
-        finally:
-            if buffer is not None:
-                buffer.destroy()
         if fallback is not None:
             sink = BlockSink(
-                MeasurementDataset.block_template(world, n_hours), hour_start
+                MeasurementDataset.block_template(world, n_hours, per_hour),
+                hour_start,
             )
             results = [_simulate_shard(p, sink) for p in payloads(None)]
             arrays = sink.arrays
     finally:
-        # Release the month's world and truth: a long-lived serve
-        # process must not keep a finished block pinned here.
-        _BLOCK_SIMULATOR = None
+        # Release the block's world, truth and buffer: a long-lived
+        # serve process must not keep a finished block pinned here.
+        _BLOCK_SIMULATOR = _BLOCK_BUFFER = None
     registry = obs.registry()
     for i, shard in enumerate(results):
         with obs.span(

@@ -56,7 +56,7 @@ class ShardResult:
 
     ``arrays`` maps every dataset array field to its counts restricted to
     ``[hour_start, hour_stop)``.  When the caller supplied the sink (the
-    shared-memory path, :mod:`repro.world.sharedmem`, or the in-process
+    pooled block buffer, :mod:`repro.world.sharedmem`, or the in-process
     fallback's block sink) the counts already live in the caller's
     arrays and ``arrays`` is ``None`` -- only the bookkeeping fields
     ride the (tiny) pickled result.
@@ -163,7 +163,7 @@ class MonthSimulator:
         if sink is None:
             sink = BlockSink(
                 MeasurementDataset.block_template(
-                    self.world, hour_stop - hour_start
+                    self.world, hour_stop - hour_start, self.access.per_hour
                 ),
                 hour_start,
             )

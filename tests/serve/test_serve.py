@@ -10,7 +10,6 @@ while the daemon is still running.
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import json
 import os
@@ -35,6 +34,11 @@ from repro.serve.daemon import (
     serve_run_id,
 )
 from repro.world.simulator import simulate_default_month
+from tests.mappings import (
+    dev_shm_entries,
+    requires_proc_maps,
+    shared_anonymous_mappings,
+)
 
 SERVE_HOURS = 24
 PER_HOUR = 2
@@ -415,18 +419,9 @@ class TestKillAndResume:
             stale.prepare(resume=True)
 
 
-def _shm_blocks():
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
-requires_dev_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
-)
-
-
 class TestPooledChunks:
-    """Chunks at ``workers=2`` go through the shared-memory block
-    transport, or record their demotion to in-process shards."""
+    """Chunks at ``workers=2`` are counted in one anonymous shared
+    mapping per chunk, or record their demotion to in-process shards."""
 
     @pytest.fixture(scope="class")
     def batch_digest(self):
@@ -434,10 +429,11 @@ class TestPooledChunks:
             hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, workers=1
         ).dataset.digest()
 
-    def _config(self, tmp_path):
+    def _config(self, tmp_path, chunk_hours=6):
         return ServeConfig(
-            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, chunk_hours=6,
-            workers=2, runs_dir=str(tmp_path / "runs"),
+            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED,
+            chunk_hours=chunk_hours, workers=2,
+            runs_dir=str(tmp_path / "runs"),
         )
 
     def test_fallback_recorded_and_shown(
@@ -467,23 +463,48 @@ class TestPooledChunks:
         assert "fallback:" in out
         assert "pool refused" in out
 
-    @requires_dev_shm
+    @requires_proc_maps
     def test_block_unlinked_after_completed_run(
-        self, batch_digest, tmp_path
+        self, batch_digest, tmp_path, monkeypatch
     ):
-        before = _shm_blocks()
-        daemon = _serve(self._config(tmp_path))
+        # The detector fold keeps no views and the daemon drops each
+        # chunk once committed and folded, so it holds at most one chunk
+        # mapping: the new chunk's alone while it is simulated, none
+        # after a commit or at the end.
+        from repro.world import parallel
+
+        before_names = dev_shm_entries()
+        before = shared_anonymous_mappings()
+        dispatching, held = [], []
+        real_dispatch = parallel._pool_dispatch
+
+        def counting(payloads):
+            dispatching.append(shared_anonymous_mappings() - before)
+            return real_dispatch(payloads)
+
+        monkeypatch.setattr(parallel, "_pool_dispatch", counting)
+        daemon = _serve(
+            self._config(tmp_path),
+            chunk_callback=lambda d, e: held.append(
+                shared_anonymous_mappings() - before
+            ),
+        )
         daemon.prepare()
         result = daemon.run()
         assert result["completed"]
         assert result["digest"] == batch_digest
         manifest = daemon.store.load(daemon.run_id)
         assert "parallel_fallback" not in manifest.dataset["provenance"]
-        assert _shm_blocks() <= before
+        chunks = SERVE_HOURS // 6
+        assert dispatching == [1] * chunks
+        assert held == [0] * chunks
+        assert shared_anonymous_mappings() == before
+        assert dev_shm_entries() <= before_names
 
-    @requires_dev_shm
+    @requires_proc_maps
     def test_block_unlinked_after_stop_mid_run(self, tmp_path):
-        before = _shm_blocks()
+        before_names = dev_shm_entries()
+        before = shared_anonymous_mappings()
         daemon = _serve(
             self._config(tmp_path),
             chunk_callback=lambda d, e: d.request_stop(),
@@ -492,7 +513,25 @@ class TestPooledChunks:
         result = daemon.run()
         assert not result["completed"]
         assert result["committed_hours"] == 6
-        assert _shm_blocks() <= before
+        assert shared_anonymous_mappings() == before
+        assert dev_shm_entries() <= before_names
+
+    @pytest.mark.parametrize("chunk_hours", [1, 6])
+    def test_chunk_replay_dtypes_match_a_fresh_dataset(
+        self, tmp_path, chunk_hours
+    ):
+        # One-hour chunks run in-process, six-hour chunks pooled; both
+        # commit, and replay, a fresh dataset's dtypes.
+        daemon = _serve(self._config(tmp_path, chunk_hours))
+        daemon.prepare()
+        assert daemon.run()["completed"]
+        fresh = MeasurementDataset(daemon.world).arrays()
+        replayed = list(daemon.chunks.replay())
+        assert len(replayed) == SERVE_HOURS // chunk_hours
+        for _entry, arrays in replayed:
+            assert {n: a.dtype for n, a in arrays.items()} == {
+                n: a.dtype for n, a in fresh.items()
+            }
 
 
 class TestOneDigest:

@@ -6,9 +6,14 @@ parallel, and the in-process fallback all agree array-for-array.  The
 fallback is reached the way users hit it: a pool dispatch that fails.
 """
 
-import glob
+import gc
+import json
+import mmap
 import multiprocessing
 import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -23,13 +28,14 @@ from repro.world.faults import FaultGenerator, GroundTruth
 from repro.world.outcome_model import AccessConfig
 from repro.world.rng import RNGRegistry
 from repro.world.simulator import MonthSimulator
+from tests.mappings import (
+    dev_shm_entries,
+    requires_proc_maps,
+    shared_anonymous_mappings,
+)
 
 HOURS = 36
 SEED = 318
-
-requires_dev_shm = pytest.mark.skipif(
-    not os.path.isdir("/dev/shm"), reason="needs POSIX /dev/shm"
-)
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +61,10 @@ def _simulator(small_world, small_truth):
 @pytest.fixture(scope="module")
 def sequential(small_world, small_truth):
     return _simulator(small_world, small_truth).run()
+
+
+def _dtypes(dataset):
+    return {name: a.dtype for name, a in dataset.arrays().items()}
 
 
 def _refuse_pool(payloads):
@@ -126,20 +136,36 @@ class TestDeterminism:
         assert result.dataset.provenance["parallel_fallback"]["shards"] == 3
         assert result.dataset.digest() == sequential.dataset.digest()
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_batch_dtypes_are_the_narrowest_fit(
-        self, small_world, small_truth, workers
+        self, small_world, small_truth, workers, tmp_path
     ):
-        # No count here outgrows the starting dtypes, so neither the
-        # in-process sink nor the planned (wider) shared-buffer dtypes
-        # may leak into the dataset.
+        # Every path starts at the one dtype plan (planned_dtypes) and
+        # no count here outgrows it, so in-process, pooled and reloaded
+        # datasets all carry a fresh dataset's dtypes.
         result = _simulator(small_world, small_truth).run(workers=workers)
-        fresh = MeasurementDataset(small_world)
-        for name in MeasurementDataset._ARRAY_FIELDS:
-            assert (
-                getattr(result.dataset, name).dtype
-                == getattr(fresh, name).dtype
-            ), name
+        path = str(tmp_path / "month.npz")
+        result.dataset.save(path)
+        loaded = MeasurementDataset.load(path, small_world)
+        assert _dtypes(result.dataset) == _dtypes(
+            MeasurementDataset(small_world)
+        )
+        assert _dtypes(loaded) == _dtypes(result.dataset)
+
+    def test_fallback_dtypes_are_the_narrowest_fit(
+        self, small_world, small_truth, broken_pool
+    ):
+        result = _simulator(small_world, small_truth).run(workers=2)
+        assert "parallel_fallback" in result.dataset.provenance
+        assert _dtypes(result.dataset) == _dtypes(
+            MeasurementDataset(small_world)
+        )
+
+    def test_one_dtype_plan(self, small_world):
+        planned = MeasurementDataset.planned_dtypes(small_world, 1)
+        template = MeasurementDataset.block_template(small_world, 3)
+        assert {n: a.dtype for n, a in template.items()} == planned
+        assert _dtypes(MeasurementDataset(small_world)) == planned
 
     def test_rerun_identical(self, small_world, small_truth):
         """Per-hour fresh streams make run() itself repeatable on one
@@ -203,26 +229,32 @@ class TestRunBlock:
             sequential.dataset.transactions[..., 5:20],
         )
 
-    @requires_dev_shm
-    def test_adopt_widens_only_fields_that_outgrow_their_dtype(
-        self, small_world
+    def test_undersized_plan_demotes_to_in_process_shards(
+        self, small_world, small_truth, sequential, monkeypatch
     ):
-        from repro.world.sharedmem import SharedMonthBuffer
-
-        # per_hour sized so the planned transactions dtype is uint32.
-        buffer = SharedMonthBuffer(small_world, 70_000, 5)
-        try:
-            buffer.arrays["transactions"][0, 0, 4] = 70_000
-            buffer.arrays["dns_ldns"][1, 2, 0] = 3
-            arrays = MeasurementDataset.block_template(small_world, 5)
-            buffer.adopt_into(arrays)
-        finally:
-            buffer.destroy()
-        assert arrays["transactions"].dtype == np.uint32
-        assert int(arrays["transactions"][0, 0, 4]) == 70_000
-        assert int(arrays["transactions"].sum()) == 70_000
-        assert arrays["dns_ldns"].dtype == np.uint16
-        assert int(arrays["dns_ldns"][1, 2, 0]) == 3
+        # A plan too narrow for the counts: the pooled buffer cannot
+        # promote, so a worker raises OverflowError and the block
+        # demotes; the in-process sink promotes from the same plan.
+        narrow = {
+            name: np.dtype(np.uint8)
+            for name in MeasurementDataset._ARRAY_FIELDS
+        }
+        assert max(
+            int(a.max()) for a in sequential.dataset.arrays().values()
+        ) > np.iinfo(np.uint8).max
+        monkeypatch.setattr(
+            MeasurementDataset, "planned_dtypes",
+            classmethod(lambda cls, world, per_hour: dict(narrow)),
+        )
+        registry = MetricsRegistry()
+        with obs.use(registry):
+            result = _simulator(small_world, small_truth).run(workers=2)
+        fallback = result.dataset.provenance["parallel_fallback"]
+        assert fallback["reason"].startswith("OverflowError(")
+        assert fallback["shards"] == 2
+        assert registry.counter("parallel_fallback_total").value == 1
+        assert result.dataset.digest() == sequential.dataset.digest()
+        assert parallel._BLOCK_BUFFER is None
 
     def test_rejects_block_outside_experiment(self, small_world, small_truth):
         with pytest.raises(ValueError):
@@ -332,10 +364,6 @@ class TestShardPlanProperty:
             assert covered == list(range(hours)), (hours, workers)
 
 
-def _shm_blocks():
-    return set(glob.glob("/dev/shm/psm_*"))
-
-
 _REAL_SIMULATE_SHARD = parallel._simulate_shard
 
 
@@ -350,25 +378,71 @@ def _crash_in_child(payload, sink=None):
     return _REAL_SIMULATE_SHARD(payload, sink)
 
 
+def _slots_cleared():
+    return (
+        parallel._BLOCK_SIMULATOR is None and parallel._BLOCK_BUFFER is None
+    )
+
+
+#: A pooled run in a fresh interpreter: which resource tracker it
+#: started and which ``/dev/shm`` names it left.
+_POOLED_RUN = """
+import json, sys
+from multiprocessing import resource_tracker
+from repro.world import parallel
+from repro.world.defaults import build_default_world
+from repro.world.simulator import MonthSimulator
+from tests.mappings import dev_shm_entries
+before = dev_shm_entries()
+sim = MonthSimulator(build_default_world(hours=4))
+arrays, fallback = parallel.run_block(sim, 0, 4, workers=2)
+json.dump({
+    "fallback": fallback,
+    "tracker_pid": resource_tracker._resource_tracker._pid,
+    "new_dev_shm": sorted(dev_shm_entries() - before),
+}, sys.stdout)
+"""
+
+
 class TestSharedMemoryLifecycle:
-    @requires_dev_shm
+    """The pooled block buffer is one anonymous shared mapping: nothing
+    named is ever linked under /dev/shm, and the mapping lives exactly
+    as long as the arrays that view it."""
+
+    @requires_proc_maps
     def test_block_unlinked_on_success(self, small_world, small_truth):
-        before = _shm_blocks()
+        before_names = dev_shm_entries()
+        before = shared_anonymous_mappings()
         result = _simulator(small_world, small_truth).run(workers=2)
         assert result.dataset.provenance.get("parallel_fallback") is None
-        assert _shm_blocks() <= before
-        assert parallel._BLOCK_SIMULATOR is None
+        assert dev_shm_entries() <= before_names
+        assert _slots_cleared()
+        # The dataset's arrays are the mapping the workers wrote.
+        mapping = result.dataset.transactions.base
+        assert isinstance(mapping, mmap.mmap)
+        assert all(
+            array.base is mapping for array in result.dataset.arrays().values()
+        )
+        assert shared_anonymous_mappings() == before + 1
+        released = weakref.ref(mapping)
+        del mapping, result
+        gc.collect()
+        assert released() is None
+        assert shared_anonymous_mappings() == before
 
-    @requires_dev_shm
+    @requires_proc_maps
     def test_block_unlinked_on_worker_crash(
         self, small_world, small_truth, sequential, monkeypatch
     ):
         monkeypatch.setattr(parallel, "_simulate_shard", _crash_in_child)
-        before = _shm_blocks()
+        before_names = dev_shm_entries()
+        before = shared_anonymous_mappings()
         registry = MetricsRegistry()
         with obs.use(registry):
             result = _simulator(small_world, small_truth).run(workers=2)
-        assert _shm_blocks() <= before
+        assert dev_shm_entries() <= before_names
+        assert shared_anonymous_mappings() == before
+        assert _slots_cleared()
         # The crash demoted the run to the in-process fallback, which
         # must still produce the canonical dataset -- and say so.
         assert result.dataset.digest() == sequential.dataset.digest()
@@ -377,7 +451,7 @@ class TestSharedMemoryLifecycle:
         assert fallback["shards"] == 2
         assert "reason" in fallback
 
-    @requires_dev_shm
+    @requires_proc_maps
     def test_block_unlinked_on_keyboard_interrupt(
         self, small_world, small_truth, monkeypatch
     ):
@@ -385,11 +459,31 @@ class TestSharedMemoryLifecycle:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(parallel, "_pool_dispatch", interrupted)
-        before = _shm_blocks()
+        before_names = dev_shm_entries()
+        before = shared_anonymous_mappings()
         with pytest.raises(KeyboardInterrupt):
             _simulator(small_world, small_truth).run(workers=2)
-        assert _shm_blocks() <= before
-        assert parallel._BLOCK_SIMULATOR is None
+        gc.collect()
+        assert dev_shm_entries() <= before_names
+        assert shared_anonymous_mappings() == before
+        assert _slots_cleared()
+
+    def test_pooled_run_names_nothing(self):
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)
+        )))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _POOLED_RUN], cwd=root, env=env,
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        report = json.loads(done.stdout)
+        assert report == {
+            "fallback": None, "tracker_pid": None, "new_dev_shm": [],
+        }
 
 
 def _refuse_pickle(self, protocol):
