@@ -146,7 +146,7 @@ def test_obs_baseline(emit):
 
     # Append this observation to the shared bench trajectory: the
     # committed history `repro runs check --baseline` gates against.
-    from repro.obs.runstore import append_entry
+    from repro.obs.runstore.trajectory import append_entry
 
     append_entry(TRAJECTORY_PATH, {
         "bench": "obs_baseline",

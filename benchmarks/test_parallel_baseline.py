@@ -170,7 +170,7 @@ def test_parallel_baseline(emit):
 
     # Append this observation to the shared bench trajectory: the
     # committed history `repro runs check --baseline` gates against.
-    from repro.obs.runstore import append_entry
+    from repro.obs.runstore.trajectory import append_entry
 
     append_entry(TRAJECTORY_PATH, {
         "bench": "parallel_baseline",

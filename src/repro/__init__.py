@@ -20,33 +20,39 @@ Quickstart::
 
     result = simulate_default_month(hours=168)  # one simulated week
     print(report.table3(result.dataset))
+
+Nothing here is imported eagerly: each public name below loads its
+defining module on first access, so ``from repro import obs`` or
+``python -m repro.lint`` never pays for numpy or the simulator.
 """
 
-from repro.core.dataset import MeasurementDataset
-from repro.core.records import (
-    DNSFailureKind,
-    FailureType,
-    PerformanceRecord,
-    TCPFailureKind,
-)
-from repro.world.defaults import build_default_world
-from repro.world.entities import Client, ClientCategory, Website, World
-from repro.world.simulator import MonthSimulator, simulate_default_month
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MeasurementDataset",
-    "PerformanceRecord",
-    "FailureType",
-    "DNSFailureKind",
-    "TCPFailureKind",
-    "build_default_world",
-    "World",
-    "Client",
-    "ClientCategory",
-    "Website",
-    "MonthSimulator",
-    "simulate_default_month",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "MeasurementDataset": "repro.core.dataset",
+    "PerformanceRecord": "repro.core.records",
+    "FailureType": "repro.core.records",
+    "DNSFailureKind": "repro.core.records",
+    "TCPFailureKind": "repro.core.records",
+    "build_default_world": "repro.world.defaults",
+    "World": "repro.world.entities",
+    "Client": "repro.world.entities",
+    "ClientCategory": "repro.world.entities",
+    "Website": "repro.world.entities",
+    "MonthSimulator": "repro.world.simulator",
+    "simulate_default_month": "repro.world.simulator",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -297,7 +297,7 @@ def _record_evidence(args, dataset, mask) -> None:
     recorder = getattr(args, "_run_recorder", None)
     if recorder is None:
         return
-    from repro.obs.runstore import collect_evidence
+    from repro.obs.runstore.evidence import collect_evidence
 
     with obs.span("cli.evidence"):
         recorder.record_evidence(collect_evidence(dataset, mask))
@@ -526,7 +526,7 @@ def _configure_live(args):
         )
     except Exception as exc:
         # A bad rule file is a usage error, not a crash.
-        from repro.obs.online import RuleError
+        from repro.obs.online.rules import RuleError
 
         if isinstance(exc, (RuleError, OSError)):
             print(f"repro: error: {exc}", file=sys.stderr)
@@ -576,7 +576,7 @@ def _make_recorder(args, argv: Optional[List[str]]):
         return None
     if getattr(args, "no_run_record", False):
         return None
-    from repro.obs.runstore import RunRecorder
+    from repro.obs.runstore.store import RunRecorder
 
     return RunRecorder(
         command=args.command,
@@ -659,7 +659,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # SIGTERM (systemd stop, CI cleanup) becomes a KeyboardInterrupt
         # so the finally-teardown below runs exactly as it does for ^C
         # -- the live session stops, the trace closes, metrics export.
-        from repro.obs.live.server import ShutdownCoordinator
+        from repro.obs.live.shutdown import ShutdownCoordinator
 
         coordinator = ShutdownCoordinator(raise_interrupt=True)
         coordinator.install()

@@ -622,7 +622,7 @@ def hour_entity_stats_from_block(
     per-client and per-server transaction/failure vectors plus the
     sparse ``[client, server, count]`` TCP-failure triples blame buckets
     on, in row-major order.  Pure reads, so no caller can perturb the
-    digest.  :meth:`repro.obs.online.OnlineDetector.fold_block` and
+    digest.  :meth:`repro.obs.online.detector.OnlineDetector.fold_block` and
     ``repro slo`` both call this one function.
     """
 

@@ -181,8 +181,6 @@ def figure6_series(correlation: InstabilityCorrelation) -> FigureSeries:
 # Terminal rendering
 # --------------------------------------------------------------------------
 
-_BLOCKS = " .:-=+*#%@"
-
 
 def ascii_curve(
     xs: Sequence[float],

@@ -182,10 +182,6 @@ class DNSHierarchy:
             raise DNSServerError("no root servers registered")
         return list(self._roots)
 
-    def server_at(self, address: IPv4Address) -> Optional[AuthoritativeServer]:
-        """The server listening at ``address``, if any."""
-        return self._by_address.get(address)
-
     def servers(self) -> List[AuthoritativeServer]:
         """Every registered server."""
         return list(self._by_address.values())

@@ -76,11 +76,6 @@ def all_rules() -> List[Rule]:
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    _ensure_loaded()
-    return _REGISTRY[rule_id]
-
-
 def select_rules(ids: Iterable[str]) -> List[Rule]:
     """The subset of rules with the given ids (unknown ids raise)."""
     _ensure_loaded()

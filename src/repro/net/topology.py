@@ -113,13 +113,6 @@ class Topology:
 
     # -- queries -----------------------------------------------------------
 
-    def autonomous_system(self, asn: int) -> AutonomousSystem:
-        """The AS object for ``asn``."""
-        try:
-            return self._ases[asn]
-        except KeyError:
-            raise TopologyError(f"unknown AS {asn}") from None
-
     def origin_of(self, prefix: Prefix) -> int:
         """The origin ASN of ``prefix``."""
         try:
@@ -176,10 +169,6 @@ class Topology:
         """Bring every attachment of ``asn`` back up."""
         for attachment in self.attachments_of(asn):
             attachment.up = True
-
-    def edge_asns(self) -> List[int]:
-        """All registered edge ASNs."""
-        return sorted(self._attachments)
 
     def transit_asns(self) -> List[int]:
         """All registered transit ASNs."""

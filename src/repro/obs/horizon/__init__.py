@@ -17,12 +17,3 @@ constants) and is imported by ``repro.serve`` and ``repro.obs.live`` --
 never by ``world/`` or ``core/`` engines (enforced by ``repro lint``'s
 ARC rules).
 """
-
-from repro.obs.horizon.history import HistoryStore, RESOLUTIONS
-from repro.obs.horizon.slo import SLOEngine
-
-__all__ = [
-    "HistoryStore",
-    "RESOLUTIONS",
-    "SLOEngine",
-]

@@ -21,8 +21,6 @@ import argparse
 import json
 import sys
 
-from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
-
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the ``repro slo`` options."""
@@ -76,6 +74,7 @@ def run(args) -> int:
     """Dispatch a parsed ``repro slo`` invocation."""
     from repro.obs.horizon.slo import render_slo_table
     from repro.obs.runstore.chunks import ChunkStore, ChunkStoreError
+    from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
 
     store = RunStore(resolve_runs_dir(getattr(args, "runs_dir", None)))
     try:

@@ -17,40 +17,15 @@ state (:mod:`~repro.obs.live.aggregate`) feeding
   the committed count arrays, whose alerts surface on the dashboard, on
   ``/alerts``, and in the run registry's ``alerts.jsonl``.
 
-Import as ``from repro.obs import live`` -- :mod:`repro.obs` itself
-does **not** import this package eagerly (the CLI and the parallel
-driver pull it in only when telemetry is requested), so the zero-cost
-default path stays zero-cost.
+Import the submodules by name; this package re-exports nothing, and
+neither :mod:`repro.obs` nor :mod:`repro.world.parallel` imports it.
+The CLI loads :mod:`~repro.obs.live.session` only for ``--live``,
+``--serve-metrics`` or ``--detect``, and the session loads the
+dashboard and the HTTP server only when those flags ask for them.  A
+forked worker binds to the telemetry queue only when the parent loaded
+the bus (:func:`repro.obs.runtime.inherited_emitter`).
 
 Determinism contract: nothing here draws randomness or writes into the
 dataset; the dataset digest is bit-identical with telemetry on or off,
 at any worker count.
 """
-
-from repro.obs.live.aggregate import LiveAggregator, knee_of_rates
-from repro.obs.live.bus import QueueEmitter, TelemetryBus, inherited_emitter
-from repro.obs.live.dashboard import LiveDashboard, render, render_plain, sparkline
-from repro.obs.live.events import EVENT_KINDS, FAILURE_FIELDS, SCHEMA, hour_rate
-from repro.obs.live.server import MetricsServer
-from repro.obs.live.session import LiveSession
-from repro.obs.live.timeline import load_events, render_timeline
-
-__all__ = [
-    "EVENT_KINDS",
-    "FAILURE_FIELDS",
-    "LiveAggregator",
-    "LiveDashboard",
-    "LiveSession",
-    "MetricsServer",
-    "QueueEmitter",
-    "SCHEMA",
-    "TelemetryBus",
-    "hour_rate",
-    "inherited_emitter",
-    "knee_of_rates",
-    "load_events",
-    "render",
-    "render_plain",
-    "render_timeline",
-    "sparkline",
-]

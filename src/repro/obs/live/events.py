@@ -16,8 +16,9 @@ The kinds (``EVENT_KINDS``) mirror the simulation's natural grain:
 
 Per-entity hour stats are not on the bus.  The online detector
 (:mod:`repro.obs.online`) folds them from the committed count arrays
-instead (:meth:`~repro.obs.online.OnlineDetector.fold_block`): once per
-batch run when the simulation returns, once per serve chunk.  The bus
+instead
+(:meth:`~repro.obs.online.detector.OnlineDetector.fold_block`): once
+per batch run when the simulation returns, once per serve chunk.  The bus
 only carries what ``--live`` and ``/metrics`` show while the run is in
 flight.
 

@@ -21,19 +21,23 @@ documents -- and ``repro_slo_*`` gauges -- as the serve daemon.
 survives until :meth:`cleanup` so the run recorder can copy it into
 ``runs/<run-id>/events.jsonl`` after the content-addressed run id
 becomes known, and the detector's exported alert stream rides along
-into ``alerts.jsonl``.
+into ``alerts.jsonl``.  Each optional part loads only when its flag asks
+for it: a batch ``--detect`` run never imports the dashboard or
+:mod:`http.server`.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.obs.live.aggregate import LiveAggregator
 from repro.obs.live.bus import TelemetryBus
-from repro.obs.live.dashboard import LiveDashboard
-from repro.obs.live.server import MetricsServer
+
+if TYPE_CHECKING:
+    from repro.obs.live.dashboard import LiveDashboard
+    from repro.obs.live.server import MetricsServer
 
 
 class LiveSession:
@@ -54,8 +58,10 @@ class LiveSession:
         if detect or rules_path is not None:
             # Imported lazily: plain --live/--serve-metrics sessions
             # never pay for the online pipeline.
-            from repro.obs.horizon import HistoryStore, SLOEngine
-            from repro.obs.online import OnlineDetector, load_rules
+            from repro.obs.horizon.history import HistoryStore
+            from repro.obs.horizon.slo import SLOEngine
+            from repro.obs.online.detector import OnlineDetector
+            from repro.obs.online.rules import load_rules
 
             # Before the spool exists: a bad rule file leaves nothing
             # behind in the temp directory.
@@ -81,6 +87,8 @@ class LiveSession:
         self.bus.subscribe(self.aggregator.update)
         self.dashboard: Optional[LiveDashboard] = None
         if dashboard:
+            from repro.obs.live.dashboard import LiveDashboard
+
             self.dashboard = LiveDashboard(
                 self.aggregator,
                 stream=stream,
@@ -92,6 +100,8 @@ class LiveSession:
             self.bus.subscribe(self.dashboard.update)
         self.server: Optional[MetricsServer] = None
         if serve_port is not None:
+            from repro.obs.live.server import MetricsServer
+
             self.server = MetricsServer(
                 serve_port, aggregator=self.aggregator,
                 detector=self.detector,

@@ -17,29 +17,3 @@ Pieces:
   scoring of online vs batch (precision/recall, blame agreement,
   detection-latency distribution, digest reproduction).
 """
-
-from repro.obs.online.detector import (
-    ALERTS_SCHEMA,
-    BLAME_THRESHOLD,
-    CLOSE_AFTER_HOURS,
-    OnlineDetector,
-)
-from repro.obs.online.rules import (
-    DEFAULT_RULES,
-    AlertRule,
-    RuleError,
-    load_rules,
-    rules_from_dicts,
-)
-
-__all__ = [
-    "ALERTS_SCHEMA",
-    "BLAME_THRESHOLD",
-    "CLOSE_AFTER_HOURS",
-    "OnlineDetector",
-    "DEFAULT_RULES",
-    "AlertRule",
-    "RuleError",
-    "load_rules",
-    "rules_from_dicts",
-]

@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
-
 #: Default committed trajectory file ``detect`` observations append to.
 DEFAULT_TRAJECTORY = "BENCH_trajectory.json"
 
@@ -42,6 +40,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 def run(args: argparse.Namespace) -> int:
     """Execute ``repro detect``."""
     from repro.obs.online.report import DetectError, render_report, run_detect
+    from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
     from repro.obs.runstore.trajectory import TrajectoryError, append_entry
 
     store = RunStore(resolve_runs_dir(getattr(args, "runs_dir", None)))

@@ -1,61 +1,10 @@
 """Persistent run registry: content-addressed manifests, attribution
 evidence, cross-run diffing, and the bench trajectory.
 
-Import as ``from repro.obs import runstore`` -- :mod:`repro.obs` itself
-does **not** import this package (it depends on :mod:`repro.core`,
-which depends on :mod:`repro.obs`; importing it eagerly would cycle).
+Import the submodules by name (``from repro.obs.runstore.store
+import RunStore``); this package re-exports nothing.
+:mod:`~repro.obs.runstore.store` pulls in :mod:`repro.core.dataset` and
+numpy, so the ``repro runs`` verbs and the other subcommand front ends
+import it inside the verbs that use it, never while the parser is
+built.
 """
-
-from repro.obs.runstore.diffing import (
-    CheckResult,
-    RunDiff,
-    check_run,
-    diff_runs,
-    render_diff,
-)
-from repro.obs.runstore.evidence import (
-    EpisodeEvidence,
-    EvidenceBundle,
-    collect_evidence,
-)
-from repro.obs.runstore.manifest import (
-    ManifestError,
-    RunManifest,
-    compute_run_id,
-    manifest_from_dict,
-)
-from repro.obs.runstore.store import (
-    RunRecorder,
-    RunStore,
-    RunStoreError,
-    resolve_runs_dir,
-)
-from repro.obs.runstore.trajectory import (
-    TrajectoryError,
-    append_entry,
-    load_trajectory,
-    matching_entries,
-)
-
-__all__ = [
-    "CheckResult",
-    "EpisodeEvidence",
-    "EvidenceBundle",
-    "ManifestError",
-    "RunDiff",
-    "RunManifest",
-    "RunRecorder",
-    "RunStore",
-    "RunStoreError",
-    "TrajectoryError",
-    "append_entry",
-    "check_run",
-    "collect_evidence",
-    "compute_run_id",
-    "diff_runs",
-    "load_trajectory",
-    "manifest_from_dict",
-    "matching_entries",
-    "render_diff",
-    "resolve_runs_dir",
-]

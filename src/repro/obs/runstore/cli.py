@@ -14,6 +14,9 @@ Verbs:
   simulate-stage slowdown beyond ``--max-slowdown`` fails).
 
 ``REF`` is a run id, any unique prefix, or ``latest``.
+
+Building the parser imports nothing beyond argparse: the run store (and
+with it :mod:`repro.core.dataset` and numpy) loads when a verb runs.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING
 
-from repro.obs.runstore.diffing import check_run, diff_runs, render_diff
-from repro.obs.runstore.evidence import EvidenceBundle
-from repro.obs.runstore.manifest import RunManifest
-from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
-from repro.obs.runstore.trajectory import TrajectoryError, load_trajectory
+if TYPE_CHECKING:
+    from repro.obs.runstore.evidence import EvidenceBundle
+    from repro.obs.runstore.store import RunStore
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -362,6 +363,8 @@ def _cmd_show(
 
 
 def _cmd_diff(store: RunStore, ref_a: str, ref_b: str) -> int:
+    from repro.obs.runstore.diffing import diff_runs, render_diff
+
     a, b = store.load(ref_a), store.load(ref_b)
     diff = diff_runs(
         a, b,
@@ -373,6 +376,9 @@ def _cmd_diff(store: RunStore, ref_a: str, ref_b: str) -> int:
 
 
 def _cmd_check(store: RunStore, args) -> int:
+    from repro.obs.runstore.diffing import check_run
+    from repro.obs.runstore.trajectory import TrajectoryError, load_trajectory
+
     manifest = store.load(args.ref)
     try:
         entries = load_trajectory(args.baseline)
@@ -392,6 +398,8 @@ def _cmd_check(store: RunStore, args) -> int:
 
 def run(args) -> int:
     """Dispatch a parsed ``repro runs`` invocation."""
+    from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
+
     store = RunStore(resolve_runs_dir(getattr(args, "runs_dir", None)))
     try:
         if args.runs_verb == "list":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import logging
+import sys
 from typing import Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, NullRegistry
@@ -157,10 +158,12 @@ def inherited_emitter(worker: int):
     Facade for :func:`repro.obs.live.bus.inherited_emitter` so engine
     code (the parallel worker bootstrap) never imports ``obs.live``
     internals -- the layering contract reserves those for the obs layer
-    itself.  Returns :data:`NULL_EMITTER` when no queue was parked
-    before the fork, exactly like the underlying implementation; the
-    live machinery only loads when a queue exists to bind.
+    itself.  Only a loaded bus can have parked a queue, so when the
+    parent never imported :mod:`repro.obs.live.bus` this returns
+    :data:`NULL_EMITTER` without importing anything: a forked worker
+    loads no module the parent did not.
     """
-    from repro.obs.live.bus import inherited_emitter as _impl
-
-    return _impl(worker)
+    bus = sys.modules.get("repro.obs.live.bus")
+    if bus is None:
+        return NULL_EMITTER
+    return bus.inherited_emitter(worker)

@@ -123,11 +123,6 @@ class Tracer:
             self._owns_sink = True
         return self
 
-    def disable(self) -> None:
-        """Turn tracing off and close any owned sink."""
-        self.close()
-        self.enabled = False
-
     def close(self) -> None:
         """Flush and close the sink if this tracer opened it."""
         if self._sink is not None:

@@ -9,7 +9,3 @@ detector (:mod:`repro.obs.online`), with the unified HTTP read API
 ``repro serve --resume RUN`` continues from the last committed sim-hour
 with a bit-identical final digest.
 """
-
-from repro.serve.daemon import ServeConfig, ServeDaemon, serve_run_id
-
-__all__ = ["ServeConfig", "ServeDaemon", "serve_run_id"]

@@ -33,8 +33,6 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
-
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the serve-specific options (sim flags come from the
@@ -79,6 +77,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 def _resume_config(args, ref: str):
     """Rebuild a ServeConfig from an interrupted run's chunk manifest."""
     from repro.obs.runstore.chunks import ChunkStore
+    from repro.obs.runstore.store import RunStore, RunStoreError, resolve_runs_dir
     from repro.serve.daemon import ServeConfig
 
     store = RunStore(resolve_runs_dir(getattr(args, "runs_dir", None)))
@@ -153,6 +152,7 @@ def run(args, argv=None) -> int:
     """Dispatch a parsed ``repro serve`` invocation."""
     from repro.cli import _configure_observability
     from repro.obs.runstore.chunks import ChunkStoreError
+    from repro.obs.runstore.store import RunStoreError
     from repro.serve.daemon import ServeDaemon, ServeError
 
     _configure_observability(args)

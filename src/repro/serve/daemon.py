@@ -8,8 +8,8 @@ chunk it:
    :class:`~repro.obs.runstore.chunks.ChunkStore` (npz + hour-chained
    manifest under ``runs/<id>/chunks/``), *then*
 2. **folds** the committed arrays into the streaming
-   :class:`~repro.obs.online.OnlineDetector`
-   (:meth:`~repro.obs.online.OnlineDetector.fold_block`) -- the same
+   :class:`~repro.obs.online.detector.OnlineDetector`
+   (:meth:`~repro.obs.online.detector.OnlineDetector.fold_block`) -- the same
    feed a batch ``simulate --detect`` run gives it once at the end
    (pure reads; the digest cannot be perturbed).
 
@@ -32,7 +32,7 @@ The HTTP surface (:class:`~repro.obs.live.server.MetricsServer`) serves
 ``/healthz``, ``/status`` (sim-clock, chunk cursor, ETA, worker lanes),
 ``/metrics``, ``/alerts``, ``/episodes``, ``/blame`` and ``/runs``
 throughout.  SIGTERM/SIGINT set the
-:class:`~repro.obs.live.server.ShutdownCoordinator` flag; the loop
+:class:`~repro.obs.live.shutdown.ShutdownCoordinator` flag; the loop
 notices at the next chunk boundary, commits what is in flight, and
 shuts down gracefully.
 """
@@ -51,8 +51,10 @@ from repro.core.dataset import fingerprint_sha256
 # function, and the benchmark's layer table (bench/leg.py) times it
 # under this module's name.
 from repro.core.dataset import hour_entity_stats_from_block  # noqa: F401
-from repro.obs.horizon import HistoryStore, SLOEngine
-from repro.obs.live.server import DEFAULT_HOST, MetricsServer, ShutdownCoordinator
+from repro.obs.horizon.history import HistoryStore
+from repro.obs.horizon.slo import SLOEngine
+from repro.obs.live.server import DEFAULT_HOST, MetricsServer
+from repro.obs.live.shutdown import ShutdownCoordinator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import DEFAULT_RULES, SLO_BURN_RULES

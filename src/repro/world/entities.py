@@ -169,10 +169,6 @@ class Website:
         """True for sites with more than one qualifying replica."""
         return self.num_replicas > 1
 
-    def replica_addresses(self) -> List[IPv4Address]:
-        """Addresses of the qualifying replicas."""
-        return [r.address for r in self.replicas]
-
 
 @dataclass(frozen=True)
 class ProxySpec:

@@ -23,6 +23,9 @@ import random
 from typing import Dict
 
 import numpy as np
+# Imported here, not on first use: numpy loads its random package
+# lazily, and every forked worker would otherwise import it itself.
+import numpy.random  # noqa: F401
 
 from repro import obs
 

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core import knee as knee_mod
-from repro.obs.online import OnlineDetector
+from repro.obs.online.detector import OnlineDetector
 from repro.obs.runstore.store import serialize_alerts
 
 

@@ -534,7 +534,7 @@ class TestCliEndToEnd:
             "simulate", "--workers", "2", "--live",
         ])
         assert code == 0
-        from repro.obs.runstore import RunStore
+        from repro.obs.runstore.store import RunStore
 
         store = RunStore(root)
         return store, store.load("latest")

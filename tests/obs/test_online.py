@@ -26,11 +26,10 @@ from repro.core.episodes import (
     RateMatrix, client_rate_matrix, detect_knee, episode_matrix,
     server_rate_matrix,
 )
-from repro.obs.online import (
-    BLAME_THRESHOLD, DEFAULT_RULES, OnlineDetector, RuleError,
-    load_rules, rules_from_dicts,
+from repro.obs.online.detector import BLAME_THRESHOLD, OnlineDetector
+from repro.obs.online.rules import (
+    DEFAULT_RULES, AlertRule, RuleError, load_rules, rules_from_dicts,
 )
-from repro.obs.online.rules import AlertRule
 from repro.obs.runstore.store import serialize_alerts
 from repro.world.simulator import simulate_default_month
 
@@ -387,7 +386,7 @@ class TestOnlineEqualsBatch:
     def recorded(self, tmp_path_factory):
         """The seed world recorded with --detect at workers 1 and 4."""
         root = tmp_path_factory.mktemp("online-registry")
-        from repro.obs.runstore import RunStore
+        from repro.obs.runstore.store import RunStore
 
         store = RunStore(root)
         manifests = {}
@@ -539,7 +538,7 @@ class TestOnlineEqualsBatch:
         ])
         assert code == 0
         capsys.readouterr()
-        from repro.obs.runstore import RunStore
+        from repro.obs.runstore.store import RunStore
 
         manifest = RunStore(runs).load("latest")
         rebuilt = manifest.dataset["digest"]
@@ -599,7 +598,7 @@ class TestPlantedFault:
         ])
         capsys.readouterr()
         assert code == 0
-        from repro.obs.runstore import RunStore
+        from repro.obs.runstore.store import RunStore
 
         store = RunStore(tmp_path / "runs")
         manifest = store.load("latest")
@@ -630,7 +629,7 @@ class TestPlantedFault:
         ])
         capsys.readouterr()
         assert code == 0
-        from repro.obs.runstore import RunStore
+        from repro.obs.runstore.store import RunStore
 
         store = RunStore(runs)
         manifest = store.load("latest")

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.obs.runstore import RunStore
+from repro.obs.runstore.store import RunStore
 
 HOURS = "24"
 PER_HOUR = "2"

@@ -8,23 +8,24 @@ import pytest
 
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runstore import (
-    EvidenceBundle,
+from repro.obs.runstore.diffing import check_run, diff_runs, render_diff
+from repro.obs.runstore.evidence import EvidenceBundle, collect_evidence
+from repro.obs.runstore.manifest import (
     ManifestError,
     RunManifest,
+    compute_run_id,
+    manifest_from_dict,
+)
+from repro.obs.runstore.store import (
     RunRecorder,
     RunStore,
     RunStoreError,
-    append_entry,
-    check_run,
-    collect_evidence,
-    compute_run_id,
-    diff_runs,
-    load_trajectory,
-    manifest_from_dict,
-    matching_entries,
-    render_diff,
     resolve_runs_dir,
+)
+from repro.obs.runstore.trajectory import (
+    append_entry,
+    load_trajectory,
+    matching_entries,
 )
 from repro.obs.tracing import Tracer
 
