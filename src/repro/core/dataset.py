@@ -611,36 +611,58 @@ def fold_block(chain: str, hour_digests: Iterable[str]) -> str:
     return chain
 
 
+def entity_hour_sums(arrays: Mapping[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Per-(entity, hour) sums of a ``(client, site, hour)`` block.
+
+    Returns int64 arrays: ``ct``/``cf`` (client, hour) and ``st``/``sf``
+    (site, hour) transactions and failed transactions, and ``ctcp``
+    (client, hour) TCP failures -- the rate and blame inputs of the
+    Section 4.4 analysis.  Each count field is reduced on its own
+    straight to (entity, hour), so no (client, site, hour) temporary is
+    built.  Pure reads, so no caller can perturb the digest.
+    """
+    by_client: Dict[str, np.ndarray] = {}
+    by_site: Dict[str, np.ndarray] = {}
+    for name in MeasurementDataset._TRANSACTION_FIELDS:
+        block = arrays[name]
+        # einsum reduces the middle axis of a short block several
+        # times faster than ``sum(axis=1)``, which loops over the
+        # (short) hour axis innermost.
+        by_client[name] = np.einsum("csh->ch", block, dtype=np.int64)
+        by_site[name] = block.sum(axis=0, dtype=np.int64)
+    failures = MeasurementDataset.FAILURE_FIELDS
+    return {
+        "ct": by_client["transactions"],
+        "cf": sum(by_client[name] for name in failures),
+        "st": by_site["transactions"],
+        "sf": sum(by_site[name] for name in failures),
+        "ctcp": sum(
+            by_client[name] for name in MeasurementDataset.TCP_FAILURE_FIELDS
+        ),
+    }
+
+
 def hour_entity_stats_from_block(
     arrays: Mapping[str, np.ndarray], t: int
 ) -> Dict[str, list]:
-    """One hour's per-entity stats: what the online detector folds.
+    """One hour's per-entity stats as JSON-native lists.
 
-    Reads hour ``t`` of ``(client, site, hour)`` block arrays and
-    returns, as JSON-native lists, everything :mod:`repro.obs.online`
-    needs to mirror the batch episode/blame analysis for that hour:
-    per-client and per-server transaction/failure vectors plus the
-    sparse ``[client, server, count]`` TCP-failure triples blame buckets
-    on, in row-major order.  Pure reads, so no caller can perturb the
-    digest.  :meth:`repro.obs.online.detector.OnlineDetector.fold_block` and
-    ``repro slo`` both call this one function.
+    Hour ``t`` of :func:`entity_hour_sums` -- per-client and per-server
+    transaction/failure vectors -- plus the sparse ``[client, server,
+    count]`` TCP-failure triples blame buckets on, in row-major order.
+    The serialized stream of these documents is pinned by the test
+    suite as the detector's hour feed.
     """
-
-    def hour_sum(fields: Iterable[str]) -> np.ndarray:
-        total = np.zeros(arrays["transactions"].shape[:2], dtype=np.int64)
-        for name in fields:
-            total += arrays[name][:, :, t]
-        return total
-
-    trans = hour_sum(("transactions",))
-    failures = hour_sum(MeasurementDataset._TRANSACTION_FIELDS[1:])
-    tcp = hour_sum(MeasurementDataset._TCP_FIELDS.values())
+    sums = entity_hour_sums({
+        name: arrays[name][:, :, t:t + 1]
+        for name in MeasurementDataset._TRANSACTION_FIELDS
+    })
+    tcp = np.zeros(arrays["transactions"].shape[:2], dtype=np.int64)
+    for name in MeasurementDataset.TCP_FAILURE_FIELDS:
+        tcp += arrays[name][:, :, t]
     ci, si = np.nonzero(tcp)
     return {
-        "ct": trans.sum(axis=1).tolist(),
-        "cf": failures.sum(axis=1).tolist(),
-        "st": trans.sum(axis=0).tolist(),
-        "sf": failures.sum(axis=0).tolist(),
+        **{key: sums[key][:, 0].tolist() for key in ("ct", "cf", "st", "sf")},
         "tcp": np.column_stack((ci, si, tcp[ci, si])).tolist(),
     }
 

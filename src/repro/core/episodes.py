@@ -137,27 +137,23 @@ def detect_knee(
     significantly higher failure rates".  The construction itself lives in
     :mod:`repro.core.knee` (maximum perpendicular distance from the chord
     of the CDF restricted to the candidate range -- "kneedle"), shared
-    with the live aggregator and the online detection pipeline so all
-    three land on the identical threshold for the same rates.
+    with the online detector so both land on the identical threshold for
+    the same rates.
     """
     samples = np.sort(matrix.flatten_valid())
     if samples.size == 0:
         raise ValueError("no valid episode rates to detect a knee in")
-    points = knee_mod.cdf_points(samples.tolist(), candidate_range)
-    if len(points) < knee_mod.MIN_WINDOW_POINTS:
+    start, stop = knee_mod.window(samples, candidate_range)
+    knee = knee_mod.knee_of_sorted(samples, candidate_range)
+    fallback = knee is None
+    if fallback:
         # Degenerate (nearly failure-free) data: fall back to the paper's f.
         knee = knee_mod.FALLBACK_THRESHOLD
-        obs.current_span().event(
-            "episodes.knee", f=knee, samples=int(samples.size),
-            in_window=len(points), fallback=True,
-        )
-        return knee
-    knee = knee_mod.knee_of_points(points)
     # The evidence trail: the knee f, how many episode-rate samples the
     # CDF had, and how many sat in the candidate window.
     obs.current_span().event(
         "episodes.knee", f=round(knee, 6), samples=int(samples.size),
-        in_window=len(points), fallback=False,
+        in_window=stop - start, fallback=fallback,
     )
     return knee
 

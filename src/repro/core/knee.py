@@ -2,30 +2,34 @@
 
 The paper locates "the distinct knee in each CDF that separates the low
 failure rates (the 'normal' range) ... from the wide range of
-significantly higher failure rates" (Section 4.4.3, Figure 4).  Three
+significantly higher failure rates" (Section 4.4.3, Figure 4).  Two
 consumers need the identical construction:
 
-* the batch analysis (:func:`repro.core.episodes.detect_knee`),
-* the live aggregator's running threshold estimate
-  (:func:`repro.obs.live.aggregate.knee_of_rates`), and
-* the online detection pipeline (:mod:`repro.obs.online`), whose
-  end-of-run verdicts must match the batch analysis *bit for bit*.
+* the batch analysis (:func:`repro.core.episodes.detect_knee`), and
+* the online detector (:mod:`repro.obs.online.detector`), whose
+  per-side thresholds are also what the live dashboard and the
+  ``alert_episode_threshold`` gauge show, and whose end-of-run verdicts
+  must match the batch analysis *bit for bit*.
 
-That exact-match requirement is why this module is pure Python over
-plain floats with no numpy: one implementation, one rounding behaviour,
-shared by every caller.  (IEEE-754 double division of ints below 2**53
-is identical in numpy and pure Python, so feeding either side's rates
-through here lands on the same knee.)
+That exact-match requirement is why there is one kernel,
+:func:`knee_of_sorted`, over a float64 array.  Every step is one
+correctly rounded IEEE-754 operation per element -- the CDF heights are
+int / int divisions of values below 2**53, and the distances are
+separate multiply, subtract, ``abs`` and divide ufuncs, never fused --
+so the kernel lands on the same knee as the scalar loop it replaced,
+for any caller that feeds it the same rates.  The chord's norm stays a
+Python scalar, and ``argmax`` keeps the first maximum, as that loop did.
 
-This module is deliberately dependency-free (stdlib only, no ``repro``
-imports): :mod:`repro.core` imports :mod:`repro.obs`, and the live
-layer must be able to use the knee without creating a cycle.
+This module imports no other ``repro`` module: :mod:`repro.core`
+imports :mod:`repro.obs`, and the obs layers must be able to use the
+knee without creating a cycle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Candidate rate window the knee is searched in -- rates below are
 #: clearly "normal", rates above are clearly episodes (the paper's
@@ -37,56 +41,22 @@ DEFAULT_CANDIDATE_RANGE = (0.01, 0.30)
 FALLBACK_THRESHOLD = 0.05
 
 #: Minimum CDF points inside the candidate window for a knee to be
-#: meaningful; below this callers fall back (batch) or report a
-#: sentinel (live).
+#: meaningful; below this callers fall back to
+#: :data:`FALLBACK_THRESHOLD`.
 MIN_WINDOW_POINTS = 3
 
 
-def cdf_points(
-    sorted_samples: Sequence[float],
+def window(
+    sorted_samples: np.ndarray,
     candidate_range: Tuple[float, float] = DEFAULT_CANDIDATE_RANGE,
-) -> List[Tuple[float, float]]:
-    """The empirical-CDF points falling inside the candidate window.
-
-    ``sorted_samples`` must be ascending; y values are ``(i + 1) / n``
-    over the *full* sample count, exactly as
-    :func:`repro.core.episodes.rate_cdf` computes them.  The window is
-    located with bisection so the cost is proportional to the window,
-    not the sample count (the online detector re-evaluates every hour).
-    """
-    n = len(sorted_samples)
-    if n == 0:
-        return []
+) -> Tuple[int, int]:
+    """``[start, stop)`` of the ascending samples inside the window
+    (both bounds inclusive), located by binary search."""
     lo, hi = candidate_range
-    start = bisect_left(sorted_samples, lo)
-    stop = bisect_right(sorted_samples, hi)
-    return [
-        (float(sorted_samples[i]), (i + 1) / n) for i in range(start, stop)
-    ]
-
-
-def knee_of_points(points: Sequence[Tuple[float, float]]) -> float:
-    """Max-perpendicular-distance point from the chord of ``points``.
-
-    The "kneedle" construction: chord from the first to the last CDF
-    point in the window; the knee is the point farthest from it.  A
-    zero-length chord (all-equal x *and* y) degenerates to the first
-    point.  Ties keep the first maximum, matching ``numpy.argmax``.
-    """
-    if not points:
-        raise ValueError("no CDF points to locate a knee in")
-    x0, y0 = points[0]
-    x1, y1 = points[-1]
-    dx, dy = x1 - x0, y1 - y0
-    norm = (dx * dx + dy * dy) ** 0.5
-    if norm == 0:
-        return float(x0)
-    best_x, best_d = x0, -1.0
-    for x, y in points:
-        distance = abs(dy * (x - x0) - dx * (y - y0)) / norm
-        if distance > best_d:
-            best_x, best_d = x, distance
-    return float(best_x)
+    return (
+        int(np.searchsorted(sorted_samples, lo, side="left")),
+        int(np.searchsorted(sorted_samples, hi, side="right")),
+    )
 
 
 def knee_of_sorted(
@@ -95,16 +65,31 @@ def knee_of_sorted(
 ) -> Optional[float]:
     """The knee of an ascending sample sequence's CDF, or ``None``.
 
+    The empirical CDF's points inside the candidate window are
+    ``(x_i, (i + 1) / n)`` over the *full* sample count ``n``, exactly
+    as :func:`repro.core.episodes.rate_cdf` computes them.  The knee is
+    the point farthest from the chord between the window's first and
+    last point; a window of one repeated value lands on that value.
+    The cost is proportional to the window, not the sample count.
+
     ``None`` means "too degenerate to call": fewer than
-    :data:`MIN_WINDOW_POINTS` samples fall inside the candidate window.
-    Callers choose their own degenerate behaviour -- the batch analysis
-    substitutes :data:`FALLBACK_THRESHOLD`, the live dashboard renders
-    a sentinel.
+    :data:`MIN_WINDOW_POINTS` samples fall inside the window.  Callers
+    substitute :data:`FALLBACK_THRESHOLD`.
     """
-    points = cdf_points(sorted_samples, candidate_range)
-    if len(points) < MIN_WINDOW_POINTS:
+    samples = np.asarray(sorted_samples, dtype=np.float64)
+    start, stop = window(samples, candidate_range)
+    if stop - start < MIN_WINDOW_POINTS:
         return None
-    return knee_of_points(points)
+    n = samples.size
+    x = samples[start:stop]
+    y = np.arange(start + 1, stop + 1) / n
+    x0, y0 = float(x[0]), (start + 1) / n
+    dx, dy = float(x[-1]) - x0, stop / n - y0
+    # Positive: at least MIN_WINDOW_POINTS distinct CDF heights make
+    # ``dy`` positive even when every x in the window is equal.
+    norm = (dx * dx + dy * dy) ** 0.5
+    distance = np.abs(dy * (x - x0) - dx * (y - y0)) / norm
+    return float(x[int(np.argmax(distance))])
 
 
 def knee_of_cdf(
@@ -112,27 +97,6 @@ def knee_of_cdf(
     candidate_range: Tuple[float, float] = DEFAULT_CANDIDATE_RANGE,
 ) -> Optional[float]:
     """Convenience wrapper over unsorted samples (sorts a copy)."""
-    return knee_of_sorted(sorted(samples), candidate_range)
-
-
-def distinct_in_window(
-    sorted_samples: Sequence[float],
-    candidate_range: Tuple[float, float] = DEFAULT_CANDIDATE_RANGE,
-) -> int:
-    """How many *distinct* sample values fall inside the window.
-
-    The live aggregator's degeneracy test: an all-equal window has a
-    well-defined chord degenerate knee, but reporting it as a threshold
-    estimate would mislead -- the dashboard shows a sentinel instead.
-    """
-    lo, hi = candidate_range
-    start = bisect_left(sorted_samples, lo)
-    stop = bisect_right(sorted_samples, hi)
-    distinct = 0
-    previous: Optional[float] = None
-    for i in range(start, stop):
-        value = sorted_samples[i]
-        if previous is None or value != previous:
-            distinct += 1
-            previous = value
-    return distinct
+    return knee_of_sorted(
+        np.sort(np.asarray(samples, dtype=np.float64)), candidate_range
+    )

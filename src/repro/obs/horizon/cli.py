@@ -46,7 +46,7 @@ def rebuild_slo(chunks, config) -> "object":
     no checkpoint -- are replayed through the same per-hour fold the
     daemon runs.
     """
-    from repro.core.dataset import hour_entity_stats_from_block
+    from repro.core.dataset import entity_hour_sums
     from repro.obs.horizon.slo import SLOEngine
     from repro.serve.daemon import plan_entities
 
@@ -62,11 +62,11 @@ def rebuild_slo(chunks, config) -> "object":
         engine.on_run_start(plan_entities(config))
     for entry, arrays in chunks.replay(start_hour=start_hour):
         h0, h1 = int(entry["hour_start"]), int(entry["hour_stop"])
+        sums = entity_hour_sums(arrays)
         for t in range(h1 - h0):
-            stats = hour_entity_stats_from_block(arrays, t)
-            engine.on_hour(
-                h0 + t, stats["ct"], stats["cf"], stats["st"], stats["sf"]
-            )
+            engine.on_hour(h0 + t, *(
+                sums[key][:, t].tolist() for key in ("ct", "cf", "st", "sf")
+            ))
     return engine
 
 

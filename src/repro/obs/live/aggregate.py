@@ -8,11 +8,6 @@ into everything the dashboard and the ``/metrics`` endpoint render:
 * one lane per worker: its hour block, hours completed, CPU seconds;
 * per-failure-type running counts and a windowed per-hour rate series
   (the dashboard's sparklines);
-* a running episode-threshold estimate: the knee of the CDF of hourly
-  overall failure rates, via the shared "kneedle" construction in
-  :mod:`repro.core.knee` (the same module
-  :func:`repro.core.episodes.detect_knee` and the online detector use;
-  it is stdlib-only, so no dependency cycle);
 * when detection is on, a compact SLO summary (per-side availability,
   error-budget consumption, burn rates) pulled from the horizon
   :class:`~repro.obs.horizon.slo.SLOEngine` through an injected
@@ -29,38 +24,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.core import knee as knee_mod
-from repro.obs.live.events import FAILURE_FIELDS, HOUR_DONE, hour_rate
+from repro.obs.live.events import FAILURE_FIELDS, HOUR_DONE
 from repro.obs.metrics import MetricsRegistry
-
-#: Fallback episode threshold when the rate CDF is too degenerate for a
-#: knee (mirrors the paper's f=5% and ``detect_knee``'s own fallback).
-FALLBACK_THRESHOLD = knee_mod.FALLBACK_THRESHOLD
-
-#: Candidate rate window the knee is searched in (as in
-#: ``repro.core.episodes.detect_knee``).
-KNEE_WINDOW = knee_mod.DEFAULT_CANDIDATE_RANGE
-
-
-def knee_of_rates(
-    rates: List[float],
-    candidate_range: Tuple[float, float] = KNEE_WINDOW,
-) -> Optional[float]:
-    """The knee of a rate sample's CDF, or ``None`` when degenerate.
-
-    ``None`` is the sentinel for "not enough signal to estimate a
-    threshold": fewer than three samples inside the candidate window,
-    or fewer than three *distinct* values there (an all-equal window
-    has a chord of zero length -- any "knee" read off it would be a
-    misleading number).  The dashboard renders the sentinel as
-    ``knee: —`` and the ``/metrics`` gauge is simply absent.
-    """
-    samples = sorted(rates)
-    if knee_mod.distinct_in_window(samples, candidate_range) < 3:
-        return None
-    return knee_mod.knee_of_sorted(samples, candidate_range)
 
 
 class WorkerLane:
@@ -132,8 +99,6 @@ class LiveAggregator:
         #: hour -> per-type counts for the sparkline window (pruned to
         #: the most recent ``window_hours`` completed hours).
         self._hour_counts: Dict[int, Dict[str, int]] = {}
-        #: All hourly overall failure rates seen (feeds the knee).
-        self._hour_rates: List[float] = []
         self.events_seen = 0
 
     # -- ingestion ------------------------------------------------------------
@@ -188,7 +153,6 @@ class LiveAggregator:
         self._hour_counts[hour] = counts
         if len(self._hour_counts) > self.window_hours:
             del self._hour_counts[min(self._hour_counts)]
-        self._hour_rates.append(hour_rate(event))
 
     # -- derived views --------------------------------------------------------
 
@@ -217,7 +181,6 @@ class LiveAggregator:
                     (c[field] / c["transactions"]) if c["transactions"] else 0.0
                     for c in window
                 ]
-            rates = list(self._hour_rates)
             snap = {
                 "engine": self.engine,
                 "hours_total": self.hours_total,
@@ -233,7 +196,6 @@ class LiveAggregator:
                     for _, lane in sorted(self._lanes.items())
                 ],
                 "rate_window": sparks,
-                "episode_threshold": knee_of_rates(rates),
                 "events_seen": self.events_seen,
             }
         # Outside the lock: the SLO engine locks itself, and nothing
@@ -272,12 +234,6 @@ class LiveAggregator:
         registry.gauge("live_transactions").set(snap["transactions"])
         registry.gauge("live_elapsed_seconds").set(snap["elapsed_seconds"])
         registry.gauge("live_finished").set(1.0 if snap["finished"] else 0.0)
-        if snap["episode_threshold"] is not None:
-            # Absent, not zero: a scraper must not mistake "no signal
-            # yet" for "threshold is 0%".
-            registry.gauge("live_episode_threshold_estimate").set(
-                snap["episode_threshold"]
-            )
         if snap["eta_seconds"] is not None:
             registry.gauge("live_eta_seconds").set(snap["eta_seconds"])
         for field, total in snap["failures"].items():

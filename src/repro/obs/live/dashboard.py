@@ -4,7 +4,8 @@ Rendering is split in two so tests never need a terminal:
 
 * :func:`render` -- pure: an aggregator snapshot in, a multi-line
   string out (progress bar + ETA, per-worker shard lanes, per-failure-
-  type rate sparklines, the running episode-threshold estimate);
+  type rate sparklines and, with detection on, the alerts pane with the
+  detector's per-side episode thresholds);
 * :class:`LiveDashboard` -- the bus subscriber that throttles redraws
   and owns the terminal: on a capable TTY it repaints in place with
   cursor-home escapes; on a dumb terminal (or any non-TTY stderr, e.g.
@@ -123,22 +124,6 @@ def render(snapshot: Dict[str, Any], width: int = 78) -> str:
                 f"  {field:<7} {current:7.2%}  {sparkline(series)}"
             )
 
-    threshold = snapshot.get("episode_threshold")
-    if threshold is not None:
-        lines.append("")
-        lines.append(
-            f"episode threshold estimate f~{threshold:.2%} "
-            f"(knee over {hours_done} hourly rates)"
-        )
-    elif hours_done:
-        # Degenerate rate CDF (no traffic yet, or all rates equal):
-        # show the sentinel rather than a misleading number.
-        lines.append("")
-        lines.append(
-            f"episode threshold estimate knee: — "
-            f"(rate CDF too degenerate over {hours_done} hours)"
-        )
-
     online = snapshot.get("online")
     if online is not None:
         lines.append("")
@@ -153,6 +138,15 @@ def render(snapshot: Dict[str, Any], width: int = 78) -> str:
             )
         if not recent:
             lines.append("  (none)")
+        thresholds = online.get("thresholds") or {}
+        if thresholds:
+            # The detector's per-side knee; while a side's rate CDF is
+            # too degenerate for one it runs at the paper's fallback f.
+            lines.append("  episode thresholds: " + ", ".join(
+                f"{side} {value:.2%}" if value is not None
+                else f"{side} fallback"
+                for side, value in thresholds.items()
+            ))
         open_episodes = online.get("open_episodes") or []
         if open_episodes:
             shown = ", ".join(

@@ -33,7 +33,7 @@ stream is additive, like every other schema in this repository.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any
 
 #: Schema identifier stamped on the ``run_start`` event (and therefore
 #: the first line of every persisted ``events.jsonl``).
@@ -57,12 +57,3 @@ FAILURE_FIELDS = ("dns", "tcp", "http", "masked")
 def is_event(record: Any) -> bool:
     """True when ``record`` looks like a telemetry event dict."""
     return isinstance(record, dict) and isinstance(record.get("type"), str)
-
-
-def hour_rate(event: Dict[str, Any]) -> float:
-    """Overall failure rate of one ``hour_done`` event (0.0 when idle)."""
-    transactions = int(event.get("transactions") or 0)
-    if transactions <= 0:
-        return 0.0
-    failures = sum(int(event.get(f) or 0) for f in FAILURE_FIELDS)
-    return failures / transactions

@@ -4,23 +4,26 @@
 blocks (:meth:`~OnlineDetector.fold_block`) and, per simulated hour,
 mirrors the batch Section 4.4 pipeline incrementally:
 
-* folds the hour's per-entity transaction/failure vectors into running
-  per-client and per-server rate samples (validity: at least
-  ``MIN_SAMPLES_PER_HOUR`` transactions, exactly as the batch rate
-  matrices);
+* reduces each block once, with numpy, to per-(entity, hour) rates
+  (validity: at least ``MIN_SAMPLES_PER_HOUR`` transactions, exactly as
+  the batch rate matrices) and folds each hour's valid rates into a
+  sorted float64 sample per side;
 * re-estimates the episode knee threshold per side from the rate
   samples seen so far, via the shared :mod:`repro.core.knee`
   construction (fallback to the paper's f = 5% while degenerate);
 * opens and closes failure episodes with hysteresis: an episode opens
   the first hour an entity's rate clears the current threshold, and
   closes after :data:`CLOSE_AFTER_HOURS` consecutive valid hours below
-  it.  On open, the *onset* is found by walking back over contiguous
-  flagged hours -- the gap between onset and open is the detection
-  latency the SLO report scores;
+  it.  Only entities that are flagged or already open are visited.  On
+  open, the *onset* is found by walking back over contiguous flagged
+  hours -- the gap between onset and open is the detection latency the
+  SLO report scores;
 * attributes the hour's TCP failures (client-side / server-side / both
-  / other) under the paper's fixed f = 5%, mirroring
-  :func:`repro.core.blame.run_blame_analysis` with no pair exclusion
-  (an online observer cannot know which pairs will prove permanent);
+  / other) under the paper's fixed f = 5%, bucketed for every hour of
+  the block at once from per-(client, hour) sums as
+  :func:`repro.core.blame.run_blame_analysis` does, with no pair
+  exclusion (an online observer cannot know which pairs will prove
+  permanent);
 * evaluates the declarative alert rules (:mod:`repro.obs.online.rules`)
   and appends any fired alerts to the run's alert stream.
 
@@ -42,7 +45,6 @@ this at workers 1 and 4).
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, insort
 from collections import deque
 from typing import (
     Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
@@ -51,7 +53,11 @@ from typing import (
 import numpy as np
 
 from repro.core import knee as knee_mod
-from repro.core.dataset import MIN_SAMPLES_PER_HOUR, hour_entity_stats_from_block
+from repro.core.dataset import (
+    MIN_SAMPLES_PER_HOUR,
+    MeasurementDataset,
+    entity_hour_sums,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.online.rules import (
     BLAME_VERDICT,
@@ -84,22 +90,17 @@ _SIDES = ("client", "server")
 class _SideState:
     """Running per-side detection state (one for clients, one for servers)."""
 
-    __slots__ = (
-        "side", "names", "sorted_rates", "hour_rates", "by_hour",
-        "open", "episodes",
-    )
+    __slots__ = ("side", "names", "sorted_rates", "by_hour", "open", "episodes")
 
     def __init__(self, side: str) -> None:
         self.side = side
         self.names: Optional[List[str]] = None
-        #: Every valid entity-hour rate seen, ascending (feeds the knee).
-        self.sorted_rates: List[float] = []
-        #: entity index -> {hour: rate} for valid hours (onset walk-back
-        #: and the end-of-run batch-equivalence flags).
-        self.hour_rates: Dict[int, Dict[int, float]] = {}
-        #: hour -> [(entity index, rate)] -- the reverse index retention
-        #: trimming walks to evict a whole hour in one pass.
-        self.by_hour: Dict[int, List[Tuple[int, float]]] = {}
+        #: Every retained valid entity-hour rate, ascending (feeds the knee).
+        self.sorted_rates = np.empty(0, dtype=np.float64)
+        #: hour -> that hour's per-entity rates, NaN where invalid, in
+        #: hour order: onset walk-back, retention eviction and the
+        #: end-of-run batch-equivalence flags read it.
+        self.by_hour: Dict[int, np.ndarray] = {}
         #: entity index -> mutable open-episode state.
         self.open: Dict[int, Dict[str, Any]] = {}
         #: Closed-or-open episode log, in open order.
@@ -109,6 +110,31 @@ class _SideState:
         if self.names is not None and 0 <= index < len(self.names):
             return self.names[index]
         return f"{self.side}:{index}"
+
+    def add_hour(self, hour: int, rates: np.ndarray) -> None:
+        """Record one hour's rates and merge its valid ones into the
+        sorted sample."""
+        self.by_hour[hour] = rates
+        new = np.sort(rates[~np.isnan(rates)])
+        self.sorted_rates = np.insert(
+            self.sorted_rates, np.searchsorted(self.sorted_rates, new), new
+        )
+
+    def evict_before(self, floor: int) -> None:
+        """Drop every hour older than ``floor`` and its rates."""
+        while self.by_hour:
+            oldest = next(iter(self.by_hour))
+            if oldest >= floor:
+                break
+            rates = self.by_hour.pop(oldest)
+            old = np.sort(rates[~np.isnan(rates)])
+            # The k-th copy of a repeated rate sits k places after the
+            # first copy in the sorted sample.
+            rank = np.arange(old.size) - np.searchsorted(old, old)
+            self.sorted_rates = np.delete(
+                self.sorted_rates,
+                np.searchsorted(self.sorted_rates, old) + rank,
+            )
 
     def threshold(self) -> float:
         """The current episode threshold: the online knee, else f = 5%."""
@@ -199,42 +225,66 @@ class OnlineDetector:
 
         ``hour_start`` is the block's first sim-hour and must be the
         next unfolded hour: the detector never skips or repeats an hour.
-        The lock is taken per hour, so read surfaces stay responsive
-        while a long block folds.
+        The block is reduced once, for all its hours; the lock is then
+        taken per hour, so read surfaces stay responsive while a long
+        block folds.
         """
-        for t in range(arrays["transactions"].shape[-1]):
-            stats = hour_entity_stats_from_block(arrays, t)
+        sums = entity_hour_sums(arrays)
+        rates = {
+            "client": _hour_major_rates(sums["ct"], sums["cf"]),
+            "server": _hour_major_rates(sums["st"], sums["sf"]),
+        }
+        blame = _blame_buckets(arrays, sums["ctcp"], rates)
+        transactions = sums["ct"].sum(axis=0).tolist()
+        failures = sums["cf"].sum(axis=0).tolist()
+        for t in range(len(transactions)):
+            hour = hour_start + t
             with self._lock:
-                if hour_start + t != self._next_hour:
+                if hour != self._next_hour:
                     raise ValueError(
-                        f"cannot fold hour {hour_start + t}: the next "
+                        f"cannot fold hour {hour}: the next "
                         f"unfolded hour is {self._next_hour}"
                     )
-                self._fold_hour(hour_start + t, stats)
+                self._fold_hour(
+                    hour,
+                    {side: rates[side][t] for side in _SIDES},
+                    {bucket: counts[t] for bucket, counts in blame.items()},
+                    transactions[t], failures[t],
+                )
+                for observer in self.observers:
+                    observer.on_hour(
+                        hour, *(
+                            sums[key][:, t].tolist()
+                            for key in ("ct", "cf", "st", "sf")
+                        )
+                    )
+                self._trim_retention(hour)
 
     # -- the per-hour pipeline --------------------------------------------------
 
-    def _fold_hour(self, hour: int, stats: Dict[str, list]) -> None:
+    def _fold_hour(
+        self,
+        hour: int,
+        rates: Dict[str, np.ndarray],
+        blame: Dict[str, int],
+        transactions: int,
+        failures: int,
+    ) -> None:
         self._last_folded = hour
         self._next_hour = hour + 1
         self.hours_folded += 1
-        ct, cf, st, sf = stats["ct"], stats["cf"], stats["st"], stats["sf"]
 
         opened: List[Tuple[str, int, Dict[str, Any]]] = []
-        blame_flags: Dict[str, Dict[int, bool]] = {}
-        for side, trans, fails in (("client", ct, cf), ("server", st, sf)):
+        for side in _SIDES:
             state = self._sides[side]
-            hour_rates: Dict[int, float] = {}
-            for i in range(len(trans)):
-                if trans[i] >= MIN_SAMPLES_PER_HOUR:
-                    rate = fails[i] / trans[i]
-                    hour_rates[i] = rate
-                    state.hour_rates.setdefault(i, {})[hour] = rate
-                    state.by_hour.setdefault(hour, []).append((i, rate))
-                    insort(state.sorted_rates, rate)
+            hour_rates = rates[side]
+            state.add_hour(hour, hour_rates)
             threshold = state.threshold()
-            for i in sorted(hour_rates):
-                rate = hour_rates[i]
+            valid = ~np.isnan(hour_rates)
+            visit = set(np.flatnonzero(hour_rates >= threshold).tolist())
+            visit.update(i for i in state.open if valid[i])
+            for i in sorted(visit):
+                rate = float(hour_rates[i])
                 flagged = rate >= threshold
                 info = state.open.get(i)
                 if info is not None:
@@ -247,7 +297,7 @@ class OnlineDetector:
                         if info["below"] >= CLOSE_AFTER_HOURS:
                             info["close_hour"] = hour
                             del state.open[i]
-                elif flagged:
+                else:
                     onset = self._walk_back_onset(
                         state, i, hour, threshold
                     )
@@ -266,15 +316,10 @@ class OnlineDetector:
                     opened.append((side, i, {
                         "rate": rate, "threshold": threshold, "info": info,
                     }))
-            blame_flags[side] = {
-                i: rate >= BLAME_THRESHOLD for i, rate in hour_rates.items()
-            }
 
-        self._fold_blame(stats["tcp"], blame_flags)
-        self._evaluate_rules(hour, opened, ct, cf)
-        for observer in self.observers:
-            observer.on_hour(hour, ct, cf, st, sf)
-        self._trim_retention(hour)
+        for bucket, count in blame.items():
+            self.blame[bucket] += count
+        self._evaluate_rules(hour, opened, transactions, failures)
 
     def _trim_retention(self, hour: int) -> None:
         """Evict per-entity-hour rates older than the retention window.
@@ -286,20 +331,8 @@ class OnlineDetector:
         """
         if self.retention_hours is None:
             return
-        floor = hour - self.retention_hours + 1
         for state in self._sides.values():
-            while state.by_hour:
-                oldest = min(state.by_hour)
-                if oldest >= floor:
-                    break
-                for i, rate in state.by_hour.pop(oldest):
-                    index = bisect_left(state.sorted_rates, rate)
-                    del state.sorted_rates[index]
-                    rates = state.hour_rates.get(i)
-                    if rates is not None:
-                        rates.pop(oldest, None)
-                        if not rates:
-                            del state.hour_rates[i]
+            state.evict_before(hour - self.retention_hours + 1)
 
     @staticmethod
     def _walk_back_onset(
@@ -307,48 +340,30 @@ class OnlineDetector:
     ) -> int:
         """Earliest hour of the contiguous flagged run ending at ``hour``.
 
-        Walks back over hours where the entity was valid and its rate
-        clears the *current* ``threshold`` (the side's knee after this
-        hour's rates were inserted) -- earlier hours that only now look
-        episodic (the threshold moved) are what make detection latency
-        nonzero.
+        Walks back over retained hours where the entity was valid and
+        its rate clears the *current* ``threshold`` (the side's knee
+        after this hour's rates were inserted) -- earlier hours that
+        only now look episodic (the threshold moved) are what make
+        detection latency nonzero.
         """
-        rates = state.hour_rates.get(i, {})
         onset = hour
-        while (onset - 1) in rates and rates[onset - 1] >= threshold:
+        while True:
+            rates = state.by_hour.get(onset - 1)
+            # An invalid hour's NaN rate never clears the threshold.
+            if rates is None or i >= rates.size or not rates[i] >= threshold:
+                return onset
             onset -= 1
-        return onset
-
-    def _fold_blame(
-        self,
-        tcp: List[List[int]],
-        flags: Dict[str, Dict[int, bool]],
-    ) -> None:
-        client_flags = flags["client"]
-        server_flags = flags["server"]
-        for ci, si, count in tcp:
-            c = client_flags.get(ci, False)
-            s = server_flags.get(si, False)
-            if s and not c:
-                self.blame["server"] += count
-            elif c and not s:
-                self.blame["client"] += count
-            elif c and s:
-                self.blame["both"] += count
-            else:
-                self.blame["other"] += count
 
     def _evaluate_rules(
         self,
         hour: int,
         opened: List[Tuple[str, int, Dict[str, Any]]],
-        ct: List[int],
-        cf: List[int],
+        transactions: int,
+        failures: int,
     ) -> None:
-        transactions = sum(ct)
-        overall = (sum(cf) / transactions) if transactions > 0 else 0.0
+        overall = (failures / transactions) if transactions > 0 else 0.0
         blame_total = sum(self.blame.values())
-        self._slo_window.append((hour, transactions, sum(cf)))
+        self._slo_window.append((hour, transactions, failures))
         for rule in self.rules:
             if rule.kind == EPISODE_OPENED:
                 for side, i, data in opened:
@@ -583,8 +598,8 @@ class OnlineDetector:
             )
             threshold = snap["thresholds"][side]
             if threshold is not None:
-                # Absent while degenerate, like the live aggregator's
-                # estimate gauge.
+                # Absent while degenerate: a scraper must not mistake
+                # "no knee yet" for a 0% threshold.
                 registry.gauge(
                     "alert_episode_threshold", side=side
                 ).set(threshold)
@@ -617,9 +632,8 @@ class OnlineDetector:
                 threshold = state.threshold()
             return {
                 (i, hour)
-                for i, rates in state.hour_rates.items()
-                for hour, rate in rates.items()
-                if rate >= threshold
+                for hour, rates in state.by_hour.items()
+                for i in np.flatnonzero(rates >= threshold).tolist()
             }
 
     def export(self) -> Dict[str, Any]:
@@ -653,11 +667,12 @@ class OnlineDetector:
     def export_state(self) -> Dict[str, Any]:
         """The full fold state, JSON-able (the retention checkpoint).
 
-        ``sorted_rates`` and the per-hour reverse index are derived from
-        ``hour_rates`` and rebuilt on restore, keeping the record
-        minimal.  Restoring this state and folding hours N.. is
-        bit-identical to having folded 0..N.. in one process -- the
-        property the retention-resume tests hold.
+        Rates are recorded per entity as ``hour_rates`` (valid hours
+        only); the per-hour rate vectors and ``sorted_rates`` are
+        rebuilt from them on restore, keeping the record minimal.
+        Restoring this state and folding hours N.. is bit-identical to
+        having folded 0..N.. in one process -- the property the
+        retention-resume tests hold.
         """
         with self._lock:
             sides: Dict[str, Any] = {}
@@ -665,12 +680,16 @@ class OnlineDetector:
                 episode_index = {
                     id(info): n for n, info in enumerate(state.episodes)
                 }
+                hour_rates: Dict[str, Dict[str, float]] = {}
+                for hour, rates in state.by_hour.items():
+                    values = rates.tolist()
+                    for i in np.flatnonzero(~np.isnan(rates)).tolist():
+                        hour_rates.setdefault(str(i), {})[str(hour)] = (
+                            values[i]
+                        )
                 sides[side] = {
                     "names": state.names,
-                    "hour_rates": {
-                        str(i): {str(h): rate for h, rate in rates.items()}
-                        for i, rates in state.hour_rates.items()
-                    },
+                    "hour_rates": hour_rates,
                     "episodes": [dict(info) for info in state.episodes],
                     "open": {
                         str(i): episode_index[id(info)]
@@ -733,24 +752,63 @@ class OnlineDetector:
                 names = stored.get("names")
                 if names is not None:
                     sstate.names = [str(n) for n in names]
-                sstate.hour_rates = {
-                    int(i): {int(h): float(r) for h, r in rates.items()}
+                cells = [
+                    (int(h), int(i), float(r))
                     for i, rates in stored["hour_rates"].items()
-                }
-                sstate.by_hour = {}
-                for i in sorted(sstate.hour_rates):
-                    for h, rate in sstate.hour_rates[i].items():
-                        sstate.by_hour.setdefault(h, []).append((i, rate))
-                sstate.sorted_rates = sorted(
-                    rate
-                    for rates in sstate.hour_rates.values()
-                    for rate in rates.values()
+                    for h, r in rates.items()
+                ]
+                size = max(
+                    [len(sstate.names or ())] + [i + 1 for _, i, _ in cells]
+                )
+                by_hour: Dict[int, np.ndarray] = {}
+                for h, i, r in cells:
+                    if h not in by_hour:
+                        by_hour[h] = np.full(size, np.nan)
+                    by_hour[h][i] = r
+                sstate.by_hour = {h: by_hour[h] for h in sorted(by_hour)}
+                sstate.sorted_rates = np.sort(
+                    np.array([r for _, _, r in cells], dtype=np.float64)
                 )
                 sstate.episodes = [dict(info) for info in stored["episodes"]]
                 sstate.open = {
                     int(i): sstate.episodes[int(n)]
                     for i, n in stored["open"].items()
                 }
+
+
+def _hour_major_rates(trans: np.ndarray, fails: np.ndarray) -> np.ndarray:
+    """(hour, entity) failure rates from (entity, hour) sums, NaN where
+    an entity-hour has too few transactions to be valid."""
+    rates = np.full(trans.shape, np.nan)
+    np.divide(fails, trans, out=rates, where=trans >= MIN_SAMPLES_PER_HOUR)
+    return np.ascontiguousarray(rates.T)
+
+
+def _blame_buckets(
+    arrays: Mapping[str, np.ndarray],
+    tcp_by_client: np.ndarray,
+    rates: Dict[str, np.ndarray],
+) -> Dict[str, List[int]]:
+    """Per-hour TCP-failure blame buckets of a block at f = 5%.
+
+    A client-hour's failures towards servers in an episode that hour
+    are summed field by field; the client's own flag then picks the
+    bucket, as :func:`repro.core.blame.run_blame_analysis` does, so no
+    (client, site, hour) product is ever formed.
+    """
+    client_flags = rates["client"].T >= BLAME_THRESHOLD
+    server_flags = rates["server"].T >= BLAME_THRESHOLD
+    in_server = sum(
+        np.einsum("csh,sh->ch", arrays[name], server_flags, dtype=np.int64)
+        for name in MeasurementDataset.TCP_FAILURE_FIELDS
+    )
+    elsewhere = tcp_by_client - in_server
+    return {
+        "server": np.where(client_flags, 0, in_server).sum(axis=0).tolist(),
+        "client": np.where(client_flags, elsewhere, 0).sum(axis=0).tolist(),
+        "both": np.where(client_flags, in_server, 0).sum(axis=0).tolist(),
+        "other": np.where(client_flags, 0, elsewhere).sum(axis=0).tolist(),
+    }
 
 
 def _latency_stats(latencies: List[int]) -> Dict[str, Any]:

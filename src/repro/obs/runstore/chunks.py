@@ -48,10 +48,12 @@ deletes old chunk ``.npz`` payloads while keeping their manifest
 entries -- marked ``"pruned": true`` -- so the chain stays fully
 verifiable from the stored hour digests even though the bytes are
 gone.  A resume can no longer replay pruned hours, so the daemon
-writes a **checkpoint record** (:meth:`write_checkpoint`) after every
-committed chunk in retention mode: the fold state (detector, history,
-SLO ledger) as of a chunk boundary, pinned to that boundary's chain
-value.  :meth:`load_checkpoint` refuses a record whose ``(hour,
+keeps a **checkpoint record** (:meth:`write_checkpoint`): the fold
+state (detector, history, SLO ledger) as of a chunk boundary, pinned
+to that boundary's chain value.  Readers restore it and replay the
+chunks past it, so the daemon rewrites it only when a prune would
+otherwise delete a payload past it -- when the prune floor passes the
+checkpoint's hour -- not after every chunk.  :meth:`load_checkpoint` refuses a record whose ``(hour,
 chain)`` pin does not match the manifest, and ``replay(start_hour=...)``
 relinks *every* entry (pruned ones from their stored ``hours``) while
 yielding only the still-payloaded chunks past the checkpoint.

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro import obs
 from repro.obs.runstore.manifest import canonical_json, check_schema
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Evidence schema identifier; same compatibility rule as manifests.
 SCHEMA = "repro.run-evidence/1"
@@ -197,6 +198,8 @@ def _side_evidence(
 ) -> Dict[str, Any]:
     """Flagged entities, episode records, and peak rates for one side,
     from its :class:`~repro.core.episodes.RateMatrix`."""
+    import numpy as np
+
     from repro.core.episodes import coalesce_episodes, episode_matrix
 
     rates, transactions, failures = (

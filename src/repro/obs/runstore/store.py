@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from repro.core.dataset import fingerprint_sha256
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runstore.evidence import EvidenceBundle
 from repro.obs.runstore.manifest import (
@@ -295,6 +294,8 @@ class RunRecorder:
 
     def record_result(self, result: Any) -> None:
         """Capture dataset identity from a ``SimulationResult``."""
+        from repro.core.dataset import fingerprint_sha256
+
         dataset = getattr(result, "dataset", result)
         provenance = dict(getattr(dataset, "provenance", {}) or {})
         self.engine = provenance.get("engine")

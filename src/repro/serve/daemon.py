@@ -47,9 +47,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro import obs
 from repro.core.dataset import fingerprint_sha256
-# Not called here: the detector reads its per-hour stats through this
-# function, and the benchmark's layer table (bench/leg.py) times it
-# under this module's name.
+# Not called here: the benchmark's layer table (bench/leg.py) wraps the
+# per-hour stats producer under this module's name.
 from repro.core.dataset import hour_entity_stats_from_block  # noqa: F401
 from repro.obs.horizon.history import HistoryStore
 from repro.obs.horizon.slo import SLOEngine
@@ -236,6 +235,9 @@ class ServeDaemon:
         self._started_monotonic = monotonic()
         self._last_chunk_seconds = 0.0
         self._pruned_chunks = 0
+        #: The sim-hour of the retention checkpoint a resume would
+        #: restore: the last one written or restored, else hour 0.
+        self._checkpoint_hour = 0
         #: The latest chunk's ``run_block`` demotion to in-process
         #: shards, stamped into the manifest like a batch dataset's.
         self._parallel_fallback: Optional[Dict[str, Any]] = None
@@ -347,7 +349,7 @@ class ServeDaemon:
         self.detector.restore_state(checkpoint["detector"])
         self.history.restore_state(checkpoint["history"])
         self.slo.restore_state(checkpoint["slo"])
-        self.cursor = int(checkpoint["hour"])
+        self.cursor = self._checkpoint_hour = int(checkpoint["hour"])
         obs.logger.info(
             "restored retention checkpoint at sim-hour %d (chain %s)",
             self.cursor, str(checkpoint["chain"])[:16],
@@ -467,25 +469,34 @@ class ServeDaemon:
         }
 
     def _checkpoint_and_prune(self) -> None:
-        """Checkpoint fold state at the new boundary, then prune payloads.
+        """Prune payloads below the retention floor, checkpointing first
+        when the prune needs it.
+
+        A resume restores the last checkpoint and replays every chunk
+        past it, so the payloads from the checkpoint's hour on must stay
+        on disk.  While the floor (``boundary - retain_hours``) has not
+        passed that hour, pruning up to it removes nothing a resume or
+        ``repro slo`` reads, and no checkpoint is written.  Once it has,
+        the fold state is checkpointed at the new boundary first and
+        pruned second, so no reachable state ever depends on a payload
+        the prune is about to delete.
 
         Runs inside the commit span, *before* the public cursor moves:
-        a kill at any point leaves either the previous checkpoint (the
-        new chunk is replayable -- its payload cannot have been pruned,
-        the floor trails the cursor by ``retain_hours``) or the new one.
-        Checkpoint first, prune second, so no reachable state ever
-        depends on a payload the prune is about to delete.
+        a kill at any point leaves a checkpoint whose later chunks are
+        all on disk -- the floor trails the cursor by ``retain_hours``.
         """
         boundary = self.chunks.committed_hours()
-        self.chunks.write_checkpoint({
-            "hour": boundary,
-            "run_id": self.run_id,
-            "retain_hours": self.retention,
-            "detector": self.detector.export_state(),
-            "history": self.history.export_state(),
-            "slo": self.slo.export_state(),
-        })
         floor = max(0, boundary - self.retention)
+        if floor > self._checkpoint_hour:
+            self.chunks.write_checkpoint({
+                "hour": boundary,
+                "run_id": self.run_id,
+                "retain_hours": self.retention,
+                "detector": self.detector.export_state(),
+                "history": self.history.export_state(),
+                "slo": self.slo.export_state(),
+            })
+            self._checkpoint_hour = boundary
         pruned = self.chunks.prune_payloads(floor)
         if pruned:
             self._pruned_chunks += pruned

@@ -17,12 +17,12 @@ import pytest
 
 from repro import cli
 from repro.obs import runtime
-from repro.obs.live.aggregate import LiveAggregator, knee_of_rates
+from repro.obs.live.aggregate import LiveAggregator
 from repro.obs.live.bus import QueueEmitter, TelemetryBus, inherited_emitter
 from repro.obs.live.dashboard import (
     LiveDashboard, ansi_capable, render, render_plain, sparkline,
 )
-from repro.obs.live.events import EVENT_KINDS, SCHEMA, hour_rate, is_event
+from repro.obs.live.events import EVENT_KINDS, SCHEMA, is_event
 from repro.obs.live.server import MetricsServer
 from repro.obs.live.session import LiveSession
 from repro.obs.live.timeline import (
@@ -91,13 +91,6 @@ class TestEvents:
         # ... but records without a string type are not events.
         assert not is_event({"t": 1.0})
         assert not is_event(["not", "a", "dict"])
-
-    def test_hour_rate(self):
-        event = {
-            "transactions": 200, "dns": 5, "tcp": 3, "http": 2, "masked": 0,
-        }
-        assert hour_rate(event) == pytest.approx(10 / 200)
-        assert hour_rate({"transactions": 0}) == 0.0
 
 
 class TestQueueEmitter:
@@ -196,24 +189,6 @@ class TestTelemetryBus:
             bus.queue.get(timeout=5)
 
 
-class TestKnee:
-    def test_degenerate_input_yields_none_sentinel(self):
-        # No estimate is better than a misleading one: the live knee
-        # reports None (rendered as "knee: —") instead of the batch
-        # fallback when the window is empty or too thin.
-        assert knee_of_rates([]) is None
-        assert knee_of_rates([0.5, 0.9]) is None  # all outside the window
-        assert knee_of_rates([0.02, 0.021]) is None  # < 3 samples in window
-        assert knee_of_rates([0.02] * 100) is None  # one distinct value
-
-    def test_knee_lands_at_the_bend(self):
-        # Mass concentrated near 2%, a thin tail to 25%: the CDF bends
-        # right after the cluster, so the knee sits near it.
-        rates = [0.02] * 50 + [0.05, 0.10, 0.15, 0.20, 0.25]
-        knee = knee_of_rates(rates)
-        assert 0.01 <= knee <= 0.10
-
-
 class TestLiveAggregator:
     def test_folds_a_full_run(self):
         agg = LiveAggregator(clock=_clock([0.0]))
@@ -293,11 +268,23 @@ class TestDashboard:
         assert "-- workers --" in frame
         assert "w0" in frame and "w1" in frame
         assert "-- failure rates" in frame
-        # Every synthetic hour has the identical 23/1000 rate, so the
-        # knee is degenerate: the frame shows the sentinel, not f~.
-        assert "episode threshold estimate knee: —" in frame
-        assert "episode threshold estimate f~" not in frame
+        # Without detection there is no threshold to show.
+        assert "episode threshold" not in frame
         assert "simulation finished" in frame
+
+    def test_render_shows_the_detectors_thresholds(self):
+        agg = LiveAggregator(clock=_clock([0.0]))
+        for event in _synthetic_run():
+            agg.update(event)
+        snapshot = agg.snapshot()
+        snapshot["online"] = {
+            "alert_count": 0, "alerts": [],
+            "thresholds": {"client": 0.0421, "server": None},
+        }
+        frame = render(snapshot)
+        # The detector's per-side knee; a degenerate side runs at the
+        # fallback f.
+        assert "episode thresholds: client 4.21%, server fallback" in frame
 
     def test_render_plain_is_one_line(self):
         agg = LiveAggregator(clock=_clock([0.0]))
@@ -366,9 +353,9 @@ class TestMetricsServer:
             assert "repro_scrape_smoke_total 3" in body
             assert "repro_live_hours_done 6" in body
             assert 'repro_live_failures{type="dns"} 72' in body
-            # All-equal synthetic rates => no knee => the gauge is
-            # absent (absent-not-zero), never a fabricated 0.0.
-            assert "repro_live_episode_threshold_estimate" not in body
+            # Thresholds are the detector's alone; the aggregator
+            # exports none.
+            assert "threshold" not in body
             with urllib.request.urlopen(
                 f"http://127.0.0.1:{port}/", timeout=10
             ) as resp:

@@ -8,6 +8,7 @@ itself has long since imported everything.  The rules pinned here:
 * a batch ``--detect`` run without a port never loads the HTTP server;
 * a pooled worker imports nothing after the fork -- whatever a shard
   needs, the parent has already loaded;
+* the read-only ``repro runs`` verbs read manifests without numpy;
 * the top-level ``repro`` package loads its public names on first use.
 """
 
@@ -19,6 +20,7 @@ import subprocess
 import sys
 
 import repro
+from repro import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -110,6 +112,35 @@ print(json.dumps({"fallback": fallback, "added": list(added.values())}))
 def test_pooled_workers_import_nothing_after_the_fork():
     report = _run_script(_POOLED_WORKERS)
     assert report == {"fallback": None, "added": [[], []]}
+
+
+_RUNS_VERB = """
+import json, sys
+from repro import cli
+code = cli.main(["runs", "--runs-dir", *sys.argv[1:]])
+print(json.dumps({
+    "code": code,
+    "loaded": sorted(
+        name for name in ("numpy", "repro.core.dataset") if name in sys.modules
+    ),
+}))
+"""
+
+
+def test_read_only_runs_verbs_never_load_numpy(tmp_path):
+    empty = str(tmp_path / "empty")
+    assert _run_script(_RUNS_VERB, empty, "list") == {"code": 0, "loaded": []}
+    registry = str(tmp_path / "registry")
+    for seed in ("1", "2"):
+        assert cli.main([
+            "--runs-dir", registry, "--hours", "2", "--per-hour", "1",
+            "--seed", seed, "simulate", "--workers", "1",
+        ]) == 0
+    first, second = sorted(os.listdir(registry))
+    for verb in (["list"], ["show", first], ["diff", first, second]):
+        report = _run_script(_RUNS_VERB, registry, *verb)
+        # `runs diff` exits 1: the two seeds' digests differ.
+        assert report == {"code": 1 if verb[0] == "diff" else 0, "loaded": []}
 
 
 _LINT_RUN = """
