@@ -508,8 +508,8 @@ def _configure_live(args):
     ask for one; returns it (or None).
 
     The session spools the event stream to a temp file which
-    :func:`_finalize_recorder` copies into the run directory as
-    ``events.jsonl`` once the content-addressed run id is known.
+    :func:`_finalize_recorder` appends to the run directory's
+    ``trace.jsonl`` once the content-addressed run id is known.
     """
     live = bool(getattr(args, "live", False))
     port = getattr(args, "serve_metrics", None)
@@ -601,8 +601,8 @@ def _finalize_recorder(args) -> None:
     try:
         manifest = recorder.finalize(
             obs.registry(), trace_path=getattr(args, "trace", None),
-            events_path=(
-                live_session.events_path if live_session is not None else None
+            spool_path=(
+                live_session.spool_path if live_session is not None else None
             ),
             alerts=(
                 live_session.export_alerts()

@@ -191,7 +191,7 @@ def lint_paths(
     LNT000/LNT001 included).
 
     Project rules run over the files given, so a single fixture file is
-    a one-file project: DIG/SHM/DTY/ARC run on it too.
+    a one-file project: DIG/DTY/ARC run on it too.
     """
     per_file, project = split_rules(
         rules if rules is not None else all_rules()

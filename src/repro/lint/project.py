@@ -1,7 +1,7 @@
 """Project-wide analysis context and the project-rule base class.
 
 Per-file rules (:class:`~repro.lint.rules.Rule`) see one file at a time.
-The flow families (DIG/SHM/DTY/ARC) need the whole file set: the import
+The flow families (DIG/DTY/ARC) need the whole file set: the import
 graph for layering, the symbol table plus taint engine for cross-module
 dataflow.  A :class:`ProjectRule` declares that need by implementing
 ``check_project`` against a :class:`ProjectContext` -- built once per

@@ -96,5 +96,4 @@ def _ensure_loaded() -> None:
         digflow,
         dtype,
         safety,
-        shm,
     )

@@ -43,7 +43,6 @@ from repro.obs.runtime import (
     histogram,
     inherited_emitter,
     logger,
-    progress,
     registry,
     set_emitter,
     set_registry,
@@ -77,7 +76,6 @@ __all__ = [
     "emitter",
     "set_emitter",
     "inherited_emitter",
-    "progress",
     "use",
     "counter",
     "gauge",

@@ -1,16 +1,18 @@
 """repro.obs.live -- streaming telemetry for in-flight simulations.
 
 The live layer on top of :mod:`repro.obs`: simulation workers emit
-structured progress events over a multiprocessing queue
-(:mod:`~repro.obs.live.bus`), the parent folds them into windowed
-state (:mod:`~repro.obs.live.aggregate`) feeding
+progress events -- trace events, :func:`repro.obs.tracing.event_record`
+-- over a multiprocessing queue (:mod:`~repro.obs.live.bus`), the
+parent folds them into windowed state
+(:mod:`~repro.obs.live.aggregate`) feeding
 
 * a live ANSI terminal dashboard (:mod:`~repro.obs.live.dashboard`,
   behind ``repro simulate --live``),
 * a Prometheus-format ``/metrics`` HTTP endpoint
   (:mod:`~repro.obs.live.server`, behind ``--serve-metrics PORT``), and
-* an ``events.jsonl`` stream persisted into the run registry and
-  replayed post-hoc by ``repro runs show --timeline``
+* the run's ``trace.jsonl`` in the run registry, where the events
+  follow the span trace; ``repro obs`` counts them and ``repro runs
+  show --timeline`` replays them through the same fold
   (:mod:`~repro.obs.live.timeline`), and
 * the online failure-detection pipeline (:mod:`repro.obs.online`,
   behind ``--detect``): episode/blame analysis folded hour by hour from

@@ -26,7 +26,9 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.live.events import FAILURE_FIELDS, HOUR_DONE
+from repro.obs.live.events import (
+    FAILURE_FIELDS, HOUR_DONE, RUN_DONE, RUN_START, SHARD_DONE, SHARD_START,
+)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -104,52 +106,62 @@ class LiveAggregator:
     # -- ingestion ------------------------------------------------------------
 
     def update(self, event: Dict[str, Any]) -> None:
-        """Fold one event in (bus drain-thread context)."""
-        kind = event.get("type")
+        """Fold one progress event in (bus drain-thread context).
+
+        ``event`` is a trace event record (``name``/``time``/``fields``);
+        names other than the progress kinds -- a trace's ``rng.fork``
+        seeds, say -- are ignored, so a whole ``trace.jsonl`` can be
+        replayed through here.
+        """
+        kind = event.get("name")
+        fields = event.get("fields") or {}
+        at = float(event.get("time") or self._clock())
         with self._lock:
+            if kind == RUN_START:
+                self.hours_total = int(fields.get("hours") or 0) or None
+                self.workers = fields.get("workers")
+                self.engine = fields.get("engine")
+            elif kind == SHARD_START:
+                lane = self._lane(fields)
+                lane.hour_start = fields.get("hour_start")
+                lane.hour_stop = fields.get("hour_stop")
+            elif kind == HOUR_DONE:
+                self._ingest_hour(fields)
+            elif kind == SHARD_DONE:
+                lane = self._lane(fields)
+                lane.done = True
+                lane.cpu_seconds = float(fields.get("cpu_seconds") or 0.0)
+                lane.elapsed_seconds = float(
+                    fields.get("elapsed_seconds") or 0.0
+                )
+            elif kind == RUN_DONE:
+                self.finished_at = at
+            else:
+                return
             self.events_seen += 1
             if self.started_at is None:
-                self.started_at = float(event.get("t") or self._clock())
-            if kind == "run_start":
-                self.hours_total = int(event.get("hours") or 0) or None
-                self.workers = event.get("workers")
-                self.engine = event.get("engine")
-            elif kind == "shard_start":
-                lane = self._lane(event)
-                lane.hour_start = event.get("hour_start")
-                lane.hour_stop = event.get("hour_stop")
-            elif kind == HOUR_DONE:
-                self._ingest_hour(event)
-            elif kind == "shard_done":
-                lane = self._lane(event)
-                lane.done = True
-                lane.cpu_seconds = float(event.get("cpu_seconds") or 0.0)
-                lane.elapsed_seconds = float(
-                    event.get("elapsed_seconds") or 0.0
-                )
-            elif kind == "run_done":
-                self.finished_at = float(event.get("t") or self._clock())
+                self.started_at = at
 
-    def _lane(self, event: Dict[str, Any]) -> WorkerLane:
-        worker = int(event.get("worker") or 0)
+    def _lane(self, fields: Dict[str, Any]) -> WorkerLane:
+        worker = int(fields.get("worker") or 0)
         lane = self._lanes.get(worker)
         if lane is None:
             lane = self._lanes[worker] = WorkerLane(worker)
         return lane
 
-    def _ingest_hour(self, event: Dict[str, Any]) -> None:
-        hour = int(event.get("hour") or 0)
-        lane = self._lane(event)
+    def _ingest_hour(self, fields: Dict[str, Any]) -> None:
+        hour = int(fields.get("hour") or 0)
+        lane = self._lane(fields)
         lane.hours_done += 1
         lane.last_hour = hour
         self.hours_done += 1
-        self.transactions += int(event.get("transactions") or 0)
+        self.transactions += int(fields.get("transactions") or 0)
         counts: Dict[str, int] = {}
         for field in FAILURE_FIELDS:
-            value = int(event.get(field) or 0)
+            value = int(fields.get(field) or 0)
             self.failures[field] += value
             counts[field] = value
-        counts["transactions"] = int(event.get("transactions") or 0)
+        counts["transactions"] = int(fields.get("transactions") or 0)
         self._hour_counts[hour] = counts
         if len(self._hour_counts) > self.window_hours:
             del self._hour_counts[min(self._hour_counts)]

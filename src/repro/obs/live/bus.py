@@ -5,7 +5,7 @@ Topology::
     worker 0 --\
     worker 1 ---> multiprocessing.Queue ---> drain thread ---> subscribers
     parent  --/                                                 (aggregator,
-                                                                 events file,
+                                                                 spool file,
                                                                  dashboard)
 
 Workers (and the parent itself, on the sequential path) hold a
@@ -27,6 +27,10 @@ errors, carry no RNG state, and only ever *read* dataset counts.  The
 dataset digest is therefore bit-identical with telemetry on or off --
 the acceptance test of this whole subsystem.
 
+Every record is a trace event (:func:`repro.obs.tracing.event_record`)
+whose fields carry the emitting ``worker`` and its ``seq`` counter, so
+the spool appends to a run's span trace as one ``trace.jsonl``.
+
 Backpressure: the queue is *bounded* (:data:`DEFAULT_QUEUE_CAPACITY`)
 and emitters put without blocking -- a stalled or slow consumer (hung
 dashboard terminal, wedged drain thread) makes workers *drop* telemetry
@@ -47,7 +51,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import runtime
-from repro.obs.live.events import SCHEMA
+from repro.obs.tracing import event_record
 
 #: Queue a forked worker inherits (set by the parent before the pool is
 #: created, cleared on :meth:`TelemetryBus.stop`).
@@ -95,13 +99,10 @@ class QueueEmitter:
 
     def emit(self, kind: str, /, **fields) -> None:
         """Stamp and enqueue one event; never raises or blocks."""
-        event: Dict[str, Any] = {
-            "type": kind,
-            "t": self._clock(),
-            "seq": self._seq,
-            "worker": self.worker,
-        }
-        event.update(fields)
+        event = event_record(
+            kind, self._clock(),
+            {"worker": self.worker, "seq": self._seq, **fields},
+        )
         self._seq += 1
         try:
             self._put(event)
@@ -129,7 +130,7 @@ class TelemetryBus:
 
     Lifecycle::
 
-        bus = TelemetryBus(events_path="/tmp/events.jsonl")
+        bus = TelemetryBus(spool_path="spool.jsonl")
         bus.subscribe(aggregator.update)
         bus.start()           # installs the parent emitter, parks the
         ...                   # queue for forked workers, starts draining
@@ -142,11 +143,11 @@ class TelemetryBus:
 
     def __init__(
         self,
-        events_path: Optional[str] = None,
+        spool_path: Optional[str] = None,
         clock: Callable[[], float] = time.time,
         maxsize: int = DEFAULT_QUEUE_CAPACITY,
     ) -> None:
-        self.events_path = events_path
+        self.spool_path = spool_path
         self._clock = clock
         ctx_methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
@@ -177,8 +178,8 @@ class TelemetryBus:
     def start(self) -> "TelemetryBus":
         """Open the sink, park the queue for workers, start draining."""
         global _WORKER_QUEUE
-        if self.events_path is not None:
-            self._sink = open(self.events_path, "w", encoding="utf-8")
+        if self.spool_path is not None:
+            self._sink = open(self.spool_path, "w", encoding="utf-8")
         _WORKER_QUEUE = self.queue
         self._old_emitter = runtime.set_emitter(self.emitter())
         self._stop.clear()
@@ -186,7 +187,6 @@ class TelemetryBus:
             target=self._drain_loop, name="repro-telemetry-drain", daemon=True
         )
         self._thread.start()
-        runtime.emitter().emit("bus_start", schema=SCHEMA)
         return self
 
     def stop(self) -> None:

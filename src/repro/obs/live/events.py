@@ -1,11 +1,12 @@
 """The streaming-telemetry event vocabulary.
 
-Every record on the telemetry bus is one flat JSON-serializable dict::
+A progress event is a trace event (:func:`repro.obs.tracing.event_record`)::
 
-    {"type": "hour_done", "t": <unix>, "seq": <per-emitter counter>,
-     "worker": <index or None>, ...kind-specific fields...}
+    {"type": "event", "name": "hour_done", "time": <unix>, "span": null,
+     "fields": {"worker": <index or None>, "seq": <per-emitter counter>,
+                ...kind-specific fields...}}
 
-The kinds (``EVENT_KINDS``) mirror the simulation's natural grain:
+The kinds mirror the simulation's natural grain:
 
 * ``run_start`` / ``run_done`` -- the whole month: hour count, worker
   count, engine, and (on completion) the per-failure-type totals;
@@ -22,22 +23,17 @@ per batch run when the simulation returns, once per serve chunk.  The bus
 only carries what ``--live`` and ``/metrics`` show while the run is in
 flight.
 
-The same dicts travel three paths: the multiprocessing queue from
-workers to the parent, the ``events.jsonl`` file persisted into
-``runs/<run-id>/`` (replayed by ``repro runs show --timeline``), and the
-live aggregator feeding the dashboard and the ``/metrics`` endpoint.
+The same records travel three paths: the multiprocessing queue from
+workers to the parent, the run directory's ``trace.jsonl`` (appended
+after the span trace; ``repro obs`` counts them and ``repro runs show
+--timeline`` replays them), and the live aggregator feeding the
+dashboard and the ``/metrics`` endpoint.
 
-Unknown kinds are carried, persisted, and ignored by consumers -- the
+Other names are carried, persisted, and ignored by the fold -- the
 stream is additive, like every other schema in this repository.
 """
 
 from __future__ import annotations
-
-from typing import Any
-
-#: Schema identifier stamped on the ``run_start`` event (and therefore
-#: the first line of every persisted ``events.jsonl``).
-SCHEMA = "repro.live-events/1"
 
 RUN_START = "run_start"
 RUN_DONE = "run_done"
@@ -45,15 +41,6 @@ SHARD_START = "shard_start"
 SHARD_DONE = "shard_done"
 HOUR_DONE = "hour_done"
 
-EVENT_KINDS = frozenset({
-    RUN_START, RUN_DONE, SHARD_START, SHARD_DONE, HOUR_DONE,
-})
-
 #: The per-failure-type count fields an ``hour_done`` event carries
 #: (and a ``run_done`` event totals).  Order is presentation order.
 FAILURE_FIELDS = ("dns", "tcp", "http", "masked")
-
-
-def is_event(record: Any) -> bool:
-    """True when ``record`` looks like a telemetry event dict."""
-    return isinstance(record, dict) and isinstance(record.get("type"), str)

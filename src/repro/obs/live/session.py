@@ -18,12 +18,12 @@ Detection also wires the long-horizon observers
 hour stream, so batch runs serve the same ``/history`` and ``/slo``
 documents -- and ``repro_slo_*`` gauges -- as the serve daemon.
 ``stop()`` tears everything down in reverse order; the spool file
-survives until :meth:`cleanup` so the run recorder can copy it into
-``runs/<run-id>/events.jsonl`` after the content-addressed run id
-becomes known, and the detector's exported alert stream rides along
-into ``alerts.jsonl``.  Each optional part loads only when its flag asks
-for it: a batch ``--detect`` run never imports the dashboard or
-:mod:`http.server`.
+survives until :meth:`cleanup` so the run recorder can append it to
+``runs/<run-id>/trace.jsonl`` (after the span trace, when ``--trace``
+wrote one) once the content-addressed run id becomes known, and the
+detector's exported alert stream rides along into ``alerts.jsonl``.
+Each optional part loads only when its flag asks for it: a batch
+``--detect`` run never imports the dashboard or :mod:`http.server`.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class LiveSession:
             self.detector = OnlineDetector(
                 rules=rules, observers=[self.history, self.slo]
             )
-        fd, self.events_path = tempfile.mkstemp(
+        fd, self.spool_path = tempfile.mkstemp(
             prefix="repro-events-", suffix=".jsonl"
         )
         os.close(fd)
@@ -83,7 +83,7 @@ class LiveSession:
                 self.slo.document if self.slo is not None else None
             ),
         )
-        self.bus = TelemetryBus(events_path=self.events_path)
+        self.bus = TelemetryBus(spool_path=self.spool_path)
         self.bus.subscribe(self.aggregator.update)
         self.dashboard: Optional[LiveDashboard] = None
         if dashboard:
@@ -167,7 +167,7 @@ class LiveSession:
     def cleanup(self) -> None:
         """Remove the spool file (after the recorder copied it, if ever)."""
         try:
-            os.unlink(self.events_path)
+            os.unlink(self.spool_path)
         except OSError:
             pass
 

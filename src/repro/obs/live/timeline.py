@@ -1,44 +1,25 @@
-"""Post-hoc replay of a recorded event stream as a progress timeline.
+"""Post-hoc replay of a recorded progress stream as a timeline.
 
-``repro runs show REF --timeline`` loads the ``events.jsonl`` persisted
-into the run directory and renders what the live dashboard *would* have
-shown over the run's lifetime: one density lane per worker (each column
-is an equal slice of wall time, shaded by how many hours that worker
-completed in it), the per-shard summary, and the final per-failure-type
-totals.  Together with the trace file this makes any past run's
-progress inspectable without re-running it.
+``repro runs show REF --timeline`` loads the run's ``trace.jsonl``
+(:func:`repro.obs.replay.load_trace`) and folds its progress events
+through the same :class:`~repro.obs.live.aggregate.LiveAggregator` the
+dashboard reads, with a clock pinned to the last event.  It renders
+what the live dashboard showed at the end of the run: one density lane
+per worker (each column is an equal slice of wall time, shaded by how
+many hours that worker completed in it), the per-shard summary, and
+the final per-failure-type totals.  Together with the span tree in the
+same file this makes any past run's progress inspectable without
+re-running it.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.live.events import FAILURE_FIELDS, HOUR_DONE, is_event
+from repro.obs.live.aggregate import LiveAggregator
+from repro.obs.live.events import FAILURE_FIELDS, HOUR_DONE
 
 _DENSITY_BLOCKS = " ▁▂▃▄▅▆▇█"
-
-
-def load_events(source: Union[str, TextIO]) -> List[Dict[str, Any]]:
-    """Parse an ``events.jsonl`` file; torn/alien lines are skipped."""
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    events: List[Dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if is_event(record):
-            events.append(record)
-    events.sort(key=lambda e: (float(e.get("t") or 0.0), e.get("seq") or 0))
-    return events
 
 
 def _density_row(times: List[float], t0: float, t1: float, width: int) -> str:
@@ -58,93 +39,79 @@ def _density_row(times: List[float], t0: float, t1: float, width: int) -> str:
     return "".join(row)
 
 
-def render_timeline(events: List[Dict[str, Any]], width: int = 60) -> str:
-    """The full timeline view of one recorded event stream."""
-    if not events:
-        return "(no events recorded)"
-    hour_events = [e for e in events if e.get("type") == HOUR_DONE]
-    run_start = next(
-        (e for e in events if e.get("type") == "run_start"), None
-    )
-    run_done = next(
-        (e for e in events if e.get("type") == "run_done"), None
-    )
-    times = [float(e.get("t") or 0.0) for e in events]
-    t0, t1 = min(times), max(times)
-    duration = t1 - t0
+def replay(
+    events: List[Dict[str, Any]],
+) -> Tuple[LiveAggregator, Dict[str, Any]]:
+    """Fold recorded events as the live session did.
+
+    Returns the aggregator and its final snapshot, taken with the clock
+    pinned to the last event.
+    """
+    last = max((float(e.get("time") or 0.0) for e in events), default=0.0)
+    aggregator = LiveAggregator(clock=lambda: last)
+    for event in events:
+        aggregator.update(event)
+    return aggregator, aggregator.snapshot()
+
+
+def render_timeline(
+    events: List[Dict[str, Any]], width: int = 60,
+) -> Optional[str]:
+    """The timeline view of a recorded event stream (None: no progress)."""
+    aggregator, snap = replay(events)
+    if not snap["events_seen"]:
+        return None
+    t0 = aggregator.started_at
+    duration = snap["elapsed_seconds"]
 
     lines = [
-        f"timeline: {len(events)} events over {duration:.2f}s "
-        f"({len(hour_events)} hours simulated)"
+        f"timeline: {snap['events_seen']} events over {duration:.2f}s "
+        f"({snap['hours_done']} hours simulated)"
     ]
-    if run_start is not None:
+    if snap["hours_total"] is not None:
         lines.append(
-            f"run: hours={run_start.get('hours')} "
-            f"workers={run_start.get('workers')} "
-            f"engine={run_start.get('engine') or '?'}"
+            f"run: hours={snap['hours_total']} workers={snap['workers']} "
+            f"engine={snap['engine'] or '?'}"
         )
 
-    by_worker: Dict[int, List[Dict[str, Any]]] = {}
-    for e in hour_events:
-        by_worker.setdefault(int(e.get("worker") or 0), []).append(e)
-    shard_done = {
-        int(e.get("worker") or 0): e
-        for e in events if e.get("type") == "shard_done"
-    }
-    shard_start = {
-        int(e.get("worker") or 0): e
-        for e in events if e.get("type") == "shard_start"
-    }
-    if by_worker:
+    lanes = [lane for lane in snap["lanes"] if lane["hours_done"]]
+    if lanes:
         lines.append("")
         lines.append(
             "-- per-worker hour completions "
             f"(each column ~{duration / width:.3f}s) --"
         )
-        for worker in sorted(by_worker):
-            worker_events = by_worker[worker]
+        hour_times: Dict[int, List[float]] = {}
+        for e in events:
+            if e.get("name") == HOUR_DONE:
+                worker = int((e.get("fields") or {}).get("worker") or 0)
+                hour_times.setdefault(worker, []).append(
+                    float(e.get("time") or 0.0)
+                )
+        for lane in lanes:
+            worker = lane["worker"]
             row = _density_row(
-                [float(e.get("t") or 0.0) for e in worker_events], t0, t1, width
+                hour_times.get(worker, []), t0, t0 + duration, width
             )
-            start = shard_start.get(worker) or {}
-            done = shard_done.get(worker) or {}
             span = (
-                f"[{start.get('hour_start')},{start.get('hour_stop')})"
-                if start.get("hour_start") is not None else ""
+                f"[{lane['hour_start']},{lane['hour_stop']})"
+                if lane["hour_start"] is not None else ""
             )
-            suffix = f"{len(worker_events)}h"
-            cpu = done.get("cpu_seconds")
-            if cpu is not None:
-                suffix += f" cpu={float(cpu):.2f}s"
+            suffix = f"{lane['hours_done']}h"
+            if lane["done"]:
+                suffix += f" cpu={lane['cpu_seconds']:.2f}s"
             lines.append(f"  w{worker:<3} |{row}| {span} {suffix}")
 
-    totals: Dict[str, int] = {f: 0 for f in FAILURE_FIELDS}
-    transactions = 0
-    for e in hour_events:
-        transactions += int(e.get("transactions") or 0)
-        for f in FAILURE_FIELDS:
-            totals[f] += int(e.get(f) or 0)
-    if transactions:
+    if snap["transactions"]:
         lines.append("")
         breakdown = "  ".join(
-            f"{f}={totals[f]}" for f in FAILURE_FIELDS
+            f"{f}={snap['failures'][f]}" for f in FAILURE_FIELDS
         )
         lines.append(
-            f"totals: {transactions} transactions  {breakdown}"
+            f"totals: {snap['transactions']} transactions  {breakdown}"
         )
-    if run_done is not None:
+    if snap["finished"]:
         lines.append("run completed (run_done recorded)")
-    elif hour_events:
+    elif snap["hours_done"]:
         lines.append("(stream ends without run_done -- interrupted run?)")
     return "\n".join(lines)
-
-
-def summarize_events_file(path: str, width: int = 60) -> Optional[str]:
-    """Timeline for ``path`` or None when the file is absent/empty."""
-    try:
-        events = load_events(path)
-    except OSError:
-        return None
-    if not events:
-        return None
-    return render_timeline(events, width=width)

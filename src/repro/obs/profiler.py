@@ -57,15 +57,14 @@ class stage:
 
     __slots__ = ("name", "_timer", "_span_cm", "_span")
 
-    def __init__(self, name: str, trace: bool = True, **attrs) -> None:
+    def __init__(self, name: str, **attrs) -> None:
         self.name = name
         self._timer: Optional[StageTimer] = None
-        self._span_cm = runtime.span(name, **attrs) if trace else None
+        self._span_cm = runtime.span(name, **attrs)
         self._span = None
 
     def __enter__(self) -> StageTimer:
-        if self._span_cm is not None:
-            self._span = self._span_cm.__enter__()
+        self._span = self._span_cm.__enter__()
         self._timer = StageTimer(self.name)
         return self._timer
 
@@ -77,10 +76,9 @@ class stage:
         reg.counter("stage_seconds_total", stage=self.name).inc(elapsed)
         if timer._items:
             reg.counter("stage_items_total", stage=self.name).inc(timer._items)
-        if self._span_cm is not None:
-            if timer._items and not self._span.is_null:
-                self._span.set(items=timer._items)
-            self._span_cm.__exit__(exc_type, exc, tb)
+        if timer._items and not self._span.is_null:
+            self._span.set(items=timer._items)
+        self._span_cm.__exit__(exc_type, exc, tb)
         return False
 
 

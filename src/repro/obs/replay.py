@@ -4,7 +4,9 @@
 into something a human can read: the reconstructed span tree (repeated
 siblings of the same name are collapsed into one aggregate line) plus a
 per-name duration table and the event log highlights (e.g. the
-``rng.fork`` seed events that make a run reproducible from its trace).
+``rng.fork`` seed events that make a run reproducible from its trace,
+and the live progress events -- ``hour_done`` and the rest -- that a
+recorded run appends after its spans).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 from typing import (
     Any, Callable, Dict, Iterator, List, Optional, Tuple,
 )
+
+from repro.obs.tracing import event_record
 
 
 @dataclass
@@ -49,7 +53,9 @@ def load_trace(path: str) -> LoadedTrace:
     """Parse a JSONL trace file into a :class:`LoadedTrace`.
 
     Lines that are not valid JSON objects are skipped (a crashed run may
-    leave a torn final line).
+    leave a torn final line).  This is the one reader of a run's event
+    log: ``repro obs`` and ``repro runs show --timeline`` both load
+    through it, and it also reads a legacy flat ``events.jsonl``.
     """
     spans: Dict[int, TraceNode] = {}
     events: List[Dict[str, Any]] = []
@@ -64,7 +70,15 @@ def load_trace(path: str) -> LoadedTrace:
                 continue
             if not isinstance(record, dict):
                 continue
-            if record.get("type") == "span":
+            kind = record.get("type")
+            if isinstance(kind, str) and kind not in ("span", "event"):
+                # A flat ``repro.live-events/1`` record: an
+                # ``events.jsonl`` written before progress events were
+                # trace events (the manifest's legacy ``events_file``).
+                legacy = {k: v for k, v in record.items() if k != "type"}
+                record = event_record(kind, legacy.pop("t", None), legacy)
+                kind = "event"
+            if kind == "span":
                 node = TraceNode(
                     span_id=int(record["id"]),
                     parent_id=record.get("parent"),
@@ -75,7 +89,7 @@ def load_trace(path: str) -> LoadedTrace:
                     events=record.get("events") or [],
                 )
                 spans[node.span_id] = node
-            elif record.get("type") == "event":
+            elif kind == "event":
                 events.append(record)
     roots: List[TraceNode] = []
     for node in spans.values():

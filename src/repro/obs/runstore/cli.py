@@ -59,8 +59,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     show.add_argument(
         "--timeline", action="store_true",
-        help="replay the recorded live-telemetry event stream "
-        "(events.jsonl) as a per-worker progress timeline",
+        help="replay the live-telemetry events in the run's trace.jsonl "
+        "as a per-worker progress timeline",
     )
     show.add_argument(
         "--alerts", action="store_true",
@@ -292,12 +292,10 @@ def _cmd_show(
                 f"({serve.get('pruned_hours', 0)}h pruned)"
             )
     if manifest.trace_file:
-        print(f"trace:      {store.run_dir(manifest.run_id) / manifest.trace_file}")
-    if manifest.events_file:
+        trace = store.run_dir(manifest.run_id) / manifest.trace_file
         print(
-            f"events:     "
-            f"{store.run_dir(manifest.run_id) / manifest.events_file} "
-            f"(replay with `repro runs show {manifest.run_id} --timeline`)"
+            f"trace:      {trace} (replay with `repro obs {trace}` or "
+            f"`repro runs show {manifest.run_id} --timeline`)"
         )
     if manifest.alerts_file:
         summary = manifest.alerts_summary
@@ -323,12 +321,20 @@ def _cmd_show(
     else:
         _show_evidence(evidence, max_episodes)
     if timeline:
-        from repro.obs.live.timeline import summarize_events_file
+        from repro.obs.live.timeline import render_timeline
+        from repro.obs.replay import load_trace
 
-        events_name = manifest.events_file or "events.jsonl"
-        rendered = summarize_events_file(
-            str(store.run_dir(manifest.run_id) / events_name)
-        )
+        # ``events_file`` names the flat log of a run recorded before
+        # progress events joined ``trace.jsonl``; load_trace reads both.
+        log = manifest.events_file or manifest.trace_file
+        try:
+            events = (
+                load_trace(str(store.run_dir(manifest.run_id) / log)).events
+                if log else []
+            )
+        except OSError:
+            events = []
+        rendered = render_timeline(events)
         print()
         if rendered is None:
             pruned = _pruned_hours(store, manifest.run_id)

@@ -104,10 +104,13 @@ class RunManifest:
     #: a small summary for listings (thresholds, flagged counts).
     evidence_digest: Optional[str] = None
     evidence_summary: Dict[str, Any] = field(default_factory=dict)
-    #: Name of the trace file copied into the run directory, if any.
+    #: Name of the run's one event log in the run directory, if any:
+    #: the ``--trace`` spans and events, then the live progress events
+    #: (``repro obs`` and ``repro runs show --timeline`` replay it).
     trace_file: Optional[str] = None
-    #: Name of the live-telemetry event stream copied into the run
-    #: directory (``repro runs show --timeline`` replays it), if any.
+    #: Legacy and read only: the flat progress log of a run recorded
+    #: before progress events joined ``trace_file``.  New runs leave it
+    #: None; ``runs show --timeline`` still replays an old one.
     events_file: Optional[str] = None
     #: Name of the persisted online alert stream (``repro runs show
     #: --alerts`` replays it), if any.

@@ -7,7 +7,8 @@ Layout (under the runs root, default ``./runs``, overridable with
       <run-id>/
         manifest.json     # RunManifest document
         evidence.json     # EvidenceBundle document (when collected)
-        trace.jsonl       # copy of the span trace (when --trace was on)
+        trace.jsonl       # the run's event log: the --trace span trace,
+                          # then the live progress spool (either optional)
 
 Because run ids are content-addressed, re-running an identical
 configuration on the same revision lands on the same directory and
@@ -50,7 +51,6 @@ ENV_RUNS_DIR = "REPRO_RUNS_DIR"
 MANIFEST_FILE = "manifest.json"
 EVIDENCE_FILE = "evidence.json"
 TRACE_FILE = "trace.jsonl"
-EVENTS_FILE = "events.jsonl"
 ALERTS_FILE = "alerts.jsonl"
 
 
@@ -117,15 +117,17 @@ class RunStore:
         manifest: RunManifest,
         evidence: Optional[EvidenceBundle] = None,
         trace_path: Optional[Union[str, Path]] = None,
-        events_path: Optional[Union[str, Path]] = None,
+        spool_path: Optional[Union[str, Path]] = None,
         alerts: Optional[Dict[str, Any]] = None,
     ) -> Path:
         """Persist a run; returns its directory.
 
-        ``events_path`` is the live-telemetry spool written during the
-        run (run ids are content-addressed over the dataset digest, so
-        the destination directory is only known now); a non-empty spool
-        is copied in as ``events.jsonl`` for ``runs show --timeline``.
+        The run's one event log, ``trace.jsonl``, is the ``--trace``
+        file at ``trace_path`` (if any) followed by the live-telemetry
+        spool at ``spool_path`` (if non-empty), which was written during
+        the run because run ids are content-addressed over the dataset
+        digest, so the destination directory is only known now.
+        ``repro obs`` and ``runs show --timeline`` both replay it.
 
         ``alerts`` is an :meth:`OnlineDetector.export` document
         (``lines`` + ``summary``); the lines are serialized canonically
@@ -137,16 +139,17 @@ class RunStore:
         run_dir.mkdir(parents=True, exist_ok=True)
         if evidence is not None:
             _write_json_atomic(run_dir / EVIDENCE_FILE, evidence.to_dict())
-        if trace_path is not None:
-            source = Path(trace_path)
-            if source.is_file():
-                shutil.copyfile(source, run_dir / TRACE_FILE)
-                manifest.trace_file = TRACE_FILE
-        if events_path is not None:
-            source = Path(events_path)
-            if source.is_file() and source.stat().st_size > 0:
-                shutil.copyfile(source, run_dir / EVENTS_FILE)
-                manifest.events_file = EVENTS_FILE
+        logs = [
+            path for path in (trace_path, spool_path)
+            if path is not None and os.path.isfile(path)
+            and os.path.getsize(path) > 0
+        ]
+        if logs:
+            with open(run_dir / TRACE_FILE, "wb") as out:
+                for path in logs:
+                    with open(path, "rb") as source:
+                        shutil.copyfileobj(source, out)
+            manifest.trace_file = TRACE_FILE
         if alerts is not None:
             body = serialize_alerts(alerts.get("lines") or [])
             (run_dir / ALERTS_FILE).write_bytes(body)
@@ -316,7 +319,7 @@ class RunRecorder:
         self,
         registry: MetricsRegistry,
         trace_path: Optional[Union[str, Path]] = None,
-        events_path: Optional[Union[str, Path]] = None,
+        spool_path: Optional[Union[str, Path]] = None,
         alerts: Optional[Dict[str, Any]] = None,
     ) -> RunManifest:
         """Build the manifest, write the run directory, return the manifest."""
@@ -347,6 +350,6 @@ class RunRecorder:
         ).seal()
         self.store.write(
             manifest, evidence=self.evidence, trace_path=trace_path,
-            events_path=events_path, alerts=alerts,
+            spool_path=spool_path, alerts=alerts,
         )
         return manifest

@@ -142,16 +142,6 @@ def event(name: str, /, **fields) -> None:
         logger.debug("event %s %s", name, fields)
 
 
-def progress(kind: str, /, **fields) -> None:
-    """Emit a live-telemetry progress event on the active emitter.
-
-    A no-op unless a :mod:`repro.obs.live` bus installed an emitter;
-    callers producing non-trivial field payloads should guard on
-    ``obs.emitter().enabled`` instead of calling this unconditionally.
-    """
-    _emitter.emit(kind, **fields)
-
-
 def inherited_emitter(worker: int):
     """An emitter bound to the telemetry queue inherited over fork.
 

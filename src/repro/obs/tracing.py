@@ -15,7 +15,9 @@ When the tracer is disabled (the default), ``span()`` yields a shared
 no-op span and records nothing -- instrumentation stays in place at
 near-zero cost.  When enabled, finished spans are kept in memory and/or
 streamed to a JSONL sink (one JSON object per line, ``type`` being
-``span`` or ``event``), which ``repro obs`` can replay.
+``span`` or ``event``), which ``repro obs`` can replay.  Live progress
+events (:mod:`repro.obs.live`) use the same :func:`event_record` shape,
+so a run directory's ``trace.jsonl`` holds both.
 """
 
 from __future__ import annotations
@@ -28,6 +30,24 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+
+def event_record(
+    name: str,
+    time: float,
+    fields: Dict[str, Any],
+    span: Optional[int] = None,
+) -> Dict[str, Any]:
+    """The one JSONL shape of a point-in-time event.
+
+    Trace events (:meth:`Tracer.event`) and live progress events
+    (:class:`repro.obs.live.bus.QueueEmitter`) share it, so a run's
+    spans and its progress stream replay from one file.
+    """
+    return {
+        "type": "event", "name": name, "time": time, "span": span,
+        "fields": fields,
+    }
 
 
 @dataclass
@@ -185,13 +205,10 @@ class Tracer:
         if span is not None:
             span.event(name, **fields)
         self._write(
-            {
-                "type": "event",
-                "name": name,
-                "time": time.time(),
-                "span": span.span_id if span is not None else None,
-                "fields": fields,
-            }
+            event_record(
+                name, time.time(), fields,
+                span=span.span_id if span is not None else None,
+            )
         )
 
     # -- recording -----------------------------------------------------------

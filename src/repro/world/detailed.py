@@ -504,7 +504,7 @@ class DetailedEngine:
         """Run a grid of transactions (skipping down clients)."""
         batch = RecordBatch()
         rng = self._rng
-        with obs.stage("detailed.batch", trace=True) as batch_stage:
+        with obs.stage("detailed.batch") as batch_stage:
             for hour in hours:
                 for client_name in client_names:
                     ci = self.world.client_idx(client_name)

@@ -180,20 +180,19 @@ class TestFlowRuleSuppression:
         assert "LNT000" in ids(report.findings)  # pragma called out
         assert report.suppressed == 0
 
-    def test_shm_suppression_at_acquisition(self, lint_snippet):
+    def test_dty_suppression_at_the_store(self, lint_snippet):
+        # DTY001 anchors at the unguarded store, not the allocation.
         report = lint_snippet(
             """\
-            from multiprocessing import shared_memory
+            import numpy as np
 
-            def scratch(nbytes):
-                # repro: lint-ok[SHM002] segment adopted by the test harness
-                shm = shared_memory.SharedMemory(create=True, size=nbytes)
-                try:
-                    shm.buf[0] = 1
-                finally:
-                    shm.close()
-            """,
-            relpath="src/repro/world/sharedmem.py",
+            def tally(events):
+                counts = np.zeros(24, dtype=np.int32)
+                for hour in events:
+                    # repro: lint-ok[DTY001] at most 2**31 events per run
+                    counts[hour] += 1
+                return counts
+            """
         )
-        assert "SHM002" not in ids(report.findings)
+        assert "DTY001" not in ids(report.findings)
         assert report.suppressed == 1

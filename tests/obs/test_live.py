@@ -2,8 +2,8 @@
 
 The acceptance tests live at the bottom: the dataset digest is
 bit-identical with telemetry on or off at 1 and 4 workers, the event
-stream lands in the run registry, and ``repro runs show --timeline``
-replays it end to end through the CLI.
+stream lands in the run's one log (``trace.jsonl``), and ``repro runs
+show --timeline`` replays it end to end through the CLI.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from repro.obs.live.bus import QueueEmitter, TelemetryBus, inherited_emitter
 from repro.obs.live.dashboard import (
     LiveDashboard, ansi_capable, render, render_plain, sparkline,
 )
-from repro.obs.live.events import EVENT_KINDS, SCHEMA, is_event
 from repro.obs.live.server import MetricsServer
 from repro.obs.live.session import LiveSession
-from repro.obs.live.timeline import (
-    load_events, render_timeline, summarize_events_file,
-)
+from repro.obs.live.timeline import render_timeline, replay
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.replay import load_trace
+from repro.obs.tracing import event_record
 
 
 def _clock(values):
@@ -43,54 +42,47 @@ def _clock(values):
     return tick
 
 
+def _event(name, t, worker, seq, **fields):
+    """One progress event as the bus stamps it."""
+    return event_record(name, t, {"worker": worker, "seq": seq, **fields})
+
+
 def _synthetic_run(workers=2, hours_per_worker=3, t0=100.0):
     """A plausible event stream: run_start .. hour_done .. run_done."""
-    events = [{
-        "type": "run_start", "t": t0, "seq": 0, "worker": None,
-        "hours": workers * hours_per_worker, "workers": workers,
-        "engine": "fast",
-    }]
+    events = [_event(
+        "run_start", t0, None, 0, hours=workers * hours_per_worker,
+        workers=workers, engine="fast",
+    )]
     t = t0
     for w in range(workers):
         lo = w * hours_per_worker
-        events.append({
-            "type": "shard_start", "t": t0 + 0.01, "seq": 0, "worker": w,
-            "hour_start": lo, "hour_stop": lo + hours_per_worker,
-        })
+        events.append(_event(
+            "shard_start", t0 + 0.01, w, 0,
+            hour_start=lo, hour_stop=lo + hours_per_worker,
+        ))
     for h in range(hours_per_worker):
         for w in range(workers):
             t += 1.0
-            events.append({
-                "type": "hour_done", "t": t, "seq": h + 1, "worker": w,
-                "hour": w * hours_per_worker + h, "transactions": 1000,
-                "dns": 12, "tcp": 8, "http": 2, "masked": 1,
-            })
+            events.append(_event(
+                "hour_done", t, w, h + 1,
+                hour=w * hours_per_worker + h, transactions=1000,
+                dns=12, tcp=8, http=2, masked=1,
+            ))
     for w in range(workers):
         t += 0.5
-        events.append({
-            "type": "shard_done", "t": t, "seq": 99, "worker": w,
-            "hour_start": w * hours_per_worker,
-            "hour_stop": (w + 1) * hours_per_worker,
-            "transactions": hours_per_worker * 1000,
-            "elapsed_seconds": 3.0, "cpu_seconds": 2.5,
-        })
-    events.append({
-        "type": "run_done", "t": t + 1.0, "seq": 100, "worker": None,
-        "transactions": workers * hours_per_worker * 1000,
-        "dns": 72, "tcp": 48, "http": 12, "masked": 6,
-    })
+        events.append(_event(
+            "shard_done", t, w, 99,
+            hour_start=w * hours_per_worker,
+            hour_stop=(w + 1) * hours_per_worker,
+            transactions=hours_per_worker * 1000,
+            elapsed_seconds=3.0, cpu_seconds=2.5,
+        ))
+    events.append(_event(
+        "run_done", t + 1.0, None, 100,
+        transactions=workers * hours_per_worker * 1000,
+        dns=72, tcp=48, http=12, masked=6,
+    ))
     return events
-
-
-class TestEvents:
-    def test_is_event_is_additive(self):
-        for kind in EVENT_KINDS:
-            assert is_event({"type": kind, "t": 1.0})
-        # Unknown kinds are carried (the stream is additive) ...
-        assert is_event({"type": "future_kind", "t": 1.0})
-        # ... but records without a string type are not events.
-        assert not is_event({"t": 1.0})
-        assert not is_event(["not", "a", "dict"])
 
 
 class TestQueueEmitter:
@@ -99,11 +91,12 @@ class TestQueueEmitter:
         emitter = QueueEmitter(got.append, worker=3, clock=_clock([5.0, 6.0]))
         emitter.emit("hour_done", hour=7, transactions=10)
         emitter.emit("hour_done", hour=8)
+        # A progress event is a trace event.
         assert got[0] == {
-            "type": "hour_done", "t": 5.0, "seq": 0, "worker": 3,
-            "hour": 7, "transactions": 10,
+            "type": "event", "name": "hour_done", "time": 5.0, "span": None,
+            "fields": {"worker": 3, "seq": 0, "hour": 7, "transactions": 10},
         }
-        assert got[1]["seq"] == 1
+        assert got[1]["fields"]["seq"] == 1
 
     def test_put_errors_are_swallowed(self):
         def boom(event):
@@ -136,24 +129,23 @@ class TestQueueEmitter:
 
 class TestTelemetryBus:
     def test_events_reach_subscribers_and_sink(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        bus = TelemetryBus(events_path=str(path))
+        path = tmp_path / "spool.jsonl"
+        bus = TelemetryBus(spool_path=str(path))
         seen = []
         bus.subscribe(seen.append)
         bus.start()
         try:
             assert runtime.emitter().enabled
-            runtime.progress("hour_done", hour=1, transactions=10)
-            runtime.progress("run_done", transactions=10)
+            runtime.emitter().emit("hour_done", hour=1, transactions=10)
+            runtime.emitter().emit("run_done", transactions=10)
         finally:
             bus.stop()
         assert not runtime.emitter().enabled  # restored
-        kinds = [e["type"] for e in seen]
-        assert kinds[0] == "bus_start"
-        assert "hour_done" in kinds and "run_done" in kinds
+        # Only what was emitted: the bus adds no event of its own.
+        assert [e["name"] for e in seen] == ["hour_done", "run_done"]
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [l["type"] for l in lines] == kinds
-        assert lines[0]["schema"] == SCHEMA
+        assert lines == seen
+        assert {l["type"] for l in lines} == {"event"}
 
     def test_raising_subscriber_is_detached(self, tmp_path):
         bus = TelemetryBus()
@@ -166,19 +158,19 @@ class TestTelemetryBus:
         bus.subscribe(seen.append)
         bus.start()
         try:
-            runtime.progress("hour_done", hour=1)
-            runtime.progress("hour_done", hour=2)
+            runtime.emitter().emit("hour_done", hour=1)
+            runtime.emitter().emit("hour_done", hour=2)
         finally:
             bus.stop()
         # The good subscriber saw everything despite the bad one.
-        assert [e for e in seen if e["type"] == "hour_done"]
+        assert [e for e in seen if e["name"] == "hour_done"]
 
     def test_stalled_consumer_cannot_block_workers(self, tmp_path):
         # A bounded queue with nobody draining it (the worst stall):
         # every emit beyond the capacity returns immediately and is
         # counted as a drop, never blocking the simulating process.
         bus = TelemetryBus(
-            events_path=str(tmp_path / "events.jsonl"), maxsize=4
+            spool_path=str(tmp_path / "spool.jsonl"), maxsize=4
         )
         emitter = bus.emitter()
         for hour in range(20):
@@ -218,8 +210,8 @@ class TestLiveAggregator:
     def test_eta_mid_run(self):
         events = _synthetic_run(workers=1, hours_per_worker=4)
         # Stop before shard_done/run_done: 4 hour_done over 4 seconds.
-        mid = [e for e in events if e["type"] != "run_done"
-               and e["type"] != "shard_done"]
+        mid = [e for e in events if e["name"] != "run_done"
+               and e["name"] != "shard_done"]
         agg = LiveAggregator(clock=_clock([104.0]))
         agg.hours_total = None
         for event in mid:
@@ -378,16 +370,41 @@ class TestMetricsServer:
             assert time.perf_counter() - started < 0.3
 
 
+#: A run's progress log as it was written before progress events were
+#: trace events: flat ``repro.live-events/1`` records, opened by a
+#: ``bus_start`` stamped before the world was built.  Frozen here so
+#: run directories recorded then keep replaying.
+LEGACY_EVENTS = """\
+{"type": "bus_start", "t": 1000.0, "seq": 0, "worker": null, "schema": "repro.live-events/1"}
+{"type": "run_start", "t": 1010.0, "seq": 1, "worker": null, "hours": 4, "workers": 2, "engine": "fast", "shards": [[0, 2], [2, 4]]}
+{"type": "shard_start", "t": 1010.0, "seq": 0, "worker": 0, "hour_start": 0, "hour_stop": 2}
+{"type": "shard_start", "t": 1010.0, "seq": 0, "worker": 1, "hour_start": 2, "hour_stop": 4}
+{"type": "hour_done", "t": 1011.0, "seq": 1, "worker": 0, "hour": 0, "stream": "fast-engine/hour/0", "transactions": 100, "dns": 3, "tcp": 2, "http": 1, "masked": 0}
+{"type": "hour_done", "t": 1011.0, "seq": 1, "worker": 1, "hour": 2, "stream": "fast-engine/hour/2", "transactions": 100, "dns": 3, "tcp": 2, "http": 1, "masked": 0}
+{"type": "hour_done", "t": 1012.0, "seq": 2, "worker": 0, "hour": 1, "stream": "fast-engine/hour/1", "transactions": 100, "dns": 3, "tcp": 2, "http": 1, "masked": 0}
+{"type": "hour_done", "t": 1012.0, "seq": 2, "worker": 1, "hour": 3, "stream": "fast-engine/hour/3", "transactions": 100, "dns": 3, "tcp": 2, "http": 1, "masked": 0}
+{"type": "shard_done", "t": 1012.0, "seq": 3, "worker": 0, "hour_start": 0, "hour_stop": 2, "transactions": 200, "elapsed_seconds": 2.0, "cpu_seconds": 1.5}
+{"type": "shard_done", "t": 1012.0, "seq": 3, "worker": 1, "hour_start": 2, "hour_stop": 4, "transactions": 200, "elapsed_seconds": 2.0, "cpu_seconds": 1.25}
+{"type": "run_done", "t": 1012.0, "seq": 2, "worker": null, "transactions": 400, "dns": 12, "tcp": 8, "http": 4, "masked": 0}
+"""
+
+
 class TestTimeline:
-    def test_load_events_sorts_and_skips_torn_lines(self, tmp_path):
+    def test_load_trace_reads_legacy_records_and_skips_torn_lines(
+        self, tmp_path
+    ):
         path = tmp_path / "events.jsonl"
         path.write_text(
-            json.dumps({"type": "hour_done", "t": 2.0, "seq": 1}) + "\n"
+            json.dumps({"type": "hour_done", "t": 2.0, "seq": 1, "worker": 0})
+            + "\n"
             + json.dumps({"type": "run_start", "t": 1.0, "seq": 0}) + "\n"
             + '{"type": "hour_done", "t": 3.0, "se\n'  # torn tail
         )
-        events = load_events(str(path))
-        assert [e["type"] for e in events] == ["run_start", "hour_done"]
+        events = load_trace(str(path)).events
+        assert events == [
+            event_record("hour_done", 2.0, {"seq": 1, "worker": 0}),
+            event_record("run_start", 1.0, {"seq": 0}),
+        ]
 
     def test_render_timeline_full_run(self):
         text = render_timeline(_synthetic_run(workers=2, hours_per_worker=3))
@@ -401,23 +418,40 @@ class TestTimeline:
 
     def test_interrupted_run_is_called_out(self):
         events = [
-            e for e in _synthetic_run() if e["type"] != "run_done"
+            e for e in _synthetic_run() if e["name"] != "run_done"
         ]
         assert "interrupted run?" in render_timeline(events)
 
-    def test_summarize_absent_or_empty_file(self, tmp_path):
-        assert summarize_events_file(str(tmp_path / "nope.jsonl")) is None
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        assert summarize_events_file(str(empty)) is None
+    def test_no_progress_events_renders_nothing(self):
+        assert render_timeline([]) is None
+        # A span trace's own events are not progress.
+        seeds = [event_record("rng.fork", 5.0, {"name": "faults"}, span=1)]
+        assert render_timeline(seeds) is None
+
+    def test_trace_events_do_not_stretch_the_axis(self):
+        # Seeds recorded long before the run started share the log; the
+        # axis still runs from run_start to run_done.
+        seeds = [event_record("rng.fork", 1.0, {"name": "faults"}, span=1)]
+        run = _synthetic_run(workers=1, hours_per_worker=2)
+        assert render_timeline(seeds + run) == render_timeline(run)
+        assert "timeline: 6 events over 3.50s" in render_timeline(run)
 
 
 class TestLiveSession:
     def test_lifecycle_spools_events(self):
-        with LiveSession(dashboard=False, serve_port=None) as session:
-            runtime.progress("hour_done", hour=1, transactions=5)
-        # Spool unlinked on exit; the aggregator saw the event first.
-        assert session.aggregator.events_seen >= 2  # bus_start + hour_done
+        session = LiveSession(dashboard=False, serve_port=None).start()
+        try:
+            runtime.emitter().emit("hour_done", hour=1, transactions=5)
+        finally:
+            session.stop()
+        with open(session.spool_path, encoding="utf-8") as fh:
+            spooled = [json.loads(line) for line in fh]
+        session.cleanup()
+        # The aggregator and the spool saw the one event, and nothing
+        # the bus made up.
+        assert session.aggregator.events_seen == 1
+        assert [e["name"] for e in spooled] == ["hour_done"]
+        assert spooled[0]["fields"]["hour"] == 1
 
     def test_server_port_exposed(self):
         session = LiveSession(dashboard=False, serve_port=0)
@@ -528,14 +562,17 @@ class TestCliEndToEnd:
 
     def test_events_persisted_into_run_dir(self, recorded):
         store, manifest = recorded
-        assert manifest.events_file == "events.jsonl"
-        events = load_events(
-            str(store.run_dir(manifest.run_id) / manifest.events_file)
-        )
-        kinds = {e["type"] for e in events}
+        assert manifest.trace_file == "trace.jsonl"
+        assert manifest.events_file is None
+        events = load_trace(
+            str(store.run_dir(manifest.run_id) / manifest.trace_file)
+        ).events
+        kinds = {e["name"] for e in events}
         assert {"run_start", "shard_start", "hour_done",
                 "shard_done", "run_done"} <= kinds
-        hour_events = [e for e in events if e["type"] == "hour_done"]
+        hour_events = [
+            e["fields"] for e in events if e["name"] == "hour_done"
+        ]
         assert len(hour_events) == int(HOURS)
         assert {e["worker"] for e in hour_events} == {0, 1}
         # RNG stream ids ride along for reproducibility.
@@ -573,8 +610,11 @@ class TestCliEndToEnd:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "events:" in out
-        assert "--timeline" in out
+        assert "events:" not in out
+        (trace_line,) = [
+            line for line in out.splitlines() if line.startswith("trace:")
+        ]
+        assert "repro obs" in trace_line and "--timeline" in trace_line
 
     def test_runs_show_timeline_replays(self, recorded, capsys):
         store, manifest = recorded
@@ -604,3 +644,113 @@ class TestCliEndToEnd:
         assert code == 0
         out = capsys.readouterr().out
         assert "no live-telemetry events recorded" in out
+
+    def test_live_trace_run_leaves_one_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("TERM", "dumb")
+        root, own_trace = tmp_path / "runs", tmp_path / "t.jsonl"
+        code = cli.main([
+            "--runs-dir", str(root),
+            "--hours", HOURS, "--per-hour", PER_HOUR, "--seed", "11",
+            "simulate", "--workers", "1", "--live", "--trace", str(own_trace),
+        ])
+        assert code == 0
+        from repro.obs.runstore.store import RunStore
+
+        store = RunStore(root)
+        manifest = store.load("latest")
+        run_dir = store.run_dir(manifest.run_id)
+        assert sorted(p.name for p in run_dir.glob("*.jsonl")) == [
+            "trace.jsonl"
+        ]
+        assert manifest.trace_file == "trace.jsonl"
+        assert manifest.events_file is None
+        log = load_trace(str(run_dir / "trace.jsonl"))
+        assert log.span_count > 0
+        hours = [e for e in log.events if e["name"] == "hour_done"]
+        assert len(hours) == int(HOURS)
+        # The user's own --trace file holds the spans alone.
+        assert not [
+            e for e in load_trace(str(own_trace)).events
+            if e["name"] == "hour_done"
+        ]
+        capsys.readouterr()
+        assert cli.main(["obs", str(run_dir / "trace.jsonl")]) == 0
+        out = capsys.readouterr().out
+        assert f"{'hour_done':<38} {int(HOURS):>8}" in out.splitlines()
+
+    def test_legacy_events_file_still_replays(self, tmp_path, capsys):
+        # A run directory recorded before progress events joined
+        # trace.jsonl: its manifest names a flat events.jsonl.
+        root = tmp_path / "runs"
+        assert cli.main([
+            "--runs-dir", str(root),
+            "--hours", HOURS, "--per-hour", PER_HOUR, "--seed", "11",
+            "simulate", "--workers", "1",
+        ]) == 0
+        from repro.obs.runstore.store import MANIFEST_FILE, RunStore
+
+        store = RunStore(root)
+        run_dir = store.run_dir(store.load("latest").run_id)
+        (run_dir / "events.jsonl").write_text(LEGACY_EVENTS)
+        document = json.loads((run_dir / MANIFEST_FILE).read_text())
+        document["events_file"] = "events.jsonl"
+        (run_dir / MANIFEST_FILE).write_text(json.dumps(document))
+        capsys.readouterr()
+        assert cli.main([
+            "runs", "--runs-dir", str(root), "show", "latest", "--timeline",
+        ]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # bus_start is no progress event: the axis runs from run_start
+        # (t=1010) to run_done (t=1012), so the two hours of each lane
+        # land mid-axis and in the last column.
+        row = " " * 30 + "█" + " " * 28 + "█"
+        start = lines.index(
+            "timeline: 10 events over 2.00s (4 hours simulated)"
+        )
+        assert lines[start:] == [
+            "timeline: 10 events over 2.00s (4 hours simulated)",
+            "run: hours=4 workers=2 engine=fast",
+            "",
+            "-- per-worker hour completions (each column ~0.033s) --",
+            f"  w0   |{row}| [0,2) 2h cpu=1.50s",
+            f"  w1   |{row}| [2,4) 2h cpu=1.25s",
+            "",
+            "totals: 400 transactions  dns=12  tcp=8  http=4  masked=0",
+            "run completed (run_done recorded)",
+        ]
+
+    def test_replayed_timeline_equals_the_live_fold(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("TERM", "dumb")
+        sessions = []
+        cleanup = LiveSession.cleanup
+
+        def keep(session):
+            sessions.append(session)
+            cleanup(session)
+
+        monkeypatch.setattr(LiveSession, "cleanup", keep)
+        root = tmp_path / "runs"
+        assert cli.main([
+            "--runs-dir", str(root),
+            "--hours", HOURS, "--per-hour", PER_HOUR, "--seed", "11",
+            "simulate", "--workers", "2", "--live",
+        ]) == 0
+        live = sessions[0].aggregator.snapshot()
+        from repro.obs.runstore.store import RunStore
+
+        store = RunStore(root)
+        manifest = store.load("latest")
+        _, replayed = replay(load_trace(
+            str(store.run_dir(manifest.run_id) / manifest.trace_file)
+        ).events)
+        assert len(replayed["lanes"]) == 2
+        for key in (
+            "lanes", "hours_total", "hours_done", "workers", "engine",
+            "transactions", "failures", "finished", "rate_window",
+            "events_seen",
+        ):
+            assert replayed[key] == live[key], key
