@@ -112,7 +112,7 @@ def test_obs_baseline(emit):
 
     with obs.use(registry, tracer):
         report_started = time.perf_counter()
-        with obs.stage("bench.report"):
+        with obs.span("bench.report"):
             dataset = result.dataset
             perm = permanent.find_permanent_pairs(dataset)
             analysis = blame.run_blame_analysis(dataset, 0.05, perm.mask)

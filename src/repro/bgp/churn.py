@@ -26,6 +26,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.bgp.routeviews import CollectorFleet
 from repro.net.addressing import Prefix
 
@@ -108,6 +109,7 @@ class ChurnGenerator:
 
     # -- public API ------------------------------------------------------------
 
+    @obs.span("bgp.churn.run")
     def run(
         self,
         prefix_attachments: Dict[Prefix, Sequence[Tuple[int, float]]],

@@ -108,7 +108,7 @@ class InstabilityCorrelation:
         return rates, np.arange(1, rates.size + 1) / rates.size
 
 
-@obs.timed("bgp.correlate_instability")
+@obs.span("bgp.correlate_instability")
 def correlate_instability(
     dataset: MeasurementDataset,
     archive: UpdateArchive,
@@ -169,7 +169,7 @@ class ClientTimeseries:
     withdrawing_neighbors: np.ndarray
 
 
-@obs.timed("bgp.client_timeseries")
+@obs.span("bgp.client_timeseries")
 def client_timeseries(
     dataset: MeasurementDataset,
     archive: UpdateArchive,

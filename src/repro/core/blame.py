@@ -142,7 +142,7 @@ def _classify(
     )
 
 
-@obs.timed("blame.run")
+@obs.span("blame.run")
 def run_blame_analysis(
     dataset: MeasurementDataset,
     threshold: float = 0.05,
@@ -180,7 +180,7 @@ def run_blame_analysis(
     )
 
 
-@obs.timed("blame.table")
+@obs.span("blame.table")
 def blame_table(
     dataset: MeasurementDataset,
     thresholds: Tuple[float, ...] = (0.05, 0.10),

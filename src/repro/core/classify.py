@@ -48,7 +48,7 @@ class CategorySummary:
         return self.failed_connections / self.connections
 
 
-@obs.timed("classify.category_summary")
+@obs.span("classify.category_summary")
 def category_summary(dataset: MeasurementDataset) -> List[CategorySummary]:
     """Table 3: overall transaction and connection counts per category.
 
@@ -107,7 +107,7 @@ class TypeBreakdown:
         return getattr(self, which) / total if total else 0.0
 
 
-@obs.timed("classify.failure_type_breakdown")
+@obs.span("classify.failure_type_breakdown")
 def failure_type_breakdown(
     dataset: MeasurementDataset,
 ) -> List[TypeBreakdown]:
@@ -165,7 +165,7 @@ class DNSBreakdown:
         )
 
 
-@obs.timed("classify.dns_breakdown")
+@obs.span("classify.dns_breakdown")
 def dns_breakdown(dataset: MeasurementDataset) -> List[DNSBreakdown]:
     """Table 4: DNS failure breakdown per category (PL, BB, DU)."""
     rows = []
@@ -192,7 +192,7 @@ def dns_breakdown(dataset: MeasurementDataset) -> List[DNSBreakdown]:
     return rows
 
 
-@obs.timed("classify.dns_domain_contributions")
+@obs.span("classify.dns_domain_contributions")
 def dns_domain_contributions(
     dataset: MeasurementDataset,
 ) -> Dict[str, List[Tuple[str, int]]]:
@@ -271,7 +271,7 @@ class TCPBreakdown:
         return getattr(self, which) / total if total else 0.0
 
 
-@obs.timed("classify.tcp_breakdown")
+@obs.span("classify.tcp_breakdown")
 def tcp_breakdown(dataset: MeasurementDataset) -> List[TCPBreakdown]:
     """Figure 3: TCP connection failure breakdown (CN excluded)."""
     rows = []
@@ -295,7 +295,7 @@ def tcp_breakdown(dataset: MeasurementDataset) -> List[TCPBreakdown]:
     return rows
 
 
-@obs.timed("classify.loss_correlation")
+@obs.span("classify.loss_correlation")
 def packet_loss_failure_correlation(dataset: MeasurementDataset) -> float:
     """Section 4.1.3: correlation between per-pair packet loss rate and
     transaction failure rate (the paper finds a weak r ~ 0.19)."""

@@ -44,7 +44,7 @@ class RateMatrix:
         return self.rates[self.valid]
 
 
-@obs.timed("episodes.client_rate_matrix")
+@obs.span("episodes.client_rate_matrix")
 def client_rate_matrix(
     dataset: MeasurementDataset,
     transactions: Optional[np.ndarray] = None,
@@ -65,7 +65,7 @@ def client_rate_matrix(
     return _rates(trans, fails, min_samples)
 
 
-@obs.timed("episodes.server_rate_matrix")
+@obs.span("episodes.server_rate_matrix")
 def server_rate_matrix(
     dataset: MeasurementDataset,
     transactions: Optional[np.ndarray] = None,
@@ -125,7 +125,7 @@ def rate_cdf(matrix: RateMatrix) -> Tuple[np.ndarray, np.ndarray]:
     return samples, cdf
 
 
-@obs.timed("episodes.detect_knee")
+@obs.span("episodes.detect_knee")
 def detect_knee(
     matrix: RateMatrix,
     candidate_range: Tuple[float, float] = (0.01, 0.30),
@@ -187,7 +187,7 @@ class CoalescedEpisode:
         return self.end_hour - self.start_hour + 1
 
 
-@obs.timed("episodes.coalesce")
+@obs.span("episodes.coalesce")
 def coalesce_episodes(flags: np.ndarray) -> List[CoalescedEpisode]:
     """Merge consecutive episode-hours per entity (Section 4.4.5)."""
     episodes: List[CoalescedEpisode] = []
@@ -219,7 +219,7 @@ class EpisodeStats:
     entities_with_multiple: int
 
 
-@obs.timed("episodes.stats")
+@obs.span("episodes.stats")
 def episode_stats(flags: np.ndarray) -> EpisodeStats:
     """Compute the Section 4.4.5 duration/spread statistics."""
     coalesced = coalesce_episodes(flags)

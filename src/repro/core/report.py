@@ -157,7 +157,7 @@ def pct(value: float) -> str:
 # --------------------------------------------------------------------------
 
 
-@obs.timed("report.table3")
+@obs.span("report.table3")
 def table3(dataset: MeasurementDataset) -> str:
     """Table 3: overall counts and failure rates per client category."""
     rows = []
@@ -183,7 +183,7 @@ def table3(dataset: MeasurementDataset) -> str:
     )
 
 
-@obs.timed("report.figure1")
+@obs.span("report.figure1")
 def figure1(dataset: MeasurementDataset) -> str:
     """Figure 1: failure-type breakdown per category."""
     rows = []
@@ -208,7 +208,7 @@ def figure1(dataset: MeasurementDataset) -> str:
     )
 
 
-@obs.timed("report.table4")
+@obs.span("report.table4")
 def table4(dataset: MeasurementDataset) -> str:
     """Table 4: DNS failure breakdown."""
     rows = []
@@ -241,7 +241,7 @@ def table4(dataset: MeasurementDataset) -> str:
     )
 
 
-@obs.timed("report.figure2")
+@obs.span("report.figure2")
 def figure2(dataset: MeasurementDataset, top_k: int = 2) -> str:
     """Figure 2: skew of DNS failures across website domains."""
     contributions = classify.dns_domain_contributions(dataset)
@@ -266,7 +266,7 @@ def figure2(dataset: MeasurementDataset, top_k: int = 2) -> str:
     )
 
 
-@obs.timed("report.figure3")
+@obs.span("report.figure3")
 def figure3(dataset: MeasurementDataset) -> str:
     """Figure 3: TCP connection failure breakdown."""
     rows = []
@@ -290,7 +290,7 @@ def figure3(dataset: MeasurementDataset) -> str:
     )
 
 
-@obs.timed("report.figure4")
+@obs.span("report.figure4")
 def figure4(dataset: MeasurementDataset, excluded=None) -> str:
     """Figure 4: CDF of per-episode failure rates + detected knee."""
     client_m, server_m = episodes.rate_matrices(dataset, excluded)
@@ -316,7 +316,7 @@ def figure4(dataset: MeasurementDataset, excluded=None) -> str:
     )
 
 
-@obs.timed("report.table5")
+@obs.span("report.table5")
 def table5(dataset: MeasurementDataset, excluded) -> str:
     """Table 5: blame classification at f = 5% and 10%."""
     rows = []
@@ -340,7 +340,7 @@ def table5(dataset: MeasurementDataset, excluded) -> str:
     )
 
 
-@obs.timed("report.table6")
+@obs.span("report.table6")
 def table6(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     """Table 6: most failure-prone servers, episode counts, spread."""
     spreads = spread.server_spreads(dataset, analysis)
@@ -368,7 +368,7 @@ def table6(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     )
 
 
-@obs.timed("report.table7")
+@obs.span("report.table7")
 def table7(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     """Table 7: co-located vs random pair similarity buckets."""
     colocated = similarity.colocated_similarities(
@@ -393,7 +393,7 @@ def table7(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     )
 
 
-@obs.timed("report.table8")
+@obs.span("report.table8")
 def table8(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     """Table 8: the named co-located client pairs."""
     rows = []
@@ -413,7 +413,7 @@ def table8(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     )
 
 
-@obs.timed("report.table9")
+@obs.span("report.table9")
 def table9(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     """Table 9: residual (proxy-related) failure rates."""
     from repro.core import proxy_analysis
@@ -443,7 +443,7 @@ def table9(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
     )
 
 
-@obs.timed("report.headline")
+@obs.span("report.headline")
 def headline_summary(dataset: MeasurementDataset) -> str:
     """The abstract's headline numbers vs measured."""
     client_rates = dataset.client_failure_rates()

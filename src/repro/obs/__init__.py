@@ -1,20 +1,22 @@
-"""repro.obs -- metrics, tracing, and profiling for the whole pipeline.
+"""repro.obs -- metrics and tracing for the whole pipeline.
 
 The measurement substrate for the reproduction itself: the paper is a
 measurement study, and this package is how the simulator and analyses
-measure *themselves*.  Three pieces:
+measure *themselves*.  Two pieces:
 
 * **Metrics** (:mod:`repro.obs.metrics`): a dependency-free, thread-safe
   :class:`MetricsRegistry` of counters, gauges, and fixed-bucket
   histograms, exported as Prometheus text or a human summary table.
-* **Tracing** (:mod:`repro.obs.tracing`): ``with obs.span("simulate.hour",
-  hour=h):`` builds a tree of timed spans; a context-var current span
-  lets nested library code (DNS resolver, TCP connection, wget) annotate
-  without plumbing; spans/events stream to a JSONL file that ``repro
-  obs`` replays.
-* **Profiling** (:mod:`repro.obs.profiler`): ``stage(...)``/``@timed``
-  record per-stage wall time and item counts under uniform
-  ``stage_*_total{stage=...}`` metrics.
+* **Tracing** (:mod:`repro.obs.tracing`): a tree of timed spans; a
+  context-var current span lets nested library code (DNS resolver, TCP
+  connection, wget) annotate without plumbing; spans/events stream to a
+  JSONL file that ``repro obs`` replays.
+
+One primitive feeds both: ``with obs.span("simulate.hour", hour=h):`` (or
+``@obs.span("report.table3")``) counts the interval in the uniform
+``stage_{calls,seconds,items}_total{stage=...}`` metrics and, when
+tracing is on, records it as a span.  ``obs.event`` is the one
+point-in-time record.
 
 Everything is off-by-default-cheap: the default tracer is disabled (spans
 are shared no-ops) and a :class:`NullRegistry` can be installed to make
@@ -30,7 +32,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.profiler import StageTimer, stage, timed
 from repro.obs.runtime import (
     NULL_EMITTER,
     NULL_REGISTRY,
@@ -64,9 +65,6 @@ __all__ = [
     "Tracer",
     "Span",
     "NULL_SPAN",
-    "stage",
-    "StageTimer",
-    "timed",
     "registry",
     "tracer",
     "set_registry",

@@ -254,7 +254,7 @@ def _side_evidence(
     }
 
 
-@obs.timed("evidence.collect")
+@obs.span("evidence.collect")
 def collect_evidence(
     dataset,
     excluded_pairs: Optional[np.ndarray] = None,

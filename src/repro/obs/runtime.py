@@ -1,4 +1,4 @@
-"""Process-wide observability state.
+"""Process-wide observability state and the instrumentation surface.
 
 Library code reaches the active registry/tracer through this module so a
 CLI run (or a test) can swap in a fresh :class:`MetricsRegistry`, a
@@ -8,16 +8,23 @@ objects through every constructor::
     from repro import obs
 
     obs.counter("dns_resolutions_total").inc()
-    with obs.span("simulate.hour", hour=h):
+    with obs.span("simulate.hour", hour=h) as sp:
         ...
+        sp.add_items(n_transactions)
     obs.event("rng.fork", name="faults", seed=123)
+
+:class:`span` is the one interval primitive: every layer that runs
+records one row in the stage metrics and, when tracing is on, one trace
+span.  :func:`event` is the one point-in-time record.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import sys
+from time import perf_counter
 from typing import Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, NullRegistry
@@ -121,9 +128,66 @@ def histogram(name: str, buckets: Optional[Tuple[float, ...]] = None, **labels: 
     return _registry.histogram(name, buckets, **labels)
 
 
-def span(name: str, **attrs):
-    """Context manager: a span on the active tracer."""
-    return _tracer.span(name, **attrs)
+class span:
+    """Time one layer into the stage metrics and the trace.
+
+    On exit, also when the body raises, the active registry gains one
+    ``stage_calls_total{stage=name}`` and the elapsed wall seconds in
+    ``stage_seconds_total``, plus ``stage_items_total`` when the body
+    counted items.  When the active tracer is enabled the interval is
+    also a trace span (carrying ``items``).  The yielded handle offers
+    :meth:`set`, :meth:`event` and :meth:`add_items`.
+
+    As a decorator, ``@obs.span("report.table3")`` opens a fresh span
+    per call, so recursion and threads each get their own state, and
+    the registry and tracer are looked up at call time.
+    """
+
+    __slots__ = ("name", "attrs", "_items", "_started", "_trace_cm", "_span")
+
+    def __init__(self, name: str, **attrs) -> None:
+        self.name = name
+        self.attrs = attrs
+        self._items = 0
+
+    def __enter__(self) -> "span":
+        self._trace_cm = _tracer.span(self.name, **self.attrs)
+        self._span = self._trace_cm.__enter__()
+        self._started = perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = perf_counter() - self._started
+        name = self.name
+        _registry.counter("stage_calls_total", stage=name).inc()
+        _registry.counter("stage_seconds_total", stage=name).inc(elapsed)
+        if self._items:
+            _registry.counter("stage_items_total", stage=name).inc(self._items)
+            self._span.set(items=self._items)
+        return self._trace_cm.__exit__(exc_type, exc, tb)
+
+    def __call__(self, func):
+        name, attrs = self.name, self.attrs
+
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            with span(name, **attrs):
+                return func(*args, **kwargs)
+
+        return wrapper
+
+    def add_items(self, count: int) -> None:
+        """Count ``count`` work units against this layer."""
+        self._items += int(count)
+
+    def set(self, **attrs) -> "span":
+        """Attach attributes to the trace span (no-op when not tracing)."""
+        self._span.set(**attrs)
+        return self
+
+    def event(self, name: str, /, **fields) -> None:
+        """Record an event inside the trace span (no-op when not tracing)."""
+        self._span.event(name, **fields)
 
 
 def current_span():

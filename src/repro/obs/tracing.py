@@ -5,6 +5,10 @@ A :class:`Tracer` produces a tree of timed :class:`Span` objects::
     with tracer.span("simulate.hour", hour=h):
         ...
 
+Library code opens spans through ``obs.span``
+(:class:`repro.obs.runtime.span`), which also counts the interval in
+the stage metrics, so one primitive feeds both records.
+
 The current span rides a :mod:`contextvars` variable, so nested library
 code (the DNS resolver, the TCP state machine) can annotate whatever span
 is active without plumbing arguments::
@@ -171,20 +175,24 @@ class Tracer:
             return _null_ctx
         return self._span_ctx(name, attrs)
 
-    @contextlib.contextmanager
-    def _span_ctx(self, name: str, attrs: Dict[str, Any]):
+    def _new_span(self, name: str, attrs: Dict[str, Any]) -> Span:
+        """A span starting now, as a child of the current span."""
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
         parent = self._current.get()
-        span = Span(
+        return Span(
             name=name,
             span_id=span_id,
             parent_id=parent.span_id if parent is not None else None,
-            attrs=dict(attrs),
+            attrs=attrs,
             start_wall=time.time(),
             _start_perf=time.perf_counter(),
         )
+
+    @contextlib.contextmanager
+    def _span_ctx(self, name: str, attrs: Dict[str, Any]):
+        span = self._new_span(name, dict(attrs))
         token = self._current.set(span)
         try:
             yield span
@@ -192,6 +200,24 @@ class Tracer:
             span.duration = time.perf_counter() - span._start_perf
             self._current.reset(token)
             self._record(span)
+
+    def record_finished(
+        self, name: str, started: float, duration: float, **attrs: Any
+    ) -> None:
+        """Record a span that ran elsewhere as a child of the current span.
+
+        ``started`` is the ``perf_counter()`` reading when it began --
+        comparable across a ``fork``, as the clock is system-wide -- and
+        ``duration`` its wall seconds.  Only the trace sees it: the
+        parallel driver records its workers' shards this way, after
+        their stage metrics were already counted in the workers.
+        """
+        if not self.enabled:
+            return
+        span = self._new_span(name, attrs)
+        span.start_wall -= span._start_perf - started
+        span.duration = duration
+        self._record(span)
 
     def event(self, name: str, /, **fields: Any) -> None:
         """Record a standalone event (attached to the current span if any).

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.net.addressing import AddressAllocator, IPv4Address, Prefix
 from repro.world.entities import (
     Client,
@@ -433,6 +434,7 @@ def _build_websites(allocator: AddressAllocator) -> List[Website]:
     return websites
 
 
+@obs.span("world.defaults.build")
 def build_default_world(hours: int = DEFAULT_HOURS, seed: int = 0) -> World:
     """Build the paper's world: 134 clients, 80 websites, 5 proxies.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -316,7 +315,6 @@ class DetailedEngine:
         now = hour * 3600.0 + offset_seconds
 
         dig = None
-        started = perf_counter()
         self._apply_dns_scenario(state, site, scenario)
         try:
             with obs.span(
@@ -356,10 +354,6 @@ class DetailedEngine:
 
         record = self._to_record(client, site, hour, now, result)
         registry = obs.registry()
-        registry.counter("stage_calls_total", stage="detailed.access").inc()
-        registry.counter("stage_seconds_total", stage="detailed.access").inc(
-            perf_counter() - started
-        )
         registry.counter("detailed_transactions_total").inc()
         if record.failed:
             registry.counter(
@@ -504,7 +498,7 @@ class DetailedEngine:
         """Run a grid of transactions (skipping down clients)."""
         batch = RecordBatch()
         rng = self._rng
-        with obs.stage("detailed.batch") as batch_stage:
+        with obs.span("detailed.batch") as batch_span:
             for hour in hours:
                 for client_name in client_names:
                     ci = self.world.client_idx(client_name)
@@ -520,7 +514,7 @@ class DetailedEngine:
                                 client_name, site_name, hour, offset
                             )
                             batch.append(record)
-            batch_stage.add_items(len(batch))
+            batch_span.add_items(len(batch))
         return batch
 
 

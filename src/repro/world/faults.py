@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.bgp.churn import (
     ChurnConfig,
     ChurnGenerator,
@@ -737,6 +738,7 @@ class FaultGenerator:
 
     # -- assembly -----------------------------------------------------------------
 
+    @obs.span("world.faults.generate")
     def generate(self) -> GroundTruth:
         """Run every fault process and assemble the ground truth."""
         cfg = self.config

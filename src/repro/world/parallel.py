@@ -44,7 +44,8 @@ cannot cross process boundaries), dumps it into the
 :class:`~repro.world.simulator.ShardResult`, and the parent folds every
 shard's state back into the active registry after the join.  The parent's
 trace gains one ``simulate.shard`` span per shard carrying the worker's
-hour range and wall time.
+hour range and wall time, recorded from the shard's own timings so the
+stage metrics count each shard once.
 """
 
 from __future__ import annotations
@@ -274,18 +275,21 @@ def run_block(
         # serve process must not keep a finished block pinned here.
         _BLOCK_SIMULATOR = _BLOCK_BUFFER = None
     registry = obs.registry()
+    tracer = obs.tracer()
     for i, shard in enumerate(results):
-        with obs.span(
-            "simulate.shard",
+        # The worker already counted this shard's stage rows; the parent
+        # only places its span in the trace.
+        tracer.record_finished(
+            "simulate.shard", shard.started, shard.elapsed_seconds,
             worker=i,
             hour_start=shard.hour_start,
             hour_stop=shard.hour_stop,
             worker_seconds=round(shard.elapsed_seconds, 6),
             worker_cpu_seconds=round(shard.cpu_seconds, 6),
             transactions=shard.transactions,
-        ):
-            if shard.metrics:
-                registry.merge_state(shard.metrics)
+        )
+        if shard.metrics:
+            registry.merge_state(shard.metrics)
         # Per-shard wall/CPU accounting: run manifests report aggregate
         # worker compute alongside the parent's wall time.
         registry.gauge(

@@ -72,6 +72,9 @@ class ShardResult:
     #: the parent into ``simulate_worker_cpu_seconds_total`` so a run
     #: manifest can report aggregate compute, not just wall time.
     cpu_seconds: float = 0.0
+    #: ``perf_counter()`` reading when the shard began (the clock is
+    #: system-wide, so the parent can place a worker's span in its trace).
+    started: float = 0.0
     #: Dumped per-worker metrics registry state (see
     #: :meth:`~repro.obs.metrics.MetricsRegistry.dump_state`), merged into
     #: the parent registry after the join.  Filled by the parallel driver.
@@ -122,12 +125,12 @@ class MonthSimulator:
                 "run_start", hours=hours, workers=len(shards),
                 engine="fast", shards=[[h0, h1] for h0, h1 in shards],
             )
-        with obs.stage(
+        with obs.span(
             "simulate.month", hours=hours, workers=len(shards)
-        ) as month_stage:
+        ) as month_span:
             arrays, fallback = run_block(self, 0, hours, len(shards))
             dataset = MeasurementDataset.from_arrays(self.world, arrays)
-            month_stage.add_items(int(dataset.transactions.sum()))
+            month_span.add_items(int(dataset.transactions.sum()))
         self._commit_outcome_metrics(dataset)
         self._attach_provenance(dataset, workers=len(shards))
         if fallback is not None:
@@ -173,9 +176,9 @@ class MonthSimulator:
             emitter.emit(
                 "shard_start", hour_start=hour_start, hour_stop=hour_stop
             )
-        with obs.stage(
+        with obs.span(
             "simulate.shard", hour_start=hour_start, hour_stop=hour_stop
-        ) as shard_stage:
+        ) as shard_span:
             self.engine.simulate_block(
                 hour_start, hour_stop, sink, self._stage_seconds
             )
@@ -185,7 +188,7 @@ class MonthSimulator:
                     ..., t0 : t0 + (hour_stop - hour_start)
                 ].sum(dtype=np.int64)
             )
-            shard_stage.add_items(transactions)
+            shard_span.add_items(transactions)
         self._commit_stage_metrics(hour_stop - hour_start)
         elapsed_seconds = perf_counter() - started
         cpu_seconds = process_time() - cpu_started
@@ -206,6 +209,7 @@ class MonthSimulator:
             elapsed_seconds=elapsed_seconds,
             stage_seconds=dict(self._stage_seconds),
             cpu_seconds=cpu_seconds,
+            started=started,
         )
 
     def _attach_provenance(

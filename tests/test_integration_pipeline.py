@@ -10,7 +10,7 @@ This is the closest the suite comes to replaying the actual experiment.
 import numpy as np
 import pytest
 
-from repro.core import blame, classify, episodes, export
+from repro.core import blame, classify, episodes
 from repro.core.dataset import MeasurementDataset
 from repro.core.records import FailureType
 from repro.world.experiment import ExperimentDriver
@@ -104,12 +104,3 @@ class TestAnalysisOverRealRecords:
             total += t
         if total >= 10:
             assert agree / total > 0.7
-
-    def test_records_export_roundtrip(self, pipeline, world, tmp_path):
-        _, batch, dataset = pipeline
-        path = tmp_path / "study.jsonl"
-        export.write_jsonl(batch, path)
-        reloaded = MeasurementDataset(world)
-        reloaded.add_records(export.read_jsonl(path))
-        assert (reloaded.transactions == dataset.transactions).all()
-        assert (reloaded.tcp_noconn == dataset.tcp_noconn).all()

@@ -307,6 +307,37 @@ class TestObservability:
         )
         assert blocks == parallel.plan_shards(HOURS, 2)
 
+    @pytest.mark.parametrize("path", ["pooled", "fallback"])
+    def test_shard_row_counted_once(
+        self, small_world, small_truth, monkeypatch, path
+    ):
+        """Each shard's stage row comes from the shard that ran, once.
+
+        The parent's ``simulate.shard`` spans are placed in the trace
+        from the shards' own timings and add nothing to the metrics.
+        """
+        from repro.obs.tracing import Tracer
+
+        if path == "fallback":
+            monkeypatch.setattr(parallel, "_pool_dispatch", _refuse_pool)
+        registry, tracer = MetricsRegistry(), Tracer()
+        tracer.enable(keep_in_memory=True)
+        with obs.use(registry, tracer):
+            result = _simulator(small_world, small_truth).run(workers=2)
+        fell_back = "parallel_fallback" in result.dataset.provenance
+        assert fell_back == (path == "fallback")
+        assert registry.counter(
+            "stage_calls_total", stage="simulate.shard"
+        ).value == 2
+        shard_spans = tracer.find("simulate.shard")
+        assert len(shard_spans) == 2
+        (month,) = tracer.find("simulate.month")
+        for shard in shard_spans:
+            assert shard.parent_id == month.span_id
+            assert shard.duration == pytest.approx(
+                shard.attrs["worker_seconds"], abs=1e-6
+            )
+
     def test_provenance_records_workers(
         self, small_world, small_truth, broken_pool
     ):
