@@ -65,7 +65,7 @@ def rebuild_slo(chunks, config) -> "object":
         sums = entity_hour_sums(arrays)
         for t in range(h1 - h0):
             engine.on_hour(h0 + t, *(
-                sums[key][:, t].tolist() for key in ("ct", "cf", "st", "sf")
+                sums[key][:, t] for key in ("ct", "cf", "st", "sf")
             ))
     return engine
 

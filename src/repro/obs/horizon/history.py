@@ -25,7 +25,10 @@ hold these exactly, not approximately):
 
 Entity-hour validity is the dataset's ``MIN_SAMPLES_PER_HOUR`` rule;
 an entity's ``max_rate`` only considers its valid hours (0.0 while it
-has none -- disambiguated by ``valid == 0``).
+has none -- disambiguated by ``valid == 0``).  Per-entity fields are
+numpy arrays in memory, folded once per hour into every resolution;
+they become lists only where JSON is written (documents,
+:func:`cell_digest`, :meth:`HistoryStore.export_state`).
 
 Folding must happen strictly in ascending hour order (the online
 detector's cursor guarantees this), which makes every document a pure
@@ -38,7 +41,9 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.dataset import MIN_SAMPLES_PER_HOUR
 from repro.obs.runstore.manifest import canonical_json
@@ -59,10 +64,36 @@ RESOLUTIONS = (
 
 _SIDES = ("client", "server")
 
+#: One hour's per-entity counts: a column of ``entity_hour_sums``.
+Column = Union[np.ndarray, Sequence[int]]
+
+#: A cell's per-entity fields (in JSON key order) and their dtypes.
+_SIDE_FIELDS = {
+    "t": np.int64, "f": np.int64, "valid": np.int64, "max_rate": np.float64,
+}
+
+
+def _map_sides(cell: Dict[str, Any], convert) -> Dict[str, Any]:
+    """``cell`` with ``convert(field, dtype)`` applied per entity field."""
+    return {**cell, **{
+        side: {
+            key: convert(cell[side][key], dtype)
+            for key, dtype in _SIDE_FIELDS.items()
+        }
+        for side in _SIDES
+    }}
+
+
+def _cell_json(cell: Dict[str, Any]) -> Dict[str, Any]:
+    """The cell with its per-entity arrays as lists (the JSON form)."""
+    return _map_sides(cell, lambda field, _: field.tolist())
+
 
 def cell_digest(cell: Dict[str, Any]) -> str:
     """Canonical-JSON digest of one cell (stable once the cell is full)."""
-    return hashlib.sha256(canonical_json(cell).encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        canonical_json(_cell_json(cell)).encode("utf-8")
+    ).hexdigest()
 
 
 def _new_cell(index: int, span: int, entities: Dict[str, int]) -> Dict[str, Any]:
@@ -76,17 +107,69 @@ def _new_cell(index: int, span: int, entities: Dict[str, int]) -> Dict[str, Any]
         "max_rate": 0.0,
     }
     for side in _SIDES:
-        n = entities[side]
         cell[side] = {
-            "t": [0] * n,
-            "f": [0] * n,
-            "valid": [0] * n,
-            "max_rate": [0.0] * n,
+            key: np.zeros(entities[side], dtype=dtype)
+            for key, dtype in _SIDE_FIELDS.items()
         }
     return cell
 
 
-class HistoryStore:
+def _totals(t: int, f: int) -> Dict[str, Any]:
+    t, f = int(t), int(f)
+    rate = (f / t) if t > 0 else None
+    return {"transactions": t, "failures": f, "rate": rate}
+
+
+class RosterObserver:
+    """The roster half of the detector-observer protocol.
+
+    Holds each side's entity names in array-index order and each client
+    region's member indices; the horizon observers derive from it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._names: Dict[str, List[str]] = {side: [] for side in _SIDES}
+        self._set_regions([])
+
+    def on_run_start(self, event: Dict[str, Any]) -> None:
+        """Capture the entity rosters (and client regions, if shipped)."""
+        with self._lock:
+            for side, key in (("client", "clients"), ("server", "servers")):
+                names = event.get(key)
+                if isinstance(names, list):
+                    self._names[side] = [str(n) for n in names]
+            if isinstance(event.get("client_regions"), list):
+                self._set_regions(event["client_regions"])
+
+    def _set_regions(self, regions: Sequence[str]) -> None:
+        self._regions = [str(r) for r in regions]
+        labels = np.array(self._regions, dtype=object)
+        #: Region -> its client indices, regions in sorted order.
+        self._members: Dict[str, np.ndarray] = {
+            r: np.flatnonzero(labels == r) for r in sorted(set(self._regions))
+        }
+
+
+def hour_sides(
+    ct: Column, cf: Column, st: Column, sf: Column
+) -> Dict[str, Tuple[np.ndarray, ...]]:
+    """One hour's ``(t, f, valid, rates)`` arrays for each side.
+
+    ``rates`` is ``f / t`` on valid entity-hours and 0.0 elsewhere, so
+    a running ``np.maximum`` over it is the max over valid hours only.
+    """
+    sides = {}
+    for side, trans, fails in (("client", ct, cf), ("server", st, sf)):
+        t = np.asarray(trans, dtype=np.int64)
+        f = np.asarray(fails, dtype=np.int64)
+        valid = t >= MIN_SAMPLES_PER_HOUR
+        rates = np.divide(f, t, out=np.zeros(len(t)), where=valid)
+        sides[side] = (t, f, valid, rates)
+    return sides
+
+
+class HistoryStore(RosterObserver):
     """Fixed-size cascading-resolution rollups of the hour-stats stream."""
 
     def __init__(
@@ -96,9 +179,7 @@ class HistoryStore:
             (str(name), int(span), int(capacity))
             for name, span, capacity in resolutions
         )
-        self._lock = threading.Lock()
-        self._names: Dict[str, List[str]] = {side: [] for side in _SIDES}
-        self._regions: List[str] = []
+        super().__init__()
         #: resolution name -> ring of cells, oldest first.
         self._rings: Dict[str, List[Dict[str, Any]]] = {
             name: [] for name, _, _ in self.resolutions
@@ -111,26 +192,8 @@ class HistoryStore:
 
     # -- detector-observer protocol ---------------------------------------------
 
-    def on_run_start(self, event: Dict[str, Any]) -> None:
-        """Capture the entity rosters (and client regions, if shipped)."""
-        with self._lock:
-            clients = event.get("clients")
-            servers = event.get("servers")
-            regions = event.get("client_regions")
-            if isinstance(clients, list):
-                self._names["client"] = [str(n) for n in clients]
-            if isinstance(servers, list):
-                self._names["server"] = [str(n) for n in servers]
-            if isinstance(regions, list):
-                self._regions = [str(r) for r in regions]
-
     def on_hour(
-        self,
-        hour: int,
-        ct: Sequence[int],
-        cf: Sequence[int],
-        st: Sequence[int],
-        sf: Sequence[int],
+        self, hour: int, ct: Column, cf: Column, st: Column, sf: Column
     ) -> None:
         """Fold one completed hour into every resolution's current cell."""
         with self._lock:
@@ -141,11 +204,11 @@ class HistoryStore:
                 )
             self._last_folded = hour
             self.hours_folded += 1
-            transactions = sum(ct)
-            failures = sum(cf)
+            per_side = hour_sides(ct, cf, st, sf)
+            transactions = int(per_side["client"][0].sum())
+            failures = int(per_side["client"][1].sum())
             rate = (failures / transactions) if transactions > 0 else 0.0
-            entities = {"client": len(ct), "server": len(st)}
-            per_side = {"client": (ct, cf), "server": (st, sf)}
+            entities = {side: len(per_side[side][0]) for side in _SIDES}
             for name, span, capacity in self.resolutions:
                 ring = self._rings[name]
                 index = hour // span
@@ -162,20 +225,14 @@ class HistoryStore:
                 cell["failures"] += failures
                 if rate > cell["max_rate"]:
                     cell["max_rate"] = rate
-                for side, (trans, fails) in per_side.items():
+                for side, (t, f, valid, rates) in per_side.items():
                     bucket = cell[side]
-                    t_list, f_list = bucket["t"], bucket["f"]
-                    valid, max_rate = bucket["valid"], bucket["max_rate"]
-                    for i in range(len(trans)):
-                        t = int(trans[i])
-                        f = int(fails[i])
-                        t_list[i] += t
-                        f_list[i] += f
-                        if t >= MIN_SAMPLES_PER_HOUR:
-                            valid[i] += 1
-                            r = f / t
-                            if r > max_rate[i]:
-                                max_rate[i] = r
+                    bucket["t"] += t
+                    bucket["f"] += f
+                    bucket["valid"] += valid
+                    np.maximum(
+                        bucket["max_rate"], rates, out=bucket["max_rate"]
+                    )
 
     # -- documents ---------------------------------------------------------------
 
@@ -209,11 +266,13 @@ class HistoryStore:
         except ValueError:
             raise KeyError("from/to must be integers (raw sim-hours)")
         with self._lock:
+            index = None
             if entity is not None and series in _SIDES:
                 # Validate eagerly: an empty ring must still 400 on an
                 # unknown entity, not silently return zero points.
                 if entity not in self._names[series]:
                     raise KeyError(f"unknown {series} entity {entity!r}")
+                index = self._names[series].index(entity)
             span = next(s for n, s, _ in self.resolutions if n == res)
             cells = [
                 cell for cell in self._rings[res]
@@ -221,7 +280,7 @@ class HistoryStore:
                 and (hour_to is None or cell["hour_start"] < hour_to)
             ]
             points = [
-                self._render_cell(cell, series, entity) for cell in cells
+                self._render_cell(cell, series, index) for cell in cells
             ]
             return {
                 "schema": HISTORY_SCHEMA,
@@ -237,68 +296,36 @@ class HistoryStore:
             }
 
     def _render_cell(
-        self, cell: Dict[str, Any], series: str, entity: Optional[str]
+        self, cell: Dict[str, Any], series: str, index: Optional[int]
     ) -> Dict[str, Any]:
-        point = {
-            "hour_start": cell["hour_start"],
-            "hour_stop": cell["hour_stop"],
-            "hours": cell["hours"],
-        }
+        point = {k: cell[k] for k in ("hour_start", "hour_stop", "hours")}
         if series == "overall":
-            t, f = cell["transactions"], cell["failures"]
-            point.update({
-                "transactions": t,
-                "failures": f,
-                "rate": (f / t) if t > 0 else None,
-                "max_rate": cell["max_rate"],
-            })
-        elif series in _SIDES:
-            bucket = cell[series]
-            if entity is not None:
-                names = self._names[series]
-                if entity not in names:
-                    raise KeyError(
-                        f"unknown {series} entity {entity!r}"
-                    )
-                i = names.index(entity)
-                t, f = bucket["t"][i], bucket["f"][i]
-                point.update({
-                    "transactions": t,
-                    "failures": f,
-                    "rate": (f / t) if t > 0 else None,
-                    "valid_hours": bucket["valid"][i],
-                    "max_rate": bucket["max_rate"][i],
-                })
-            else:
-                t, f = sum(bucket["t"]), sum(bucket["f"])
-                point.update({
-                    "transactions": t,
-                    "failures": f,
-                    "rate": (f / t) if t > 0 else None,
-                    "entities": len(bucket["t"]),
-                    "entities_valid": sum(
-                        1 for v in bucket["valid"] if v > 0
-                    ),
-                })
-        else:  # region
+            point.update(
+                _totals(cell["transactions"], cell["failures"]),
+                max_rate=cell["max_rate"],
+            )
+        elif series == "region":
             bucket = cell["client"]
-            regions: Dict[str, Dict[str, int]] = {}
-            for i, region in enumerate(self._regions):
-                agg = regions.setdefault(
-                    region, {"transactions": 0, "failures": 0}
-                )
-                agg["transactions"] += bucket["t"][i]
-                agg["failures"] += bucket["f"][i]
             point["regions"] = {
-                region: {
-                    **agg,
-                    "rate": (
-                        agg["failures"] / agg["transactions"]
-                        if agg["transactions"] > 0 else None
-                    ),
-                }
-                for region, agg in sorted(regions.items())
+                region: _totals(
+                    bucket["t"][members].sum(), bucket["f"][members].sum()
+                )
+                for region, members in self._members.items()
             }
+        elif index is not None:
+            bucket = cell[series]
+            point.update(
+                _totals(bucket["t"][index], bucket["f"][index]),
+                valid_hours=int(bucket["valid"][index]),
+                max_rate=float(bucket["max_rate"][index]),
+            )
+        else:
+            bucket = cell[series]
+            point.update(
+                _totals(bucket["t"].sum(), bucket["f"].sum()),
+                entities=len(bucket["t"]),
+                entities_valid=int(np.count_nonzero(bucket["valid"])),
+            )
         return point
 
     def cell_digests(self, res: str) -> List[str]:
@@ -322,7 +349,7 @@ class HistoryStore:
                 "names": {s: list(self._names[s]) for s in _SIDES},
                 "regions": list(self._regions),
                 "rings": {
-                    name: [dict(cell) for cell in ring]
+                    name: [_cell_json(cell) for cell in ring]
                     for name, ring in self._rings.items()
                 },
                 "evicted": dict(self._evicted),
@@ -344,9 +371,9 @@ class HistoryStore:
             self._names = {
                 s: [str(n) for n in state["names"][s]] for s in _SIDES
             }
-            self._regions = [str(r) for r in state.get("regions") or []]
+            self._set_regions(state.get("regions") or [])
             self._rings = {
-                name: [dict(cell) for cell in state["rings"][name]]
+                name: [_map_sides(c, np.array) for c in state["rings"][name]]
                 for name, _, _ in self.resolutions
             }
             self._evicted = {

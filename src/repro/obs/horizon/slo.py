@@ -26,16 +26,21 @@ hour sequence (divisions only at render time), so documents are
 bit-identical at any worker count and across kill/resume;
 :meth:`export_state` / :meth:`restore_state` round-trip the
 accumulators exactly for the retention checkpoint.
+
+Each side's accumulators are int64 arrays over its entities in
+memory, and lists only where JSON is written (documents and
+:meth:`export_state`).
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core import knee as knee_mod
-from repro.core.dataset import MIN_SAMPLES_PER_HOUR
+from repro.obs.horizon.history import Column, RosterObserver, hour_sides
 from repro.obs.metrics import MetricsRegistry
 
 #: Schema stamped on ``/slo`` documents and exported state.
@@ -55,29 +60,11 @@ _SIDES = ("client", "server")
 _UNKNOWN, _UP, _DOWN = -1, 1, 0
 
 
-class _SideLedger:
-    """Integer availability accumulators for one side's entities."""
-
-    __slots__ = ("names", "up", "down", "valid", "status", "episodes")
-
-    def __init__(self) -> None:
-        self.names: List[str] = []
-        self.up: List[int] = []
-        self.down: List[int] = []
-        self.valid: List[int] = []
-        self.status: List[int] = []
-        self.episodes: List[int] = []
-
-    def resize(self, n: int) -> None:
-        while len(self.up) < n:
-            self.up.append(0)
-            self.down.append(0)
-            self.valid.append(0)
-            self.status.append(_UNKNOWN)
-            self.episodes.append(0)
+#: A side's per-entity accumulators, in export order.
+_LEDGER_FIELDS = ("up", "down", "valid", "status", "episodes")
 
 
-class SLOEngine:
+class SLOEngine(RosterObserver):
     """Fold hour stats into an SLO ledger (see module docstring)."""
 
     def __init__(self, objective: float = DEFAULT_OBJECTIVE) -> None:
@@ -85,9 +72,12 @@ class SLOEngine:
             raise ValueError(f"objective out of (0, 1): {objective}")
         self.objective = objective
         self.budget = 1.0 - objective
-        self._lock = threading.Lock()
-        self._sides = {side: _SideLedger() for side in _SIDES}
-        self._regions: List[str] = []
+        super().__init__()
+        #: Sized by the first folded hour (empty until then).
+        self._ledgers = {
+            side: {key: np.zeros(0, np.int64) for key in _LEDGER_FIELDS}
+            for side in _SIDES
+        }
         self._window: Deque[Tuple[int, int, int]] = deque(
             maxlen=max(hours for _, hours in BURN_WINDOWS)
         )
@@ -98,25 +88,8 @@ class SLOEngine:
 
     # -- detector-observer protocol ---------------------------------------------
 
-    def on_run_start(self, event: Dict[str, Any]) -> None:
-        with self._lock:
-            clients = event.get("clients")
-            servers = event.get("servers")
-            regions = event.get("client_regions")
-            if isinstance(clients, list):
-                self._sides["client"].names = [str(n) for n in clients]
-            if isinstance(servers, list):
-                self._sides["server"].names = [str(n) for n in servers]
-            if isinstance(regions, list):
-                self._regions = [str(r) for r in regions]
-
     def on_hour(
-        self,
-        hour: int,
-        ct: Sequence[int],
-        cf: Sequence[int],
-        st: Sequence[int],
-        sf: Sequence[int],
+        self, hour: int, ct: Column, cf: Column, st: Column, sf: Column
     ) -> None:
         with self._lock:
             if self._last_folded is not None and hour <= self._last_folded:
@@ -126,29 +99,28 @@ class SLOEngine:
                 )
             self._last_folded = hour
             self.hours_folded += 1
-            transactions = sum(ct)
-            failures = sum(cf)
+            per_side = hour_sides(ct, cf, st, sf)
+            transactions = int(per_side["client"][0].sum())
+            failures = int(per_side["client"][1].sum())
             self.transactions += transactions
             self.failures += failures
             self._window.append((hour, transactions, failures))
-            for side, trans, fails in (
-                ("client", ct, cf), ("server", st, sf)
-            ):
-                ledger = self._sides[side]
-                ledger.resize(len(trans))
-                for i in range(len(trans)):
-                    t = int(trans[i])
-                    if t < MIN_SAMPLES_PER_HOUR:
-                        continue
-                    ledger.valid[i] += 1
-                    if int(fails[i]) / t >= DOWN_THRESHOLD:
-                        ledger.down[i] += 1
-                        if ledger.status[i] != _DOWN:
-                            ledger.episodes[i] += 1
-                        ledger.status[i] = _DOWN
-                    else:
-                        ledger.up[i] += 1
-                        ledger.status[i] = _UP
+            for side, (t, _, valid, rates) in per_side.items():
+                ledger = self._ledgers[side]
+                if not len(ledger["status"]):
+                    ledger.update({
+                        key: np.zeros(len(t), dtype=np.int64)
+                        for key in _LEDGER_FIELDS
+                    })
+                    ledger["status"][:] = _UNKNOWN
+                down = valid & (rates >= DOWN_THRESHOLD)
+                up = valid & ~down
+                ledger["valid"] += valid
+                ledger["down"] += down
+                ledger["up"] += up
+                ledger["episodes"] += down & (ledger["status"] != _DOWN)
+                ledger["status"][down] = _DOWN
+                ledger["status"][up] = _UP
 
     # -- render-time math --------------------------------------------------------
 
@@ -167,53 +139,47 @@ class SLOEngine:
             burn[label] = ((f / t) / self.budget) if t > 0 else None
         return burn
 
-    def _side_document(self, side: str) -> Dict[str, Any]:
-        ledger = self._sides[side]
-        up = sum(ledger.up)
-        down = sum(ledger.down)
-        valid = sum(ledger.valid)
-        episodes = sum(ledger.episodes)
+    def _availability(self, up: int, valid: int) -> Dict[str, Any]:
         availability = (up / valid) if valid > 0 else None
         return {
-            "entities": len(ledger.up),
-            "valid_entity_hours": valid,
-            "up_entity_hours": up,
-            "down_entity_hours": down,
             "availability": availability,
             "error_budget_consumed": (
                 (1.0 - availability) / self.budget
                 if availability is not None else None
             ),
+        }
+
+    def _side_document(self, side: str) -> Dict[str, Any]:
+        ledger = self._ledgers[side]
+        up, down, valid, episodes = (
+            int(ledger[key].sum())
+            for key in ("up", "down", "valid", "episodes")
+        )
+        return {
+            "entities": len(ledger["up"]),
+            "valid_entity_hours": valid,
+            "up_entity_hours": up,
+            "down_entity_hours": down,
+            **self._availability(up, valid),
             "down_episodes": episodes,
             "mtbf_hours": (up / episodes) if episodes > 0 else None,
             "mttr_hours": (down / episodes) if episodes > 0 else None,
         }
 
     def _region_documents(self) -> Dict[str, Dict[str, Any]]:
-        ledger = self._sides["client"]
-        grouped: Dict[str, Dict[str, int]] = {}
-        for i, region in enumerate(self._regions):
-            if i >= len(ledger.up):
-                break
-            agg = grouped.setdefault(
-                region, {"entities": 0, "up": 0, "down": 0, "valid": 0}
-            )
-            agg["entities"] += 1
-            agg["up"] += ledger.up[i]
-            agg["down"] += ledger.down[i]
-            agg["valid"] += ledger.valid[i]
+        ledger = self._ledgers["client"]
         documents: Dict[str, Dict[str, Any]] = {}
-        for region, agg in sorted(grouped.items()):
-            availability = (
-                agg["up"] / agg["valid"] if agg["valid"] > 0 else None
-            )
+        for region, members in self._members.items():
+            # Empty before the first folded hour: then no region shows.
+            members = members[members < len(ledger["up"])]
+            if not len(members):
+                continue
+            valid = int(ledger["valid"][members].sum())
             documents[region] = {
-                "entities": agg["entities"],
-                "valid_entity_hours": agg["valid"],
-                "availability": availability,
-                "error_budget_consumed": (
-                    (1.0 - availability) / self.budget
-                    if availability is not None else None
+                "entities": len(members),
+                "valid_entity_hours": valid,
+                **self._availability(
+                    int(ledger["up"][members].sum()), valid
                 ),
             }
         return documents
@@ -221,28 +187,28 @@ class SLOEngine:
     def _worst_entities(self, limit: int = 10) -> List[Dict[str, Any]]:
         rows: List[Dict[str, Any]] = []
         for side in _SIDES:
-            ledger = self._sides[side]
-            for i in range(len(ledger.up)):
-                if ledger.valid[i] == 0 or ledger.down[i] == 0:
-                    continue
-                episodes = ledger.episodes[i]
-                name = (
-                    ledger.names[i] if i < len(ledger.names)
-                    else f"{side}:{i}"
-                )
+            ledger = self._ledgers[side]
+            names = self._names[side]
+            flagged = np.flatnonzero(
+                (ledger["valid"] > 0) & (ledger["down"] > 0)
+            )
+            for i, up, down, valid, episodes in zip(flagged.tolist(), *(
+                ledger[key][flagged].tolist()
+                for key in ("up", "down", "valid", "episodes")
+            )):
+                # A down hour always opens or extends an episode, so
+                # ``episodes`` is positive here.
                 rows.append({
                     "side": side,
-                    "entity": name,
-                    "availability": ledger.up[i] / ledger.valid[i],
-                    "valid_hours": ledger.valid[i],
-                    "down_hours": ledger.down[i],
+                    "entity": (
+                        names[i] if i < len(names) else f"{side}:{i}"
+                    ),
+                    "availability": up / valid,
+                    "valid_hours": valid,
+                    "down_hours": down,
                     "down_episodes": episodes,
-                    "mtbf_hours": (
-                        ledger.up[i] / episodes if episodes > 0 else None
-                    ),
-                    "mttr_hours": (
-                        ledger.down[i] / episodes if episodes > 0 else None
-                    ),
+                    "mtbf_hours": up / episodes,
+                    "mttr_hours": down / episodes,
                 })
         rows.sort(
             key=lambda r: (r["availability"], r["side"], r["entity"])
@@ -304,14 +270,13 @@ class SLOEngine:
                 "regions": list(self._regions),
                 "sides": {
                     side: {
-                        "names": list(ledger.names),
-                        "up": list(ledger.up),
-                        "down": list(ledger.down),
-                        "valid": list(ledger.valid),
-                        "status": list(ledger.status),
-                        "episodes": list(ledger.episodes),
+                        "names": list(self._names[side]),
+                        **{
+                            key: ledger[key].tolist()
+                            for key in _LEDGER_FIELDS
+                        },
                     }
-                    for side, ledger in self._sides.items()
+                    for side, ledger in self._ledgers.items()
                 },
                 "window": [list(entry) for entry in self._window],
                 "transactions": self.transactions,
@@ -327,16 +292,14 @@ class SLOEngine:
                     "SLO checkpoint was taken under a different objective "
                     f"({state['objective']} vs {self.objective})"
                 )
-            self._regions = [str(r) for r in state.get("regions") or []]
+            self._set_regions(state.get("regions") or [])
             for side in _SIDES:
                 stored = state["sides"][side]
-                ledger = self._sides[side]
-                ledger.names = [str(n) for n in stored["names"]]
-                ledger.up = [int(v) for v in stored["up"]]
-                ledger.down = [int(v) for v in stored["down"]]
-                ledger.valid = [int(v) for v in stored["valid"]]
-                ledger.status = [int(v) for v in stored["status"]]
-                ledger.episodes = [int(v) for v in stored["episodes"]]
+                self._names[side] = [str(n) for n in stored["names"]]
+                self._ledgers[side] = {
+                    key: np.array(stored[key], dtype=np.int64)
+                    for key in _LEDGER_FIELDS
+                }
             self._window.clear()
             for entry in state["window"]:
                 self._window.append(

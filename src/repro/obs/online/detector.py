@@ -52,6 +52,7 @@ from typing import (
 
 import numpy as np
 
+from repro import obs
 from repro.core import knee as knee_mod
 from repro.core.dataset import (
     MIN_SAMPLES_PER_HOUR,
@@ -159,7 +160,8 @@ class OnlineDetector:
             DEFAULT_RULES if rules is None else rules
         )
         #: Downstream hour-stream consumers (``on_run_start(event)`` /
-        #: ``on_hour(hour, ct, cf, st, sf)``), e.g. the horizon
+        #: ``on_hour(hour, ct, cf, st, sf)``, each count an int64
+        #: column view of the block's entity-hour sums), e.g. the horizon
         #: HistoryStore and SLOEngine.  Notified strictly in hour order
         #: behind the same cursor, so their documents inherit the
         #: detector's worker-count invariance for free.
@@ -218,6 +220,7 @@ class OnlineDetector:
             for observer in self.observers:
                 observer.on_run_start(event)
 
+    @obs.span("obs.online.detector.fold_block")
     def fold_block(
         self, arrays: Mapping[str, np.ndarray], hour_start: int
     ) -> None:
@@ -252,12 +255,9 @@ class OnlineDetector:
                     transactions[t], failures[t],
                 )
                 for observer in self.observers:
-                    observer.on_hour(
-                        hour, *(
-                            sums[key][:, t].tolist()
-                            for key in ("ct", "cf", "st", "sf")
-                        )
-                    )
+                    observer.on_hour(hour, *(
+                        sums[key][:, t] for key in ("ct", "cf", "st", "sf")
+                    ))
                 self._trim_retention(hour)
 
     # -- the per-hour pipeline --------------------------------------------------

@@ -8,6 +8,7 @@ max), and ring-buffer eviction never changes a surviving cell's digest.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,12 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dataset import MIN_SAMPLES_PER_HOUR, MeasurementDataset
+from repro.core.dataset import (
+    MIN_SAMPLES_PER_HOUR,
+    MeasurementDataset,
+    fold_block,
+)
 from repro.obs.horizon.history import RESOLUTIONS, HistoryStore, cell_digest
-from repro.obs.horizon.rolling import fold_block
 from repro.obs.horizon.slo import DOWN_THRESHOLD, SLOEngine, render_slo_table
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import SLO_BURN_RULES
+from repro.world.simulator import simulate_default_month
 from tests.obs.test_online import stats_block
 
 #: A tiny resolution set so hypothesis streams cross cell and eviction
@@ -230,6 +235,19 @@ class TestSLOEngine:
             b.document(), sort_keys=True
         )
 
+    def test_document_before_the_first_hour_lists_no_entity(self):
+        doc = self._engine().document()
+        assert doc["sides"]["client"]["entities"] == 0
+        assert doc["regions"] == {} and doc["worst_entities"] == []
+
+    def test_restore_refuses_a_different_objective(self):
+        a = self._engine()
+        a.on_hour(0, [40, 40], [20, 0], [40, 40], [0, 0])
+        b = SLOEngine(objective=0.999)
+        with pytest.raises(ValueError, match="different objective"):
+            b.restore_state(json.loads(json.dumps(a.export_state())))
+        assert b.hours_folded == 0
+
     def test_table_renders_down_threshold_and_worst(self):
         engine = self._engine()
         for hour in range(4):
@@ -318,3 +336,119 @@ class TestDetectorRetention:
             if a["rule"] == "slo-fast-burn"
         )
         assert detail["burn_rate"] >= detail["burn_floor"]
+
+
+#: sha256 of each horizon document of the 48 h default-seed plan,
+#: serialized with ``json.dumps(..., sort_keys=True)`` and no
+#: ``default`` -- a numpy value anywhere in a document raises instead
+#: of rendering.  A change to the in-memory format must leave every
+#: byte the ``/history`` and ``/slo`` endpoints and the retention
+#: checkpoint write unchanged.
+HORIZON_PINS = {
+    "history:client:6h": (
+        "03f98598e03c4dab5d031a8dcfe36f8fe114742d048b5af0c1fb680bf9562597"
+    ),
+    "history:client:day": (
+        "dc85797a85d8165eabc00d4f77f98d9f639e4394badfbbbeff22a6d0204e6b49"
+    ),
+    "history:client:hour": (
+        "fb91b2122309d0b65563ba6647a0ae8d5fe5d0b47991bd29202d96e0b48b5154"
+    ),
+    "history:client:week": (
+        "d6e96ba85cd5ead6a6f094d2d8a5a6090699a4fc581286d6cefe5448be8a7a36"
+    ),
+    "history:overall:6h": (
+        "40a708b0e0fda0160e6d401d02e1e12679c0f94c3f7d05a9b70b15c268271911"
+    ),
+    "history:overall:day": (
+        "4d4e0dffe462934354f97daf521784454876753d7ac31c51b80180febebed29c"
+    ),
+    "history:overall:hour": (
+        "47e87573f27451861d06774d60a39206582c8c170a03a19023171aaf750ea9f1"
+    ),
+    "history:overall:week": (
+        "d190db22b62de5f9edae4addf537e06f3a2b6478e845284aba2e574bdc6c1710"
+    ),
+    "history:region:6h": (
+        "21712d1baa87360d3d972814e1428e9c0b130338fcfc99c18052e08bdfbf69f2"
+    ),
+    "history:region:day": (
+        "31e45382b4f9479262e7f2a868233177db98604d23209bf5d0844ae139a74696"
+    ),
+    "history:region:hour": (
+        "224f2e66a96e605276f3db37e50463fff11f6e5a70dc77c294fb1b197de3dd13"
+    ),
+    "history:region:week": (
+        "161175d66dc3748084b759ce0fa67e767f13f274c9d8c0c23fe5a85bac0b6932"
+    ),
+    "history:server:6h": (
+        "3d81a4f86d997bffc025addb0a92e19cf9343c0cb7fcd176e55ac904c066abb8"
+    ),
+    "history:server:6h:entity": (
+        "9aea33a13fa30edc9ec025f6112e536cf9dacd4889c5b921d6e9d309a0249448"
+    ),
+    "history:server:day": (
+        "038ce5aacb2a535466138b1cbc3bd7915b7f2d97c5c435f55df90dbd8a863283"
+    ),
+    "history:server:hour": (
+        "0321d2a6b0654299c1825e4e3335cbce8a48ef42a1c291128c4dfc7b51a3c998"
+    ),
+    "history:server:week": (
+        "6ecd7fa6a4dddbdf8a6c81f8c15fa729d4772b35d1fa9901498fc5819199dacc"
+    ),
+    "history:state": (
+        "ac4464de0f051c189994b9518a4ffa69a8495f5ac464ddd5ec54a0954228163e"
+    ),
+    "slo": (
+        "a39a4d5338893e3d1cbc5a5481de917ea6030f3b73c8dcb0a0129f8c05048302"
+    ),
+    "slo:state": (
+        "afccaf75b6ca8cbc2cf8ef3d258a25fe12f65937d8306d9abc4f58fafe3a9f26"
+    ),
+}
+
+#: Blocks of 7 hours, so 6h and day cells straddle fold_block calls.
+PIN_BLOCK_HOURS = 7
+
+
+@pytest.fixture(scope="module")
+def folded_horizon():
+    """History and SLO observers fed the 48 h default-seed plan."""
+    dataset = simulate_default_month(
+        hours=48, per_hour=2, seed=20050101, workers=1
+    ).dataset
+    history, slo = HistoryStore(), SLOEngine()
+    detector = OnlineDetector(observers=[history, slo])
+    world = dataset.world
+    detector.update({"type": "run_start", "hours": 48, **world.roster()})
+    arrays = dataset.arrays()
+    for h0 in range(0, 48, PIN_BLOCK_HOURS):
+        h1 = min(h0 + PIN_BLOCK_HOURS, 48)
+        detector.fold_block(
+            {name: block[..., h0:h1] for name, block in arrays.items()}, h0
+        )
+    documents = {
+        f"history:{series}:{res}": history.document(
+            {"series": series, "res": res}
+        )
+        for series in ("overall", "client", "server", "region")
+        for res, _, _ in RESOLUTIONS
+    }
+    documents["history:server:6h:entity"] = history.document(
+        {"series": "server", "res": "6h", "entity": "berkeley.edu"}
+    )
+    documents["slo"] = slo.document()
+    documents["history:state"] = history.export_state()
+    documents["slo:state"] = slo.export_state()
+    return documents
+
+
+class TestHorizonBytesPinned:
+    def test_every_document_is_pinned(self, folded_horizon):
+        assert set(folded_horizon) == set(HORIZON_PINS)
+
+    @pytest.mark.parametrize("name", sorted(HORIZON_PINS))
+    def test_document_bytes(self, folded_horizon, name):
+        body = json.dumps(folded_horizon[name], sort_keys=True)
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        assert digest == HORIZON_PINS[name]

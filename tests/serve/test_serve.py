@@ -370,6 +370,33 @@ class TestKillAndResume:
             == reference.detector.export()["lines"]
         )
 
+    def test_every_folded_block_is_a_fold_block_stage_call(self, tmp_path):
+        """Replayed chunks count too: one stage call per folded block."""
+        config = ServeConfig(
+            hours=SERVE_HOURS, per_hour=PER_HOUR, seed=SEED, chunk_hours=5,
+            runs_dir=str(tmp_path / "runs"),
+        )
+
+        def fold_calls():
+            return obs.registry().counter(
+                "stage_calls_total", stage="obs.online.detector.fold_block"
+            ).value
+
+        def stop_at(daemon, entry):
+            if entry["hour_stop"] >= 10:
+                daemon.request_stop()
+
+        first = _serve(config, chunk_callback=stop_at)
+        first.prepare()
+        first.run()
+        assert fold_calls() == 2
+        resumed = _serve(config)
+        resumed.prepare(resume=True)
+        assert fold_calls() == 2  # the two committed chunks, replayed
+        assert resumed.run()["completed"]
+        # 2 replayed + 3 new blocks (hours 10-15, 15-20, 20-24).
+        assert fold_calls() == 5
+
     def test_sigterm_sets_the_flag_and_stops_at_boundary(self, tmp_path):
         boundaries = []
 
