@@ -13,6 +13,14 @@ chunk it:
    feed a batch ``simulate --detect`` run gives it once at the end
    (pure reads; the digest cannot be perturbed).
 
+The loop is a two-stage pipeline.  One
+:class:`~repro.world.parallel.BlockPool` of ``max(1, workers)``
+simulation processes is forked at the start of :meth:`ServeDaemon.run`
+and lives until it returns, with two chunk-sized slots: the daemon
+waits for chunk k in one slot, submits chunk k+1 into the other, and
+only then commits, folds, checkpoints and prunes chunk k -- so the
+workers simulate while this process persists.
+
 The daemon holds no dataset: the chunk store's hour chain *is* the
 dataset digest of the committed hours.  Because every hour draws from
 its own derived RNG stream, any committed prefix is bit-identical to
@@ -33,8 +41,9 @@ The HTTP surface (:class:`~repro.obs.live.server.MetricsServer`) serves
 ``/metrics``, ``/alerts``, ``/episodes``, ``/blame`` and ``/runs``
 throughout.  SIGTERM/SIGINT set the
 :class:`~repro.obs.live.shutdown.ShutdownCoordinator` flag; the loop
-notices at the next chunk boundary, commits what is in flight, and
-shuts down gracefully.
+notices at the next chunk boundary, commits the chunk it was waiting
+for, discards the prefetched one (its workers are terminated; it is
+simulated again on resume), and shuts down gracefully.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ import shutil
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.core.dataset import fingerprint_sha256
@@ -66,7 +75,7 @@ from repro.obs.runstore.store import (
     runs_index,
 )
 from repro.world.defaults import DEFAULT_HOURS
-from repro.world.parallel import plan_shards, run_block
+from repro.world.parallel import BlockPool, plan_shards
 from repro.world.simulator import MonthSimulator, default_simulator
 
 #: Identity schema for serve run ids (the *plan*, not the result).
@@ -238,7 +247,7 @@ class ServeDaemon:
         #: The sim-hour of the retention checkpoint a resume would
         #: restore: the last one written or restored, else hour 0.
         self._checkpoint_hour = 0
-        #: The latest chunk's ``run_block`` demotion to in-process
+        #: The latest chunk's pool demotion to in-process
         #: shards, stamped into the manifest like a batch dataset's.
         self._parallel_fallback: Optional[Dict[str, Any]] = None
         #: Resolved once: the run manifest is rewritten every chunk and
@@ -382,58 +391,58 @@ class ServeDaemon:
                 "not on the main thread; graceful shutdown via "
                 "request_stop() only"
             )
-        self.server.start()
-        if announce is not None:
-            announce(self.server.port)
-        self._state = "running"
-        self._write_manifest(final=False)
+        # The pool's workers fork on the first submit, before the HTTP
+        # server thread exists; they live until run() returns.
+        pool = BlockPool(
+            self.simulator, config.workers,
+            slot_hours=min(config.chunk_hours, self.epoch_hours), slots=2,
+        )
         try:
-            while (
-                (self.indefinite or self.cursor < config.hours)
-                and not self.coordinator.stop_requested()
-            ):
-                h0 = self.cursor
-                h1 = h0 + config.chunk_hours
-                if not self.indefinite:
-                    h1 = min(h1, config.hours)
-                # Chunks never straddle an epoch boundary: sim-hour h
-                # draws epoch hour h % epoch_hours's RNG stream, and
-                # run_block shards within one world horizon.
-                e0 = h0 % self.epoch_hours
-                h1 = min(h1, h0 + (self.epoch_hours - e0))
-                with self._state_lock:
-                    self._lanes = [
-                        [a, b] for a, b in (
-                            (h0 + s0, h0 + s1)
-                            for s0, s1 in plan_shards(
-                                h1 - h0, max(1, config.workers)
-                            )
-                        )
-                    ]
-                chunk_started = self._monotonic()
+            chunk = self._chunk_at(self.cursor)
+            slot = 0
+            if chunk is not None:
+                self._submit(pool, chunk, slot)
+            self.server.start()
+            if announce is not None:
+                announce(self.server.port)
+            self._state = "running"
+            self._write_manifest(final=False)
+            last_commit = self._monotonic()
+            while chunk is not None and not self.coordinator.stop_requested():
+                h0, h1 = chunk
                 with obs.span("serve.chunk", hour_start=h0, hour_stop=h1):
-                    arrays, fallback = run_block(
-                        self.simulator, e0, e0 + (h1 - h0),
-                        workers=config.workers,
-                    )
+                    arrays, fallback = pool.result()
                     if fallback is not None:
                         self._parallel_fallback = fallback
+                    # Prefetch: the next chunk simulates in the other
+                    # slot while this one is committed, folded and
+                    # checkpointed.  A stop already requested submits
+                    # nothing more.
+                    chunk = self._chunk_at(h1)
+                    stopping = self.coordinator.stop_requested()
+                    if chunk is not None and not stopping:
+                        slot = 1 - slot
+                        self._submit(pool, chunk, slot)
+                    else:
+                        with self._state_lock:
+                            self._lanes = []
                     entry = self.chunks.commit(h0, h1, arrays)
                     self.detector.fold_block(arrays, h0)
-                    # A pooled chunk's arrays are a shared mapping that
-                    # lives as long as this reference: release it before
-                    # the next chunk allocates its own.
+                    # The arrays are views of a slot the chunk after next
+                    # overwrites: drop them once committed and folded.
                     del arrays
                     if self.retention is not None:
                         self._checkpoint_and_prune()
+                now = self._monotonic()
                 with self._state_lock:
                     self.cursor = h1
                     self.chunks_committed += 1
-                    chunk_seconds = self._monotonic() - chunk_started
-                    self._last_chunk_seconds = chunk_seconds
-                    self._sim_seconds += chunk_seconds
+                    # Commit to commit: with a chunk always in flight,
+                    # this is the pace at which hours become durable.
+                    self._last_chunk_seconds = now - last_commit
+                    self._sim_seconds += now - last_commit
                     self._sim_hours_done += h1 - h0
-                    self._lanes = []
+                last_commit = now
                 obs.logger.info(
                     "chunk [%d, %d) committed (chain %s)",
                     h0, h1, entry["chain"][:16],
@@ -441,19 +450,20 @@ class ServeDaemon:
                 self._write_manifest(final=False)
                 if self.chunk_callback is not None:
                     self.chunk_callback(self, entry)
-                if (
-                    config.throttle_seconds > 0
-                    and (self.indefinite or self.cursor < config.hours)
-                ):
+                if config.throttle_seconds > 0 and chunk is not None:
                     # An interruptible sleep: a stop request (signal or
                     # programmatic) wakes it immediately.
                     self.coordinator.wait(config.throttle_seconds)
         finally:
+            # A chunk still in flight is never committed: close()
+            # terminates its workers and drops both slots.
+            pool.close()
             completed = (
                 not self.indefinite and self.cursor >= config.hours
             )
             with self._state_lock:
                 self._state = "finished" if completed else "stopped"
+                self._lanes = []
             digest = self.chunks.chain_digest() if completed else None
             self._write_manifest(final=True, digest=digest)
             self.server.stop()
@@ -467,6 +477,34 @@ class ServeDaemon:
             "digest": digest,
             "chain": self.chunks.chain_digest(),
         }
+
+    def _chunk_at(self, h0: int) -> Optional[Tuple[int, int]]:
+        """The chunk starting at sim-hour ``h0``, or ``None`` past the
+        horizon.
+
+        Chunks never straddle an epoch boundary: sim-hour h draws epoch
+        hour ``h % epoch_hours``'s RNG stream, and a pool block lies
+        within one world horizon.
+        """
+        if not self.indefinite and h0 >= self.config.hours:
+            return None
+        h1 = h0 + self.config.chunk_hours
+        if not self.indefinite:
+            h1 = min(h1, self.config.hours)
+        return h0, min(h1, h0 + self.epoch_hours - h0 % self.epoch_hours)
+
+    def _submit(
+        self, pool: BlockPool, chunk: Tuple[int, int], slot: int
+    ) -> None:
+        """Start simulating ``chunk`` into ``slot``; /status lanes show it."""
+        h0, h1 = chunk
+        with self._state_lock:
+            self._lanes = [
+                [h0 + s0, h0 + s1]
+                for s0, s1 in plan_shards(h1 - h0, pool.workers)
+            ]
+        e0 = h0 % self.epoch_hours
+        pool.submit(e0, e0 + (h1 - h0), slot)
 
     def _checkpoint_and_prune(self) -> None:
         """Prune payloads below the retention floor, checkpointing first

@@ -1,21 +1,29 @@
 """The pooled hour block's count buffer: one anonymous shared mapping.
 
-Every pooled hour block -- a whole batch month or one serve chunk --
-counts into one ``mmap.mmap(-1, size)`` mapping sized for that block.
+A :class:`~repro.world.parallel.BlockPool` counts every pooled hour
+block -- a whole batch month, or one serve chunk -- into a *slot*: one
+``mmap.mmap(-1, size)`` mapping sized for the pool's largest block.
 The mapping is anonymous and ``MAP_SHARED`` (the POSIX default): the
-parent allocates it before the pool forks, every forked worker inherits
-it (as it inherits the block's simulator) and writes its *disjoint*
-contiguous hour slice through the inherited views (no locks needed --
-shards partition the block's hour axis), and the parent hands the same
-views on as the block's arrays.  No count array rides a pickle, no
-count is copied, and nothing is named: no ``/dev/shm`` file, no
-resource tracker, no unlink.  The mapping is released when its last
-view -- the finished dataset, or a serve chunk once committed and
-folded -- is dropped.
+pool allocates its slots before its workers fork, every forked worker
+inherits them (as it inherits the pool's simulator) and writes its
+*disjoint* contiguous hour slice through the inherited views (no locks
+needed -- shards partition the block's hour axis), and the parent hands
+the same views on as the block's arrays.  No count array rides a
+pickle, no count is copied, and nothing is named: no ``/dev/shm`` file,
+no resource tracker, no unlink.
+
+A batch pool has one slot, whose views become the finished dataset.  The
+serve daemon's pool has two, used in turn for the whole run: a chunk
+shorter than its slot is the slot's first hours (``[..., :n]`` views),
+and the daemon drops a chunk's views once it is committed and folded,
+before the chunk after next overwrites the slot.  Every hour a shard
+simulates is assigned in full, so nothing of an earlier block shows
+through.  A mapping is released when the pool has closed and its last
+view is dropped.
 
 Layout is deterministic: field order follows
 ``MeasurementDataset._ARRAY_FIELDS``, every field is aligned to its
-itemsize, the hour axis spans the block's hour count, and dtypes come
+itemsize, the hour axis spans the slot's hour count, and dtypes come
 from :meth:`~repro.core.dataset.MeasurementDataset.planned_dtypes`, the
 one dtype plan every path starts at.  A fixed-dtype buffer cannot be
 promoted mid-run, so a count past its plan raises ``OverflowError`` in
@@ -34,7 +42,7 @@ from repro.world.entities import World
 
 
 class SharedMonthBuffer:
-    """One hour block's count buffer, shared with forked workers.
+    """One slot: an hour block's count buffer, shared with forked workers.
 
     Sized for ``n_hours`` (a whole month is the largest block).
     Anonymous mappings are zero-filled, so fields need no explicit
@@ -53,6 +61,8 @@ class SharedMonthBuffer:
             offsets[name] = size
             size += int(np.prod(shape)) * itemsize
         mapping = mmap.mmap(-1, max(1, size))
+        self._mapping = mapping
+        self._offsets = offsets
         #: Every field as a view of the mapping; each view keeps the
         #: mapping alive, so it lives exactly as long as they do.
         self.arrays: Dict[str, np.ndarray] = {
@@ -71,6 +81,21 @@ class SharedMonthBuffer:
         """
         return {name: view[..., lo:hi] for name, view in self.arrays.items()}
 
-    def adopt_into(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Hand every finished field to ``arrays`` by reference: no copy."""
-        arrays.update(self.arrays)
+    def adopt_into(self, arrays: Dict[str, np.ndarray], n_hours: int) -> None:
+        """Hand a finished block -- the slot's first ``n_hours`` hours --
+        to ``arrays`` by reference: no copy.
+
+        Each field is a view made directly on the mapping (its ``base``),
+        so the block's arrays alone keep the mapping alive.
+        """
+        for name, view in self.arrays.items():
+            if not 0 <= n_hours <= view.shape[-1]:
+                raise ValueError(
+                    f"a {n_hours}-hour block does not fit a "
+                    f"{view.shape[-1]}-hour slot"
+                )
+            arrays[name] = np.ndarray(
+                view.shape[:-1] + (n_hours,), dtype=view.dtype,
+                buffer=self._mapping, offset=self._offsets[name],
+                strides=view.strides,
+            )

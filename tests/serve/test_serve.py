@@ -18,6 +18,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import numpy as np
 import pytest
@@ -447,8 +448,9 @@ class TestKillAndResume:
 
 
 class TestPooledChunks:
-    """Chunks at ``workers=2`` are counted in one anonymous shared
-    mapping per chunk, or record their demotion to in-process shards."""
+    """Chunks at ``workers=2`` are counted in the two anonymous shared
+    slot mappings of the daemon's pool, or record their demotion to
+    in-process shards."""
 
     @pytest.fixture(scope="class")
     def batch_digest(self):
@@ -494,28 +496,26 @@ class TestPooledChunks:
     def test_block_unlinked_after_completed_run(
         self, batch_digest, tmp_path, monkeypatch
     ):
-        # The detector fold keeps no views and the daemon drops each
-        # chunk once committed and folded, so it holds at most one chunk
-        # mapping: the new chunk's alone while it is simulated, none
-        # after a commit or at the end.
-        from repro.world import parallel
-
+        # The daemon's pool holds two slot mappings for the whole run,
+        # both allocated before its workers fork and none after run()
+        # returns.  A slot is reused by the chunk after next, so no
+        # chunk's arrays may outlive its commit and fold: the detector
+        # keeps no views and the daemon drops its own.
         before_names = dev_shm_entries()
         before = shared_anonymous_mappings()
-        dispatching, held = [], []
-        real_dispatch = parallel._pool_dispatch
+        views, held, alive = [], [], []
+        real_commit = ChunkStore.commit
 
-        def counting(payloads):
-            dispatching.append(shared_anonymous_mappings() - before)
-            return real_dispatch(payloads)
+        def commit(store, hour_start, hour_stop, arrays):
+            views.append([weakref.ref(a) for a in arrays.values()])
+            return real_commit(store, hour_start, hour_stop, arrays)
 
-        monkeypatch.setattr(parallel, "_pool_dispatch", counting)
-        daemon = _serve(
-            self._config(tmp_path),
-            chunk_callback=lambda d, e: held.append(
-                shared_anonymous_mappings() - before
-            ),
-        )
+        def callback(daemon, entry):
+            held.append(shared_anonymous_mappings() - before)
+            alive.append(sum(ref() is not None for ref in views[-1]))
+
+        monkeypatch.setattr(ChunkStore, "commit", commit)
+        daemon = _serve(self._config(tmp_path), chunk_callback=callback)
         daemon.prepare()
         result = daemon.run()
         assert result["completed"]
@@ -523,8 +523,8 @@ class TestPooledChunks:
         manifest = daemon.store.load(daemon.run_id)
         assert "parallel_fallback" not in manifest.dataset["provenance"]
         chunks = SERVE_HOURS // 6
-        assert dispatching == [1] * chunks
-        assert held == [0] * chunks
+        assert held == [2] * chunks
+        assert alive == [0] * chunks
         assert shared_anonymous_mappings() == before
         assert dev_shm_entries() <= before_names
 
@@ -547,7 +547,7 @@ class TestPooledChunks:
     def test_chunk_replay_dtypes_match_a_fresh_dataset(
         self, tmp_path, chunk_hours
     ):
-        # One-hour chunks run in-process, six-hour chunks pooled; both
+        # One-hour chunks are one shard, six-hour chunks two; both
         # commit, and replay, a fresh dataset's dtypes.
         daemon = _serve(self._config(tmp_path, chunk_hours))
         daemon.prepare()

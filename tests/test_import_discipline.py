@@ -7,7 +7,8 @@ itself has long since imported everything.  The rules pinned here:
   numpy -- a subcommand's engine loads when it is dispatched;
 * a batch ``--detect`` run without a port never loads the HTTP server;
 * a pooled worker imports nothing after the fork -- whatever a shard
-  needs, the parent has already loaded;
+  needs, the parent has already loaded -- in a batch block and in the
+  serve daemon's pool, which serves every chunk of the run;
 * the read-only ``repro runs`` verbs read manifests without numpy;
 * the top-level ``repro`` package loads its public names on first use.
 """
@@ -112,6 +113,51 @@ print(json.dumps({"fallback": fallback, "added": list(added.values())}))
 def test_pooled_workers_import_nothing_after_the_fork():
     report = _run_script(_POOLED_WORKERS)
     assert report == {"fallback": None, "added": [[], []]}
+
+
+_DAEMON_WORKERS = """
+import json, os, sys, tempfile
+from repro.serve.daemon import ServeConfig, ServeDaemon
+from repro.world import parallel
+
+out = tempfile.mkdtemp()
+at_fork = []
+os.register_at_fork(after_in_child=lambda: at_fork.append(set(sys.modules)))
+simulate_shard = parallel._simulate_shard
+
+
+def recording_shard(payload, sink=None):
+    shard = simulate_shard(payload, sink)
+    name = "%d-%02d" % (os.getpid(), payload[0])
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(json.dumps(sorted(set(sys.modules) - at_fork[0])))
+    return shard
+
+
+parallel._simulate_shard = recording_shard
+daemon = ServeDaemon(ServeConfig(
+    hours=4, per_hour=1, chunk_hours=2, workers=1,
+    runs_dir=os.path.join(out, "runs"),
+))
+daemon.prepare()
+result = daemon.run()
+names = sorted(n for n in os.listdir(out) if n != "runs")
+added = []
+for name in names:
+    with open(os.path.join(out, name)) as fh:
+        added.append(json.load(fh))
+print(json.dumps({
+    "completed": result["completed"],
+    "workers": len({name.split("-")[0] for name in names}),
+    "added": added,
+}))
+"""
+
+
+def test_daemon_worker_imports_nothing_after_the_fork():
+    # One forked worker simulates both chunks of the run.
+    report = _run_script(_DAEMON_WORKERS)
+    assert report == {"completed": True, "workers": 1, "added": [[], []]}
 
 
 _RUNS_VERB = """

@@ -254,7 +254,7 @@ class TestRunBlock:
         assert fallback["shards"] == 2
         assert registry.counter("parallel_fallback_total").value == 1
         assert result.dataset.digest() == sequential.dataset.digest()
-        assert parallel._BLOCK_BUFFER is None
+        assert parallel._BLOCK_POOL is None
 
     def test_rejects_block_outside_experiment(self, small_world, small_truth):
         with pytest.raises(ValueError):
@@ -410,9 +410,7 @@ def _crash_in_child(payload, sink=None):
 
 
 def _slots_cleared():
-    return (
-        parallel._BLOCK_SIMULATOR is None and parallel._BLOCK_BUFFER is None
-    )
+    return parallel._BLOCK_POOL is None
 
 
 #: A pooled run in a fresh interpreter: which resource tracker it
@@ -558,7 +556,7 @@ class TestInheritedSimulator:
         real_dispatch = parallel._pool_dispatch
 
         def recording(payloads):
-            seen.append((parallel._BLOCK_SIMULATOR, list(payloads)))
+            seen.append((parallel._BLOCK_POOL.simulator, list(payloads)))
             return real_dispatch(payloads)
 
         monkeypatch.setattr(parallel, "_pool_dispatch", recording)
@@ -569,7 +567,7 @@ class TestInheritedSimulator:
             (h0, h1, i)
             for i, (h0, h1) in enumerate(parallel.plan_shards(HOURS, 2))
         ]
-        assert parallel._BLOCK_SIMULATOR is None
+        assert parallel._BLOCK_POOL is None
 
     def test_no_fork_demotes_in_process(
         self, small_world, small_truth, sequential, monkeypatch
@@ -599,7 +597,7 @@ class TestFallbackObservability:
         assert "pool refused" in fallback["reason"]
         assert fallback["shards"] == 3
         assert result.dataset.digest() == sequential.dataset.digest()
-        assert parallel._BLOCK_SIMULATOR is None
+        assert parallel._BLOCK_POOL is None
 
     def test_no_fallback_stamp_on_clean_run(self, small_world, small_truth):
         result = _simulator(small_world, small_truth).run(workers=2)
