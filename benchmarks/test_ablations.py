@@ -36,9 +36,10 @@ def test_ablation_episode_duration(
     "might stand out on a 1-hour timescale but be buried in the noise on a
     1-day timescale".
     """
-    view = bench_dataset.pair_exclusion_view(bench_perm.mask)
-    transactions = view.transactions.sum(axis=0, dtype=np.int64)  # (S, H)
-    failures = view.failures.sum(axis=0, dtype=np.int64)
+    transactions, failures = (  # (S, H)
+        bench_dataset.sums(fields, "sh", bench_perm.mask)
+        for fields in (("transactions",), bench_dataset.FAILURE_FIELDS)
+    )
 
     # Ground-truth short outages: spells of heavy site failure <= 3 h.
     heavy = bench_truth.site_fail >= 0.10
@@ -85,9 +86,8 @@ def test_ablation_episode_duration(
 
 def test_ablation_threshold_choice(benchmark, bench_dataset, bench_perm, emit):
     """The knee-detected f classifies like the paper's hand-picked 5%."""
-    view = bench_dataset.pair_exclusion_view(bench_perm.mask)
     server_m = episodes.server_rate_matrix(
-        bench_dataset, view.transactions, view.failures
+        bench_dataset, excluded_pairs=bench_perm.mask
     )
     knee = episodes.detect_knee(server_m)
 

@@ -10,14 +10,12 @@ from repro.core import episodes, report
 
 
 def test_figure4_cdf_and_knee(benchmark, bench_dataset, bench_perm, emit):
-    view = bench_dataset.pair_exclusion_view(bench_perm.mask)
-
     def compute():
         client_m = episodes.client_rate_matrix(
-            bench_dataset, view.transactions, view.failures
+            bench_dataset, excluded_pairs=bench_perm.mask
         )
         server_m = episodes.server_rate_matrix(
-            bench_dataset, view.transactions, view.failures
+            bench_dataset, excluded_pairs=bench_perm.mask
         )
         return (
             episodes.detect_knee(client_m),

@@ -304,10 +304,11 @@ def _record_evidence(args, dataset, mask) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from repro.core import report
+    from repro.core import permanent, report
 
     result = _simulate(args)
-    print(report.headline_summary(result.dataset))
+    perm = permanent.find_permanent_pairs(result.dataset)
+    print(report.headline_summary(result.dataset, perm))
     # The determinism contract's observable: same seed => same digest,
     # independent of --workers (CI compares these lines across runs).
     # A recording run has already hashed the dataset; print that value.
@@ -318,9 +319,6 @@ def cmd_simulate(args) -> int:
     )
     print(f"\ndataset digest: {digest}")
     if recorder is not None:
-        from repro.core import permanent
-
-        perm = permanent.find_permanent_pairs(result.dataset)
         _record_evidence(args, result.dataset, perm.mask)
     if args.save:
         result.dataset.save(args.save)
@@ -339,7 +337,7 @@ def cmd_report(args) -> int:
     _record_evidence(args, dataset, perm.mask)
 
     builders = {
-        "headline": lambda: report.headline_summary(dataset),
+        "headline": lambda: report.headline_summary(dataset, perm),
         "table3": lambda: report.table3(dataset),
         "figure1": lambda: report.figure1(dataset),
         "table4": lambda: report.table4(dataset),

@@ -83,18 +83,14 @@ class BlameAnalysis:
     excluded_pairs: Optional[np.ndarray] = None
 
 
-def _tcp_failures(
-    dataset: MeasurementDataset, excluded_pairs: Optional[np.ndarray]
-) -> np.ndarray:
-    """The (C, S, H) TCP failure plane, excluded pairs zeroed."""
-    if excluded_pairs is None:
-        return dataset.tcp_failures
-    return dataset.pair_exclusion_view(excluded_pairs).tcp_failures
+#: The TCP failure fields every blame sum reduces.
+_TCP = MeasurementDataset.TCP_FAILURE_FIELDS
 
 
 def _classify(
     threshold: float,
-    tcp: np.ndarray,
+    dataset: MeasurementDataset,
+    excluded_pairs: Optional[np.ndarray],
     tcp_by_client_hour: np.ndarray,
     client_flags: np.ndarray,
     server_flags: np.ndarray,
@@ -107,7 +103,7 @@ def _classify(
     The client's own flag then picks the bucket, so no (C, S, H)
     product is ever formed and the integer sums are exact.
     """
-    in_server = np.einsum("csh,sh->ch", tcp, server_flags, dtype=np.int64)
+    in_server = dataset.sums(_TCP, "ch", excluded_pairs, server_flags)
     elsewhere = tcp_by_client_hour - in_server
     server_only = int(in_server[~client_flags].sum())
     both = int(in_server[client_flags].sum())
@@ -156,10 +152,9 @@ def run_blame_analysis(
     client_rates, server_rates = rate_matrices(dataset, excluded_pairs)
     client_flags = episode_matrix(client_rates, threshold)
     server_flags = episode_matrix(server_rates, threshold)
-    tcp = _tcp_failures(dataset, excluded_pairs)
     breakdown = _classify(
-        threshold, tcp, tcp.sum(axis=1, dtype=np.int64),
-        client_flags, server_flags,
+        threshold, dataset, excluded_pairs,
+        dataset.sums(_TCP, "ch", excluded_pairs), client_flags, server_flags,
     )
     obs.current_span().set(
         threshold=threshold, server_side=breakdown.server_side,
@@ -173,8 +168,8 @@ def run_blame_analysis(
         client_episodes=client_flags,
         server_episodes=server_flags,
         breakdown=breakdown,
-        server_attributed=np.einsum(
-            "csh,sh->cs", tcp, server_flags, dtype=np.int64
+        server_attributed=dataset.sums(
+            _TCP, "cs", excluded_pairs, server_flags
         ),
         excluded_pairs=excluded_pairs,
     )
@@ -188,15 +183,15 @@ def blame_table(
 ) -> Tuple[BlameBreakdown, ...]:
     """Table 5: the breakdown at each threshold setting.
 
-    The rate matrices and the TCP plane do not depend on f, so they are
-    built once and only the episode flags are recomputed per threshold.
+    The rate matrices and the per-client-hour TCP sums do not depend on
+    f, so they are built once and only the episode flags are recomputed
+    per threshold.
     """
     client_rates, server_rates = rate_matrices(dataset, excluded_pairs)
-    tcp = _tcp_failures(dataset, excluded_pairs)
-    tcp_by_client_hour = tcp.sum(axis=1, dtype=np.int64)
+    tcp_by_client_hour = dataset.sums(_TCP, "ch", excluded_pairs)
     return tuple(
         _classify(
-            f, tcp, tcp_by_client_hour,
+            f, dataset, excluded_pairs, tcp_by_client_hour,
             episode_matrix(client_rates, f), episode_matrix(server_rates, f),
         )
         for f in thresholds

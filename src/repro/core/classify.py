@@ -17,12 +17,6 @@ from repro.core.dataset import MeasurementDataset
 from repro.world.entities import ClientCategory
 
 
-def _per_client(plane: np.ndarray) -> np.ndarray:
-    """Month totals per client, shape (C,): each derived plane is built
-    once and every category sums its clients' entries."""
-    return plane.sum(axis=(1, 2), dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class CategorySummary:
     """One row of Table 3."""
@@ -55,10 +49,11 @@ def category_summary(dataset: MeasurementDataset) -> List[CategorySummary]:
     Connection counts for CN are withheld (the proxy masks them), exactly
     as in the paper.
     """
-    transactions = _per_client(dataset.transactions)
-    failures = _per_client(dataset.failures)
-    connections = _per_client(dataset.connections)
-    failed_connections = _per_client(dataset.failed_connections)
+    # Month totals per client; each category sums its clients' entries.
+    transactions = dataset.sums(("transactions",), "c")
+    failures = dataset.sums(dataset.FAILURE_FIELDS, "c")
+    connections = dataset.sums(("connections",), "c")
+    failed_connections = dataset.sums(("failed_connections",), "c")
     rows = []
     for category in ClientCategory:
         mask = dataset.category_mask(category)
@@ -113,10 +108,10 @@ def failure_type_breakdown(
 ) -> List[TypeBreakdown]:
     """Figure 1: failure rate by type per category (CN excluded: its
     failures are proxy-masked and cannot be broken down)."""
-    transactions = _per_client(dataset.transactions)
-    dns = _per_client(dataset.dns_failures)
-    tcp = _per_client(dataset.tcp_failures)
-    http = _per_client(dataset.http_errors)
+    transactions = dataset.sums(("transactions",), "c")
+    dns = dataset.sums(dataset.DNS_FAILURE_FIELDS, "c")
+    tcp = dataset.sums(dataset.TCP_FAILURE_FIELDS, "c")
+    http = dataset.sums(("http_errors",), "c")
     rows = []
     for category in ClientCategory:
         if category is ClientCategory.CORPNET:
@@ -168,6 +163,9 @@ class DNSBreakdown:
 @obs.span("classify.dns_breakdown")
 def dns_breakdown(dataset: MeasurementDataset) -> List[DNSBreakdown]:
     """Table 4: DNS failure breakdown per category (PL, BB, DU)."""
+    per_client = {
+        name: dataset.sums((name,), "c") for name in dataset.DNS_FAILURE_FIELDS
+    }
     rows = []
     for category in (
         ClientCategory.PLANETLAB,
@@ -177,9 +175,10 @@ def dns_breakdown(dataset: MeasurementDataset) -> List[DNSBreakdown]:
         mask = dataset.category_mask(category)
         if not mask.any():
             continue
-        ldns = int(dataset.dns_ldns[mask].sum())
-        non_ldns = int(dataset.dns_nonldns[mask].sum())
-        error = int(dataset.dns_error[mask].sum())
+        ldns, non_ldns, error = (
+            int(per_client[name][mask].sum())
+            for name in dataset.DNS_FAILURE_FIELDS
+        )
         rows.append(
             DNSBreakdown(
                 category=category,
@@ -203,14 +202,14 @@ def dns_domain_contributions(
     sum of which is the figure's y-axis.
     """
     curves = {
-        "all": dataset.dns_failures,
-        "ldns_timeout": dataset.dns_ldns,
-        "non_ldns_timeout": dataset.dns_nonldns,
-        "error": dataset.dns_error,
+        "all": dataset.DNS_FAILURE_FIELDS,
+        "ldns_timeout": ("dns_ldns",),
+        "non_ldns_timeout": ("dns_nonldns",),
+        "error": ("dns_error",),
     }
     result: Dict[str, List[Tuple[str, int]]] = {}
-    for name, array in curves.items():
-        per_site = array.sum(axis=(0, 2), dtype=np.int64)
+    for name, fields in curves.items():
+        per_site = dataset.sums(fields, "s")
         pairs = [
             (dataset.world.websites[si].name, int(per_site[si]))
             for si in range(len(per_site))
@@ -274,6 +273,9 @@ class TCPBreakdown:
 @obs.span("classify.tcp_breakdown")
 def tcp_breakdown(dataset: MeasurementDataset) -> List[TCPBreakdown]:
     """Figure 3: TCP connection failure breakdown (CN excluded)."""
+    per_client = {
+        name: dataset.sums((name,), "c") for name in dataset.TCP_FAILURE_FIELDS
+    }
     rows = []
     for category in (
         ClientCategory.PLANETLAB,
@@ -286,10 +288,10 @@ def tcp_breakdown(dataset: MeasurementDataset) -> List[TCPBreakdown]:
         rows.append(
             TCPBreakdown(
                 category=category,
-                no_connection=int(dataset.tcp_noconn[mask].sum()),
-                no_response=int(dataset.tcp_noresp[mask].sum()),
-                partial_response=int(dataset.tcp_partial[mask].sum()),
-                no_or_partial=int(dataset.tcp_ambiguous[mask].sum()),
+                no_connection=int(per_client["tcp_noconn"][mask].sum()),
+                no_response=int(per_client["tcp_noresp"][mask].sum()),
+                partial_response=int(per_client["tcp_partial"][mask].sum()),
+                no_or_partial=int(per_client["tcp_ambiguous"][mask].sum()),
             )
         )
     return rows
@@ -300,8 +302,8 @@ def packet_loss_failure_correlation(dataset: MeasurementDataset) -> float:
     """Section 4.1.3: correlation between per-pair packet loss rate and
     transaction failure rate (the paper finds a weak r ~ 0.19)."""
     transactions, failures = dataset.pair_month_counts()
-    connections = dataset.connections.sum(axis=2, dtype=np.int64)
-    losses = dataset.packet_losses.sum(axis=2, dtype=np.int64)
+    connections = dataset.sums(("connections",), "cs")
+    losses = dataset.sums(("packet_losses",), "cs")
     valid = (transactions > 0) & (connections > 0)
     if valid.sum() < 3:
         return float("nan")

@@ -50,8 +50,9 @@ _CHAIN_TAG = "repro.rolling-digest/1"
 
 #: Hours per ``int64`` hour-major copy in
 #: :meth:`MeasurementDataset.block_digest`: the digest's scratch memory
-#: is one field's hour block, never a whole field.
-_DIGEST_BLOCK_HOURS = 24
+#: is one field's hour block (0.5 MB at the paper's 134 x 80 cells),
+#: never a whole field.
+_DIGEST_BLOCK_HOURS = 6
 
 
 def _widened_dtype(needed: int, current: np.dtype) -> np.dtype:
@@ -150,6 +151,54 @@ class MeasurementDataset:
             for name in fields
         )
 
+    def sums(
+        self,
+        fields: Iterable[str],
+        axes: str,
+        excluded: Optional[np.ndarray] = None,
+        server_hours: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """``int64`` sum of (C, S, H) ``fields`` onto ``axes``.
+
+        ``axes`` names the kept axes of ``"csh"`` in order, at least one
+        reduced: ``"ch"`` per client-hour, ``"cs"`` per pair, ``""`` the
+        grand total.  Each field is reduced on its own straight to
+        ``axes`` (einsum casts in buffered blocks), so no derived
+        (C, S, H) plane and no field-sized temporary is built.
+        ``server_hours`` is an (S, H) weight (the 0/1 server episode
+        flags) multiplied into every cell first.  ``excluded`` is a
+        (C, S) pair mask left out of the sum (the Section 4.4.2
+        permanent pairs): their hour rows are gathered and subtracted,
+        which costs only those pairs.  Integer sums are exact in any
+        order, so the result equals the same sum over the derived
+        planes.
+        """
+        if len(axes) >= 3:
+            raise ValueError(f"sums onto {axes!r} reduce no axis")
+        operands = [] if server_hours is None else [server_hours]
+        spec = ("csh" if server_hours is None else "csh,sh") + "->" + axes
+        total = sum(
+            np.einsum(spec, getattr(self, name), *operands, dtype=np.int64)
+            for name in fields
+        )
+        if excluded is None:
+            return total
+        if excluded.shape != self.shape[:2]:
+            raise ValueError("pair mask must have shape (clients, sites)")
+        ci, si = np.nonzero(excluded)
+        rows = sum(
+            getattr(self, name)[ci, si].astype(np.int64) for name in fields
+        )  # (excluded pairs, H)
+        if server_hours is not None:
+            rows = rows * server_hours[si]
+        if "h" not in axes:
+            rows = rows.sum(axis=1)
+        index = tuple(ix for axis, ix in (("c", ci), ("s", si)) if axis in axes)
+        if not index:
+            return total - rows.sum(axis=0)
+        np.subtract.at(total, index, rows)
+        return total
+
     @property
     def dns_failures(self) -> np.ndarray:
         """All DNS failures per cell."""
@@ -181,37 +230,33 @@ class MeasurementDataset:
             + self.masked_failures
         )
 
+    def _counts(self, axes: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(transactions, failures) summed onto ``axes`` (see :meth:`sums`)."""
+        return (
+            self.sums(("transactions",), axes),
+            self.sums(self.FAILURE_FIELDS, axes),
+        )
+
     def client_hour_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(transactions, failures) per client-hour, shape (C, H)."""
-        return (
-            self.transactions.sum(axis=1, dtype=np.int64),
-            self.failures.sum(axis=1, dtype=np.int64),
-        )
+        return self._counts("ch")
 
     def server_hour_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(transactions, failures) per server-hour, shape (S, H)."""
-        return (
-            self.transactions.sum(axis=0, dtype=np.int64),
-            self.failures.sum(axis=0, dtype=np.int64),
-        )
+        return self._counts("sh")
 
     def pair_month_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(transactions, failures) per client-server pair, shape (C, S)."""
-        return (
-            self.transactions.sum(axis=2, dtype=np.int64),
-            self.failures.sum(axis=2, dtype=np.int64),
-        )
+        return self._counts("cs")
 
     def client_failure_rates(self) -> np.ndarray:
         """Month-long transaction failure rate per client, shape (C,)."""
-        trans = self.transactions.sum(axis=(1, 2), dtype=np.int64)
-        fails = self.failures.sum(axis=(1, 2), dtype=np.int64)
+        trans, fails = self._counts("c")
         return _safe_rate(fails, trans)
 
     def server_failure_rates(self) -> np.ndarray:
         """Month-long transaction failure rate per server, shape (S,)."""
-        trans = self.transactions.sum(axis=(0, 2), dtype=np.int64)
-        fails = self.failures.sum(axis=(0, 2), dtype=np.int64)
+        trans, fails = self._counts("s")
         return _safe_rate(fails, trans)
 
     def category_mask(self, category: ClientCategory) -> np.ndarray:
@@ -223,11 +268,6 @@ class MeasurementDataset:
     def proxied_mask(self) -> np.ndarray:
         """Boolean mask for proxied (CN) clients, shape (C,)."""
         return np.array([c.proxied for c in self.world.clients], dtype=bool)
-
-    def pair_exclusion_view(self, excluded: np.ndarray) -> "MaskedCounts":
-        """Counts with the given (C, S) boolean pair mask zeroed out --
-        used to exclude permanent-failure pairs (Section 4.4.2)."""
-        return MaskedCounts(self, excluded)
 
     # -- capacity and merging ---------------------------------------------------
 
@@ -543,45 +583,6 @@ class MeasurementDataset:
             )
         dataset.provenance = provenance
         return dataset
-
-
-class MaskedCounts:
-    """A view of a dataset with certain client-server pairs excluded."""
-
-    def __init__(self, dataset: MeasurementDataset, excluded_pairs: np.ndarray) -> None:
-        c, s, _ = dataset.shape
-        if excluded_pairs.shape != (c, s):
-            raise ValueError("pair mask must have shape (clients, sites)")
-        self.dataset = dataset
-        self.keep = ~excluded_pairs[:, :, None]  # broadcast over hours
-
-    def _masked(self, array: np.ndarray) -> np.ndarray:
-        return array * self.keep
-
-    @property
-    def transactions(self) -> np.ndarray:
-        """Transactions with excluded pairs zeroed."""
-        return self._masked(self.dataset.transactions)
-
-    @property
-    def failures(self) -> np.ndarray:
-        """Failures with excluded pairs zeroed."""
-        return self._masked(self.dataset.failures)
-
-    @property
-    def tcp_failures(self) -> np.ndarray:
-        """TCP failures with excluded pairs zeroed."""
-        return self._masked(self.dataset.tcp_failures)
-
-    @property
-    def connections(self) -> np.ndarray:
-        """Connections with excluded pairs zeroed."""
-        return self._masked(self.dataset.connections)
-
-    @property
-    def failed_connections(self) -> np.ndarray:
-        """Failed connections with excluded pairs zeroed."""
-        return self._masked(self.dataset.failed_connections)
 
 
 def fingerprint_sha256(world: World) -> str:

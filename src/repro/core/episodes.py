@@ -21,6 +21,7 @@ import numpy as np
 from repro import obs
 
 from repro.core import knee as knee_mod
+from repro.core import quantiles
 from repro.core.dataset import MIN_SAMPLES_PER_HOUR, MeasurementDataset
 
 
@@ -47,57 +48,51 @@ class RateMatrix:
 @obs.span("episodes.client_rate_matrix")
 def client_rate_matrix(
     dataset: MeasurementDataset,
-    transactions: Optional[np.ndarray] = None,
-    failures: Optional[np.ndarray] = None,
     min_samples: int = MIN_SAMPLES_PER_HOUR,
+    excluded_pairs: Optional[np.ndarray] = None,
 ) -> RateMatrix:
     """Per-client-hour failure rates, aggregated over all servers.
 
-    ``transactions``/``failures`` default to the dataset's full counts;
-    pass masked views to exclude permanent pairs.
+    ``excluded_pairs`` is a (C, S) pair mask (the permanent pairs) left
+    out of the counts.
     """
-    if transactions is None:
-        transactions = dataset.transactions
-    if failures is None:
-        failures = dataset.failures
-    trans = transactions.sum(axis=1, dtype=np.int64)
-    fails = failures.sum(axis=1, dtype=np.int64)
-    return _rates(trans, fails, min_samples)
+    return _entity_hour_rates(dataset, "ch", min_samples, excluded_pairs)
 
 
 @obs.span("episodes.server_rate_matrix")
 def server_rate_matrix(
     dataset: MeasurementDataset,
-    transactions: Optional[np.ndarray] = None,
-    failures: Optional[np.ndarray] = None,
     min_samples: int = MIN_SAMPLES_PER_HOUR,
+    excluded_pairs: Optional[np.ndarray] = None,
 ) -> RateMatrix:
     """Per-server-hour failure rates, aggregated over all clients."""
-    if transactions is None:
-        transactions = dataset.transactions
-    if failures is None:
-        failures = dataset.failures
-    trans = transactions.sum(axis=0, dtype=np.int64)
-    fails = failures.sum(axis=0, dtype=np.int64)
-    return _rates(trans, fails, min_samples)
+    return _entity_hour_rates(dataset, "sh", min_samples, excluded_pairs)
+
+
+def _entity_hour_rates(
+    dataset: MeasurementDataset,
+    axes: str,
+    min_samples: int,
+    excluded_pairs: Optional[np.ndarray],
+) -> RateMatrix:
+    """Rates per entity-hour for ``axes`` "ch"/"sh", each count field
+    reduced straight to those axes."""
+    return _rates(
+        dataset.sums(("transactions",), axes, excluded_pairs),
+        dataset.sums(dataset.FAILURE_FIELDS, axes, excluded_pairs),
+        min_samples,
+    )
 
 
 def rate_matrices(
     dataset: MeasurementDataset, excluded_pairs: Optional[np.ndarray] = None
 ) -> Tuple[RateMatrix, RateMatrix]:
-    """(client, server) rate matrices from one build of the count planes.
-
-    ``excluded_pairs`` is the (C, S) permanent-pair mask; when given, the
-    masked planes are built once and both sides sum over them.
-    """
-    if excluded_pairs is not None:
-        view = dataset.pair_exclusion_view(excluded_pairs)
-        transactions, failures = view.transactions, view.failures
-    else:
-        transactions, failures = dataset.transactions, dataset.failures
+    """The (client, server) rate matrices, ``excluded_pairs`` (the (C, S)
+    permanent-pair mask) left out.  Each side reduces the count fields
+    straight to its entity-hours, so no (C, S, H) plane is built."""
     return (
-        client_rate_matrix(dataset, transactions, failures),
-        server_rate_matrix(dataset, transactions, failures),
+        client_rate_matrix(dataset, excluded_pairs=excluded_pairs),
+        server_rate_matrix(dataset, excluded_pairs=excluded_pairs),
     )
 
 
@@ -236,7 +231,7 @@ def episode_stats(flags: np.ndarray) -> EpisodeStats:
         total_episode_hours=int(flags.sum()),
         coalesced_count=len(coalesced),
         mean_duration=float(np.mean(durations)) if durations else 0.0,
-        median_duration=float(np.median(durations)) if durations else 0.0,
+        median_duration=quantiles.median(durations) if durations else 0.0,
         max_duration=int(np.max(durations)) if durations else 0,
         entities_with_any=int(per_entity.sum()),
         entities_with_multiple=int(multiple.sum()),

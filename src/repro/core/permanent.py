@@ -16,6 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core import quantiles
 from repro.core.dataset import MeasurementDataset
 
 #: The paper's cut: pairs failing >90% of the month.
@@ -94,7 +95,9 @@ def find_permanent_pairs(
     return PermanentPairReport(
         pairs=pairs,
         mask=mask,
-        pair_median_rate=float(np.nanmedian(valid_rates)) if valid_rates.size else 0.0,
+        pair_median_rate=(
+            quantiles.median(valid_rates) if valid_rates.size else 0.0
+        ),
         share_of_connection_failures=(
             float(masked_failed_conns / total_failed_conns)
             if total_failed_conns

@@ -84,10 +84,6 @@ def residual_failure_table(
     non_cn = [
         c for c in world.clients if c.category is not ClientCategory.CORPNET
     ]
-    # Materialize the failure counts once: dataset.failures is a derived
-    # array and must not be recomputed per client inside the loops.
-    all_failures = dataset.failures
-    all_transactions = dataset.transactions
 
     for site_name in site_names:
         si = world.site_idx(site_name)
@@ -100,8 +96,9 @@ def residual_failure_table(
                 ci = world.client_idx(client.name)
                 client_ok = ~analysis.client_episodes[ci]
                 keep = server_ok & client_ok
-                trans += int(all_transactions[ci, si, keep].sum())
-                fails += int(all_failures[ci, si, keep].sum())
+                index = (ci, si, keep)
+                trans += dataset.total(("transactions",), index)
+                fails += dataset.total(dataset.FAILURE_FIELDS, index)
             return ResidualRate(label=label, transactions=trans, failures=fails)
 
         rows.append(

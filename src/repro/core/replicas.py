@@ -109,11 +109,11 @@ def replica_rate_matrix(
     conns = dataset.replica_connections.astype(np.float64)
     fails = dataset.replica_failed_connections.astype(np.float64)
     if excluded_pairs is not None:
-        keep = ~excluded_pairs[:, :, None]
-        site_conns = dataset.connections.sum(axis=0, dtype=np.int64)
-        site_fails = dataset.failed_connections.sum(axis=0, dtype=np.int64)
-        kept_conns = (dataset.connections * keep).sum(axis=0, dtype=np.int64)
-        kept_fails = (dataset.failed_connections * keep).sum(axis=0, dtype=np.int64)
+        site_conns, kept_conns, site_fails, kept_fails = (
+            dataset.sums((name,), "sh", excluded)
+            for name in ("connections", "failed_connections")
+            for excluded in (None, excluded_pairs)
+        )
         with np.errstate(invalid="ignore", divide="ignore"):
             conn_scale = np.where(site_conns > 0, kept_conns / np.maximum(1, site_conns), 1.0)
             fail_scale = np.where(site_fails > 0, kept_fails / np.maximum(1, site_fails), 1.0)

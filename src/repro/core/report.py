@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
 from repro import obs
 
-from repro.core import blame, classify, episodes, permanent, replicas, similarity, spread
+from repro.core import (
+    blame, classify, episodes, permanent, quantiles, replicas, similarity,
+    spread,
+)
 from repro.core.dataset import MeasurementDataset
 from repro.world.entities import ClientCategory
 
@@ -302,9 +304,9 @@ def figure4(dataset: MeasurementDataset, excluded=None) -> str:
             [
                 label,
                 rates.size,
-                pct(float(np.median(rates))) if rates.size else None,
-                pct(float(np.percentile(rates, 90))) if rates.size else None,
-                pct(float(np.percentile(rates, 99))) if rates.size else None,
+                pct(quantiles.median(rates)) if rates.size else None,
+                pct(quantiles.percentile(rates, 90)) if rates.size else None,
+                pct(quantiles.percentile(rates, 99)) if rates.size else None,
                 pct(knee),
             ]
         )
@@ -444,24 +446,32 @@ def table9(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
 
 
 @obs.span("report.headline")
-def headline_summary(dataset: MeasurementDataset) -> str:
-    """The abstract's headline numbers vs measured."""
+def headline_summary(
+    dataset: MeasurementDataset,
+    perm: Optional[permanent.PermanentPairReport] = None,
+) -> str:
+    """The abstract's headline numbers vs measured.
+
+    ``perm`` is the command's permanent-pair report; it is found here
+    only when the caller has none.
+    """
     client_rates = dataset.client_failure_rates()
     server_rates = dataset.server_failure_rates()
-    report = permanent.find_permanent_pairs(dataset)
+    if perm is None:
+        perm = permanent.find_permanent_pairs(dataset)
     rows = [
-        ["median client failure rate", pct(float(np.nanmedian(client_rates))),
+        ["median client failure rate", pct(quantiles.median(client_rates)),
          f"{PAPER_HEADLINES['client_median_rate']}%"],
-        ["median server failure rate", pct(float(np.nanmedian(server_rates))),
+        ["median server failure rate", pct(quantiles.median(server_rates)),
          f"{PAPER_HEADLINES['server_median_rate']}%"],
-        ["95th-pctile client rate", pct(float(np.nanpercentile(client_rates, 95))),
+        ["95th-pctile client rate", pct(quantiles.percentile(client_rates, 95)),
          f"{PAPER_HEADLINES['client_p95_rate']}%"],
-        ["permanent pairs", report.count, PAPER_HEADLINES["permanent_pairs"]],
+        ["permanent pairs", perm.count, PAPER_HEADLINES["permanent_pairs"]],
         ["perm. share of conn failures",
-         pct(report.share_of_connection_failures),
+         pct(perm.share_of_connection_failures),
          f"{PAPER_HEADLINES['permanent_conn_failure_share']}%"],
         ["perm. share of txn failures",
-         pct(report.share_of_transaction_failures),
+         pct(perm.share_of_transaction_failures),
          f"{PAPER_HEADLINES['permanent_txn_failure_share']}%"],
     ]
     return format_table(

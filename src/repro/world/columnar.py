@@ -47,9 +47,19 @@ pre-columnar engine -- the factorisation is a different, equally valid
 realisation of the same distribution -- a one-time digest migration
 recorded in BENCH_trajectory.json.)
 
-Counts are staged per chunk in hour-major scratch blocks and flushed to
-the sink as one transposed block write per field, so the dataset's
-hour-last layout is touched once per chunk instead of once per hour.
+Counts are staged in hour-major int32 blocks and flushed to the sink as
+one transposed block write per field, so the dataset's hour-last layout
+is touched once per flush instead of once per hour.
+
+Scratch is bounded: it does not grow with the block's length, the run's
+length or the number of blocks a worker serves.  A block allocates one
+lattice chunk (:attr:`ColumnarEngine.lattice_hours`, sized so that one
+chunk plus one flush fit :data:`_SCRATCH_BYTES`) and one flush of
+staging (:attr:`ColumnarEngine.flush_hours`, several chunks), and fills
+both in place for every chunk (``out=``).  At the default world that is
+3-hour chunks and 12-hour flushes, ~10.5 MB, where one 24-hour chunk of
+both used to take ~33 MB, reallocated per chunk.
+
 Every write goes through one writer, :class:`BlockSink`, over block
 arrays covering an hour range: freshly allocated arrays (``run_shard``
 in-process, dtype promotion allowed -- the sequential month and the
@@ -105,11 +115,39 @@ _AMBIENT_LOSS_FACTOR = 1.4
 #: Retransmission-inferred losses per partial-response failure.
 _LOSSES_PER_PARTIAL = 6.0
 
-#: Upper bound on (hour x category x cell) entries per rate-lattice
-#: chunk: bounds peak scratch memory (~30 MiB of float64 lattice plus a
-#: comparable staging block) at any world scale while keeping chunks
-#: long enough to amortise the batched lattice build.
-_CHUNK_LATTICE_BUDGET = 4_000_000
+#: Dataset fields staged per (client, site) plane, in commit order.
+_CS_FIELDS = (
+    "transactions", "dns_ldns", "dns_nonldns", "dns_error",
+    "tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous",
+    "http_errors", "masked_failures",
+    "connections", "failed_connections", "packet_losses",
+)
+#: Dataset fields staged per (site, replica) plane.
+_SR_FIELDS = ("replica_connections", "replica_failed_connections")
+
+#: Scratch bytes per (hour x cell) of a lattice chunk: the float32 rate
+#: lattice (one plane per category) and the peak of
+#: :meth:`ColumnarEngine._build_chunk`'s float32 (hour, client, site)
+#: temporaries, measured at 15 planes (ambient loss included).
+_LATTICE_BYTES_PER_CELL_HOUR = 4 * (N_CATEGORIES + 15)
+#: Scratch bytes per (hour x cell) of the int32 staging, one plane per
+#: (client, site) field.
+_STAGING_BYTES_PER_CELL_HOUR = 4 * len(_CS_FIELDS)
+#: Lattice chunks per staging flush.  Each flush rewrites a cache line
+#: of every (client, site) row of the hour-last dataset, so its cost per
+#: hour falls as the flush grows, while the lattice's length barely
+#: matters: the staging spans several chunks.  Longer flushes cost
+#: memory: at the paper's month on two workers, 24-hour flushes ran the
+#: engine ~5% faster than 12-hour ones, and put 6.7 MB more on each
+#: worker's peak.
+_CHUNKS_PER_FLUSH = 4
+#: Scratch budget of the engine: the lattice of one chunk plus the
+#: staging of one flush.  Both are allocated once per block and reused,
+#: so this bounds the scratch at any block length and any world scale:
+#: 3-hour chunks, 12-hour flushes and ~10.5 MB at the default world
+#: (134 clients x 80 sites), against ~33 MB for one 24-hour chunk of
+#: both.
+_SCRATCH_BYTES = 12 << 20
 
 
 def expected_leading_failures(
@@ -175,10 +213,12 @@ class BlockSink:
 class _ChunkLattice:
     """Rate lattices for one contiguous hour chunk.
 
-    ``rates`` is ``(Hc, K, C, S)`` float64 -- hour-major, categories
+    ``rates`` is ``(Hc, K, C, S)`` float32 -- hour-major, categories
     contiguous per hour, so the rare block ``rates[t, :N_RARE]`` is one
     flat vector ready for ``cumsum`` and each bulk plane
-    ``rates[t, k]`` is contiguous for ``Generator.poisson``.
+    ``rates[t, k]`` is contiguous for ``Generator.poisson``.  ``rates``
+    and ``ambient`` are leading-hour views of the block's scratch
+    (:meth:`ColumnarEngine.simulate_block`).
     """
 
     __slots__ = ("hour_start", "rates", "ambient", "exp_extra", "replica_w")
@@ -191,15 +231,37 @@ class _ChunkLattice:
         self.replica_w = replica_w  # (Hc, S, R) effective replica failure
 
 
-#: Dataset fields staged per (client, site) plane, in commit order.
-_CS_FIELDS = (
-    "transactions", "dns_ldns", "dns_nonldns", "dns_error",
-    "tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous",
-    "http_errors", "masked_failures",
-    "connections", "failed_connections", "packet_losses",
-)
-#: Dataset fields staged per (site, replica) plane.
-_SR_FIELDS = ("replica_connections", "replica_failed_connections")
+class _Scratch:
+    """One block's engine scratch, allocated once at fixed lengths.
+
+    ``rates``/``ambient`` hold one lattice chunk, ``staging`` one flush
+    (hour-major, int32: half the flush traffic of int64), and
+    ``rare_cum`` one hour's rare-category thresholds.  Reusing them for
+    every chunk and hour keeps the engine off the allocator: allocated
+    afresh each hour, the 1 MB threshold vector went back to the kernel
+    and was faulted in again, ~0.5 ms per hour.
+    """
+
+    __slots__ = ("rates", "ambient", "staging", "rare_cum")
+
+    def __init__(self, engine: "ColumnarEngine") -> None:
+        c, s = engine.shape
+        chunk, flush = engine.lattice_hours, engine.flush_hours
+        r_width = engine._replica_exists.shape[1]
+        self.rates = np.empty((chunk, N_CATEGORIES, c, s), dtype=np.float32)
+        self.ambient = np.empty((chunk, c, s), dtype=np.float32)
+        # Every (C, S) plane is fully assigned each hour, so np.empty is
+        # safe; the replica planes only ever write active rows and need
+        # the zeros.
+        self.staging = {
+            name: np.empty((flush, c, s), dtype=np.int32)
+            for name in _CS_FIELDS
+        }
+        self.staging.update(
+            (name, np.zeros((flush, s, r_width), dtype=np.int32))
+            for name in _SR_FIELDS
+        )
+        self.rare_cum = np.empty(N_RARE * c * s, dtype=np.float64)
 
 
 class ColumnarEngine:
@@ -293,16 +355,28 @@ class ColumnarEngine:
         base = model.base_accesses.astype(np.float32)
         self._base_dir = base * f_direct[:, None]   # (C, S)
         self._base_prox = base * self._f_prox[:, None]
-        hours_budget = _CHUNK_LATTICE_BUDGET // max(
-            1, self.n_cells * N_CATEGORIES
-        )
-        self.chunk_hours = min(96, max(1, hours_budget))
+        #: Hours per rate-lattice chunk; a staging flush is
+        #: :attr:`flush_hours` long.
+        self.lattice_hours = max(1, _SCRATCH_BYTES // max(1, self.n_cells * (
+            _LATTICE_BYTES_PER_CELL_HOUR
+            + _CHUNKS_PER_FLUSH * _STAGING_BYTES_PER_CELL_HOUR
+        )))
+
+    @property
+    def flush_hours(self) -> int:
+        """Hours staged per sink flush: several lattice chunks."""
+        return _CHUNKS_PER_FLUSH * self.lattice_hours
 
     # -- rate lattices -------------------------------------------------------
 
-    def _build_chunk(self, h0: int, h1: int) -> _ChunkLattice:
-        """Category-rate lattices for hours ``[h0, h1)``.
+    def _build_chunk(
+        self, h0: int, h1: int, rates: np.ndarray, ambient: np.ndarray
+    ) -> _ChunkLattice:
+        """Category-rate lattices for hours ``[h0, h1)``, in place.
 
+        ``rates`` ``(Hc, K, C, S)`` and ``ambient`` ``(Hc, C, S)`` are
+        float32 scratch views every lattice plane is written into
+        (``out=``), so a block reuses one allocation for all its chunks.
         Everything here is elementwise per hour (broadcast over the hour
         axis), so the values for hour ``h`` are independent of the chunk
         and shard boundaries around it -- the property the determinism
@@ -313,8 +387,6 @@ class ColumnarEngine:
         from repro.world.outcome_model import REPLICA_DOWN_MIX
 
         model, truth = self.model, self.truth
-        c, s = self.shape
-        hc = h1 - h0
         hs = slice(h0, h1)
         ein = np.einsum
 
@@ -408,7 +480,6 @@ class ColumnarEngine:
         # Zero-weight cells fall back to the pure no-connection mix
         # (mix == (1, 0, 0)): the whole rate routes to noconn below.
         fallback = (total_w <= 0.0) & (tcp_rate > 0.0)
-        rates = np.empty((hc, N_CATEGORIES, c, s), dtype=np.float32)
 
         def kind_rate(k):
             m = c_k[k][:, :, None] + s_k[k][:, None, :]
@@ -421,33 +492,36 @@ class ColumnarEngine:
             r_noconn = np.where(fallback, tcp_rate, r_noconn)
         r_noresp = kind_rate(1)
         r_partial = kind_rate(2)
-        rates[:, CAT_TCP_NOCONN] = r_noconn * self._f_vis[None, :, None]
-        rates[:, CAT_TCP_NOCONN_HID] = r_noconn * self._f_hid[None, :, None]
-        rates[:, CAT_TCP_NORESP] = r_noresp * self._f_nonamb[None, :, None]
-        rates[:, CAT_TCP_NORESP_AMB] = r_noresp * self._f_amb[None, :, None]
-        rates[:, CAT_TCP_PARTIAL] = r_partial * self._f_nonamb[None, :, None]
-        rates[:, CAT_TCP_PARTIAL_AMB] = r_partial * self._f_amb[None, :, None]
+        mul, sub = np.multiply, np.subtract
+        mul(r_noconn, self._f_vis[None, :, None], out=rates[:, CAT_TCP_NOCONN])
+        mul(r_noconn, self._f_hid[None, :, None],
+            out=rates[:, CAT_TCP_NOCONN_HID])
+        mul(r_noresp, self._f_nonamb[None, :, None],
+            out=rates[:, CAT_TCP_NORESP])
+        mul(r_noresp, self._f_amb[None, :, None],
+            out=rates[:, CAT_TCP_NORESP_AMB])
+        mul(r_partial, self._f_nonamb[None, :, None],
+            out=rates[:, CAT_TCP_PARTIAL])
+        mul(r_partial, self._f_amb[None, :, None],
+            out=rates[:, CAT_TCP_PARTIAL_AMB])
 
         # ---- DNS stage (fused rank-1 products) ----
-        rates[:, CAT_DNS_LDNS] = ein(
-            "hc,cs->hcs", cu * p_ldns, self._base_dir
-        )
-        rates[:, CAT_DNS_NONLDNS] = ein(
-            "hc,hs,cs->hcs", cu * surv_ldns, p_nonldns, self._base_dir
-        )
-        rates[:, CAT_DNS_ERROR] = ein(
-            "hc,hs,cs->hcs",
+        ein("hc,cs->hcs", cu * p_ldns, self._base_dir,
+            out=rates[:, CAT_DNS_LDNS])
+        ein("hc,hs,cs->hcs", cu * surv_ldns, p_nonldns, self._base_dir,
+            out=rates[:, CAT_DNS_NONLDNS])
+        ein("hc,hs,cs->hcs",
             cu * surv_ldns, (1.0 - p_nonldns) * p_dnserr, self._base_dir,
-        )
+            out=rates[:, CAT_DNS_ERROR])
 
         # ---- HTTP stage / delivered splits ----
         herr = delivered_rate * p_http[:, None, :]
         d_ok = delivered_rate - herr
         redir = self._redirect_p[None, None, :]
-        rates[:, CAT_HTTP_REDIR] = herr * redir
-        rates[:, CAT_HTTP_PLAIN] = herr - rates[:, CAT_HTTP_REDIR]
-        rates[:, CAT_OK_REDIR] = d_ok * redir
-        rates[:, CAT_OK_PLAIN] = d_ok - rates[:, CAT_OK_REDIR]
+        mul(herr, redir, out=rates[:, CAT_HTTP_REDIR])
+        sub(herr, rates[:, CAT_HTTP_REDIR], out=rates[:, CAT_HTTP_PLAIN])
+        mul(d_ok, redir, out=rates[:, CAT_OK_REDIR])
+        sub(d_ok, rates[:, CAT_OK_REDIR], out=rates[:, CAT_OK_PLAIN])
         np.maximum(
             rates[:, CAT_HTTP_PLAIN], 0.0, out=rates[:, CAT_HTTP_PLAIN]
         )
@@ -467,17 +541,18 @@ class ColumnarEngine:
             * (1.0 - p_proxy_dns)
         )
         lam_prox = ein("hc,cs->hcs", cu, self._base_prox)
-        rates[:, CAT_PROXIED_OK] = ein(
-            "hc,hs,cs->hcs",
+        ein("hc,hs,cs->hcs",
             cu * a_client, 1.0 - p_site_up_fail, self._base_prox,
-        )
-        rates[:, CAT_MASKED] = lam_prox - rates[:, CAT_PROXIED_OK]
+            out=rates[:, CAT_PROXIED_OK])
+        sub(lam_prox, rates[:, CAT_PROXIED_OK], out=rates[:, CAT_MASKED])
         np.maximum(rates[:, CAT_MASKED], 0.0, out=rates[:, CAT_MASKED])
 
-        ambient = (
+        mul(
             self._bg_loss_rate
-            + (1.0 - e) * (_SEGMENTS_PER_TRANSFER * _AMBIENT_LOSS_FACTOR)
-        ) * self._f_direct[None, :, None]
+            + (1.0 - e) * (_SEGMENTS_PER_TRANSFER * _AMBIENT_LOSS_FACTOR),
+            self._f_direct[None, :, None],
+            out=ambient,
+        )
         exp_extra = expected_leading_failures(r_eff, self.n_replicas)
         return _ChunkLattice(h0, rates, ambient, exp_extra, r_eff)
 
@@ -488,78 +563,68 @@ class ColumnarEngine:
 
         Chunks the block for the rate lattices, runs every hour's draws
         from its own ``fast-engine/hour/<h>`` stream in a fixed call
-        order into hour-major staging blocks, and flushes each chunk to
-        the sink as one block write per field.  Per-hour ``hour_done``
-        telemetry streams off the staged planes for ``--live``.
+        order into hour-major staging blocks, and flushes the staging to
+        the sink every :attr:`flush_hours` as one block write per field.
+        Per-hour ``hour_done`` telemetry streams off the staged planes
+        for ``--live``.
+
+        The lattice (one chunk) and the staging (one flush) are
+        allocated once, at their fixed lengths, and every chunk and
+        flush fills their leading hours in place: the block's scratch
+        is the same for a 1-hour and a month-long block.
         """
         emitter = obs.emitter()
         stages = stage_seconds if stage_seconds is not None else {}
         for name in ("dns", "tcp", "http", "commit"):
             stages.setdefault(name, 0.0)
-        c, s = self.shape
-        r_width = self._replica_exists.shape[1]
-        for c0 in range(hour_start, hour_stop, self.chunk_hours):
-            c1 = min(c0 + self.chunk_hours, hour_stop)
-            hc = c1 - c0
-            t0 = perf_counter()
-            lattice = self._build_chunk(c0, c1)
-            stages["dns"] += perf_counter() - t0
-            # The staging planes are fixed int32, and a draw past their
-            # range would wrap *before* the sink's peak check could see
-            # it -- the wrapped value looks small and honest.  Bound the
-            # worst cell a priori from the rate lattice with the same
-            # Poisson tail logic planned_dtypes uses (x8 headroom for
-            # loss/connection multiplicity) and refuse to simulate past
-            # it rather than corrupt counts silently.
-            peak_cell = (
-                8.0 * float(lattice.rates.sum(axis=1).max())
-                if lattice.rates.size else 0.0
-            )
-            if peak_cell + 12.0 * peak_cell ** 0.5 + 64.0 > float(
-                np.iinfo(np.int32).max
-            ):
-                raise OverflowError(
-                    f"per-cell hourly rate {peak_cell / 8.0:.4g} exceeds "
-                    "the int32 staging capacity; reduce per_hour or "
-                    "widen the staging dtype"
+        if hour_stop <= hour_start:
+            return
+        scratch = _Scratch(self)
+        staging = scratch.staging
+        flush_hours = self.flush_hours
+        for f0 in range(hour_start, hour_stop, flush_hours):
+            f1 = min(f0 + flush_hours, hour_stop)
+            for c0 in range(f0, f1, self.lattice_hours):
+                c1 = min(c0 + self.lattice_hours, f1)
+                t0 = perf_counter()
+                lattice = self._build_chunk(
+                    c0, c1, scratch.rates[:c1 - c0], scratch.ambient[:c1 - c0]
                 )
-            # int32 staging halves the flush traffic; every (C, S) plane
-            # is fully assigned each hour so np.empty is safe, while the
-            # replica planes only write active rows and need the zeros.
-            staging = {
-                name: np.empty((hc, c, s), dtype=np.int32)
-                for name in _CS_FIELDS
-            }
-            staging.update(
-                (name, np.zeros((hc, s, r_width), dtype=np.int32))
-                for name in _SR_FIELDS
-            )
-            for h in range(c0, c1):
-                stream = f"fast-engine/hour/{h}"
-                with obs.span("simulate.hour", hour=h):
-                    rng = self.rngs.np_fresh(stream)
-                    self._simulate_hour(h - c0, lattice, rng, staging, stages)
-                if emitter.enabled:
-                    emitter.emit(
-                        "hour_done", hour=h, stream=stream,
-                        **_hour_counts(staging, h - c0),
-                    )
+                stages["dns"] += perf_counter() - t0
+                _check_staging_capacity(lattice)
+                for h in range(c0, c1):
+                    stream = f"fast-engine/hour/{h}"
+                    with obs.span("simulate.hour", hour=h):
+                        rng = self.rngs.np_fresh(stream)
+                        self._simulate_hour(
+                            h, lattice, rng, scratch, h - f0, stages
+                        )
+                    if emitter.enabled:
+                        emitter.emit(
+                            "hour_done", hour=h, stream=stream,
+                            **_hour_counts(staging, h - f0),
+                        )
             t2 = perf_counter()
             for name, block in staging.items():
-                sink.commit_block(name, c0, c1, block)
+                sink.commit_block(name, f0, f1, block[:f1 - f0])
             stages["commit"] += perf_counter() - t2
 
-    def _simulate_hour(self, t, lattice, rng, staging, stages) -> None:
-        """One hour of draws, in the fixed stream order (see module doc)."""
+    def _simulate_hour(self, h, lattice, rng, scratch, t, stages) -> None:
+        """Hour ``h``'s draws, in the fixed stream order (see module
+        doc), staged at row ``t`` of ``scratch.staging``."""
         t0 = perf_counter()
         c, s = self.shape
         n_cells = self.n_cells
-        rates = lattice.rates[t]
+        staging = scratch.staging
+        lt = h - lattice.hour_start
+        rates = lattice.rates[lt]
 
         # ---- 1. Rare categories: one Poisson total + sorted scatter ----
         # float64 accumulation: the thresholds must be strictly monotone
         # for searchsorted even though the per-cell rates are float32.
-        rare_cum = np.cumsum(rates[:N_RARE].reshape(-1), dtype=np.float64)
+        rare_cum = np.cumsum(
+            rates[:N_RARE].reshape(-1), dtype=np.float64, out=scratch.rare_cum
+        )
         idx = _scatter_sorted(rng, rare_cum)
         # Category segment boundaries within the sorted flat indices.
         bounds = np.searchsorted(
@@ -611,11 +676,11 @@ class ColumnarEngine:
         # ---- 3. Conditional draws, fixed order ----
         # Extra failed attempts past dead replicas at spread sites: each
         # delivered transaction contributes Poisson(exp_extra) failures.
-        lam_extra = delivered * (lattice.exp_extra[t] * self.spread)[None, :]
+        lam_extra = delivered * (lattice.exp_extra[lt] * self.spread)[None, :]
         extra_failed = _place_poisson(rng, lam_extra)
         # Retransmission-inferred packet losses (Section 3.5(b)).
         lam_loss = (
-            delivered * lattice.ambient[t] + partial * _LOSSES_PER_PARTIAL
+            delivered * lattice.ambient[lt] + partial * _LOSSES_PER_PARTIAL
         )
         losses = _place_poisson(rng, lam_loss)
         t2 = perf_counter()
@@ -629,7 +694,7 @@ class ColumnarEngine:
         site_conns = total_conns.sum(axis=0)[active]
         site_failed = failed_conns.sum(axis=0)[active]
         site_extra = extra_failed.sum(axis=0)[active]
-        w = lattice.replica_w[t][active]
+        w = lattice.replica_w[lt][active]
         w_sum = w.sum(axis=1, keepdims=True)
         weights = np.where(
             w_sum > 0, w / np.where(w_sum > 0, w_sum, 1.0),
@@ -662,6 +727,28 @@ class ColumnarEngine:
         staging["replica_connections"][t][active] = conns_r
         staging["replica_failed_connections"][t][active] = failed_r
         stages["commit"] += perf_counter() - t2
+
+
+def _check_staging_capacity(lattice: _ChunkLattice) -> None:
+    """Refuse a chunk whose draws could wrap the int32 staging.
+
+    A draw past the staging's range would wrap *before* the sink's peak
+    check could see it -- the wrapped value looks small and honest.
+    Bound the worst cell a priori from the rate lattice with the same
+    Poisson tail logic planned_dtypes uses (x8 headroom for
+    loss/connection multiplicity) and refuse to simulate past it rather
+    than corrupt counts silently.
+    """
+    rates = lattice.rates
+    peak_cell = 8.0 * float(rates.sum(axis=1).max()) if rates.size else 0.0
+    if peak_cell + 12.0 * peak_cell ** 0.5 + 64.0 > float(
+        np.iinfo(np.int32).max
+    ):
+        raise OverflowError(
+            f"per-cell hourly rate {peak_cell / 8.0:.4g} exceeds "
+            "the int32 staging capacity; reduce per_hour or "
+            "widen the staging dtype"
+        )
 
 
 def _scatter_sorted(rng: np.random.Generator, cum: np.ndarray) -> np.ndarray:

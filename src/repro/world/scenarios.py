@@ -238,5 +238,5 @@ def intervention_study(
 
 def _rate(result: SimulationResult) -> float:
     dataset = result.dataset
-    total = int(dataset.transactions.sum())
-    return int(dataset.failures.sum()) / total if total else 0.0
+    total = int(dataset.sums(("transactions",), ""))
+    return int(dataset.sums(dataset.FAILURE_FIELDS, "")) / total if total else 0.0

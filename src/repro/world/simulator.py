@@ -131,12 +131,13 @@ class MonthSimulator:
             arrays, fallback = run_block(self, 0, hours, len(shards))
             dataset = MeasurementDataset.from_arrays(self.world, arrays)
             month_span.add_items(int(dataset.transactions.sum()))
-        self._commit_outcome_metrics(dataset)
+        totals = _dataset_totals(dataset)
+        self._commit_outcome_metrics(dataset, totals)
         self._attach_provenance(dataset, workers=len(shards))
         if fallback is not None:
             dataset.provenance["parallel_fallback"] = fallback
         if emitter.enabled:
-            emitter.emit("run_done", **_dataset_totals(dataset))
+            emitter.emit("run_done", **totals)
         return SimulationResult(dataset=dataset, truth=self.truth, model=self.model)
 
     def run_shard(
@@ -236,14 +237,14 @@ class MonthSimulator:
                 "stage_calls_total", stage=f"simulate.{stage_name}"
             ).inc(hours)
 
-    def _commit_outcome_metrics(self, dataset: MeasurementDataset) -> None:
-        """Record the run's outcome counts."""
+    def _commit_outcome_metrics(
+        self, dataset: MeasurementDataset, totals: Dict[str, int]
+    ) -> None:
+        """Record the run's outcome counts from :func:`_dataset_totals`."""
         registry = obs.registry()
-        transactions = int(dataset.transactions.sum())
-        dns = int(dataset.dns_failures.sum())
-        tcp = int(dataset.tcp_failures.sum())
-        http = int(dataset.http_errors.sum())
-        masked = int(dataset.masked_failures.sum())
+        transactions, dns, tcp, http, masked = (
+            totals[key] for key in ("transactions", "dns", "tcp", "http", "masked")
+        )
         registry.counter("simulate_transactions_total").inc(transactions)
         registry.counter("simulate_dns_failures_total").inc(dns)
         registry.counter("simulate_tcp_failures_total").inc(tcp)
@@ -262,13 +263,16 @@ class MonthSimulator:
 
 
 def _dataset_totals(dataset: MeasurementDataset) -> Dict[str, int]:
-    """Month-wide per-failure-type totals for the ``run_done`` event."""
+    """Month-wide per-failure-type totals, each field summed on its own."""
     return {
-        "transactions": int(dataset.transactions.sum(dtype=np.int64)),
-        "dns": int(dataset.dns_failures.sum(dtype=np.int64)),
-        "tcp": int(dataset.tcp_failures.sum(dtype=np.int64)),
-        "http": int(dataset.http_errors.sum(dtype=np.int64)),
-        "masked": int(dataset.masked_failures.sum(dtype=np.int64)),
+        key: int(dataset.sums(fields, ""))
+        for key, fields in (
+            ("transactions", ("transactions",)),
+            ("dns", dataset.DNS_FAILURE_FIELDS),
+            ("tcp", dataset.TCP_FAILURE_FIELDS),
+            ("http", ("http_errors",)),
+            ("masked", ("masked_failures",)),
+        )
     }
 
 

@@ -119,6 +119,43 @@ class TestAggregates:
             for index in ((), 3, (3, 5), (slice(None), 5)):
                 assert dataset.total(fields, index) == int(plane[index].sum())
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fields=st.sampled_from([
+            ("transactions",),
+            MeasurementDataset.FAILURE_FIELDS,
+            MeasurementDataset.TCP_FAILURE_FIELDS,
+            ("connections",),
+        ]),
+        axes=st.sampled_from(["", "c", "s", "h", "ch", "sh", "cs"]),
+        exclude=st.sampled_from([None, 0.0, 0.1, 1.0]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sums_equal_the_derived_plane(
+        self, chain_dataset, fields, axes, exclude, weighted, seed
+    ):
+        """``sums`` (per field, excluded pairs subtracted, optional
+        server-hour weights) equals the reduced derived plane."""
+        ds = chain_dataset
+        c, s, h = ds.shape
+        rng = np.random.default_rng(seed)
+        excluded = None if exclude is None else rng.random((c, s)) < exclude
+        weights = rng.random((s, h)) < 0.3 if weighted else None
+        plane = sum(getattr(ds, name).astype(np.int64) for name in fields)
+        if excluded is not None:
+            plane = plane * ~excluded[:, :, None]
+        if weights is not None:
+            plane = plane * weights[None]
+        expected = np.einsum("csh->" + axes, plane)
+        got = ds.sums(fields, axes, excluded, weights)
+        assert np.asarray(got).dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_sums_must_reduce_an_axis(self, chain_dataset):
+        with pytest.raises(ValueError, match="reduce no axis"):
+            chain_dataset.sums(("transactions",), "csh")
+
     def test_rates_are_nan_when_empty(self, world):
         ds = MeasurementDataset(world)
         assert np.isnan(ds.client_failure_rates()).all()
@@ -135,13 +172,17 @@ class TestMaskedView:
         c, s, _ = dataset.shape
         mask = np.zeros((c, s), dtype=bool)
         mask[0, 0] = True
-        view = dataset.pair_exclusion_view(mask)
-        assert view.transactions[0, 0].sum() == 0
-        assert (view.transactions[1] == dataset.transactions[1]).all()
+        pairs = dataset.sums(("transactions",), "cs", mask)
+        assert pairs[0, 0] == 0
+        np.testing.assert_array_equal(
+            pairs[1], dataset.transactions[1].sum(axis=1)
+        )
 
     def test_mask_shape_validated(self, dataset):
         with pytest.raises(ValueError):
-            dataset.pair_exclusion_view(np.zeros((2, 2), dtype=bool))
+            dataset.sums(
+                ("transactions",), "ch", np.zeros((2, 2), dtype=bool)
+            )
 
 
 class TestCountCapacity:
@@ -399,3 +440,47 @@ class TestPersistence:
         assert fp["hours"] == world.hours
         assert fp["clients"] == [c.name for c in world.clients]
         assert fp["sites"] == [w.name for w in world.websites]
+
+
+class TestBoundedTail:
+    """The analysis tail reduces fields straight to entity axes: on a
+    48-hour dataset no step peaks at one (C, S, H) uint32 plane, the
+    size of the derived ``failures`` plane it used to build."""
+
+    @pytest.fixture(scope="class")
+    def day2(self):
+        from repro.world.defaults import build_default_world
+        from repro.world.outcome_model import AccessConfig
+        from repro.world.rng import RNGRegistry
+        from repro.world.simulator import MonthSimulator
+
+        return MonthSimulator(
+            build_default_world(hours=48), access=AccessConfig(per_hour=4),
+            rngs=RNGRegistry(20050101),
+        ).run().dataset
+
+    @staticmethod
+    def _peak(call):
+        import gc
+        import tracemalloc
+
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_digest_headline_and_evidence_stay_below_one_plane(self, day2):
+        from repro.core import permanent, report
+        from repro.obs.runstore.evidence import collect_evidence
+
+        plane = int(np.prod(day2.shape)) * 4
+        mask = permanent.find_permanent_pairs(day2).mask
+        for call in (
+            day2.digest,
+            lambda: report.headline_summary(day2),
+            lambda: collect_evidence(day2, mask),
+        ):
+            assert self._peak(call) < plane

@@ -26,11 +26,8 @@ class TestRateMatrices:
         c, s, _ = dataset.shape
         mask = np.zeros((c, s), dtype=bool)
         mask[:, 0] = True
-        view = dataset.pair_exclusion_view(mask)
         full = episodes.server_rate_matrix(dataset)
-        masked = episodes.server_rate_matrix(
-            dataset, view.transactions, view.failures
-        )
+        masked = episodes.server_rate_matrix(dataset, excluded_pairs=mask)
         assert masked.transactions[0].sum() == 0
         assert full.transactions[0].sum() > 0
 

@@ -65,6 +65,33 @@ class TestCommands:
         par = digest_of(base + ["--workers", "2", "simulate"])
         assert seq == par
 
+    @pytest.mark.parametrize("command", ["simulate", "report"])
+    def test_one_permanent_pair_pass(self, command, capsys, monkeypatch):
+        """A command finds the permanent pairs once and hands that
+        report to the headline; stdout is byte-identical to a headline
+        that finds its own."""
+        from repro.core import permanent, report
+
+        find, headline = permanent.find_permanent_pairs, report.headline_summary
+        calls = []
+
+        def counting_find(dataset, *args, **kwargs):
+            calls.append(dataset)
+            return find(dataset, *args, **kwargs)
+
+        monkeypatch.setattr(permanent, "find_permanent_pairs", counting_find)
+        argv = ["--hours", "12", "--per-hour", "1", command]
+        assert cli.main(argv) == 0
+        once = capsys.readouterr().out
+        assert len(calls) == 1
+        monkeypatch.setattr(
+            report, "headline_summary",
+            lambda dataset, perm=None: headline(dataset),
+        )
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == once
+        assert len(calls) == 3
+
     def test_report_subset(self, capsys):
         code = cli.main(
             ["--hours", "12", "--per-hour", "1", "report", "--only", "table3"]

@@ -10,6 +10,8 @@ itself has long since imported everything.  The rules pinned here:
   needs, the parent has already loaded -- in a batch block and in the
   serve daemon's pool, which serves every chunk of the run;
 * the read-only ``repro runs`` verbs read manifests without numpy;
+* ``report`` and ``simulate --detect`` never load ``numpy.ma`` (numpy's
+  median and percentile do, on first call);
 * the top-level ``repro`` package loads its public names on first use.
 """
 
@@ -77,6 +79,25 @@ print(json.dumps({
 def test_detect_run_without_a_port_never_loads_http_server():
     report = _run_script(_DETECT_RUN)
     assert report == {"code": 0, "loaded": [], "detector": True}
+
+
+_NO_MASKED_ARRAYS = """
+import io, json, sys, contextlib
+from repro import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_report_and_detect_never_load_numpy_ma(tmp_path):
+    base = ["--runs-dir", str(tmp_path), "--hours", "24", "--per-hour", "2"]
+    for argv in (
+        base + ["report", "--workers", "1"],
+        base + ["simulate", "--workers", "1", "--detect"],
+    ):
+        report = _run_script(_NO_MASKED_ARRAYS, *argv)
+        assert report == {"code": 0, "numpy.ma": False}, argv
 
 
 _POOLED_WORKERS = """
