@@ -292,15 +292,21 @@ def _simulate(args):
     return result
 
 
-def _record_evidence(args, dataset, mask) -> None:
-    """Collect attribution evidence into the run recorder, if recording."""
+def _record_evidence(args, dataset, mask, blame=None) -> None:
+    """Collect attribution evidence into the run recorder, if recording.
+
+    ``blame`` is the command's f = 5% blame pass over ``mask``, if it
+    ran one (the evidence reuses it).
+    """
     recorder = getattr(args, "_run_recorder", None)
     if recorder is None:
         return
     from repro.obs.runstore.evidence import collect_evidence
 
     with obs.span("cli.evidence"):
-        recorder.record_evidence(collect_evidence(dataset, mask))
+        recorder.record_evidence(
+            collect_evidence(dataset, mask, blame=blame)
+        )
 
 
 def cmd_simulate(args) -> int:
@@ -334,7 +340,7 @@ def cmd_report(args) -> int:
     with obs.span("cli.report.analysis"):
         perm = permanent.find_permanent_pairs(dataset)
         analysis = blame.run_blame_analysis(dataset, 0.05, perm.mask)
-    _record_evidence(args, dataset, perm.mask)
+    _record_evidence(args, dataset, perm.mask, analysis)
 
     builders = {
         "headline": lambda: report.headline_summary(dataset, perm),

@@ -35,6 +35,14 @@ detector's cursor guarantees this), which makes every document a pure
 function of the folded hour sequence -- bit-identical at any worker
 count and across kill/resume (state export/restore round-trips the
 exact cells).
+
+Only a ring's newest cell is ever folded into, so every older cell is
+final.  The retention checkpoint relies on that: ``export_state(logged)``
+hands each final cell to the checkpoint log once (stream
+``cells.<resolution>``, ordinal = the cell's creation order) and keeps
+only the newest cell per ring inline, so a checkpoint's size does not
+grow with the run; ``restore_state(state, log)`` rebuilds each ring
+from the logged cells and that inline one.
 """
 
 from __future__ import annotations
@@ -340,25 +348,65 @@ class HistoryStore(RosterObserver):
 
     # -- checkpoint state --------------------------------------------------------
 
-    def export_state(self) -> Dict[str, Any]:
-        """The full JSON-able state (checkpointed at pruning boundaries)."""
+    def export_state(
+        self, logged: Optional[Dict[str, int]] = None
+    ) -> Dict[str, Any]:
+        """The JSON-able state (checkpointed at pruning boundaries).
+
+        Without ``logged`` every ring cell is inline.  With it -- the
+        cell count per :func:`log_stream` already in the checkpoint
+        log -- only each ring's newest cell is inline; the cells before
+        it can no longer change, and those not yet logged go to
+        ``state["log"]`` in the :meth:`ChunkStore.write_checkpoint
+        <repro.obs.runstore.chunks.ChunkStore.write_checkpoint>` form,
+        with the ring's evicted count as the stream's floor.  A cell's
+        ordinal in its stream is its creation order: ``evicted`` plus
+        its ring position.
+        """
         with self._lock:
-            return {
+            state = {
                 "schema": HISTORY_SCHEMA,
                 "resolutions": [list(r) for r in self.resolutions],
                 "names": {s: list(self._names[s]) for s in _SIDES},
                 "regions": list(self._regions),
-                "rings": {
-                    name: [_cell_json(cell) for cell in ring]
-                    for name, ring in self._rings.items()
-                },
                 "evicted": dict(self._evicted),
                 "last_folded": self._last_folded,
                 "hours_folded": self.hours_folded,
             }
+            if logged is None:
+                state["rings"] = {
+                    name: [_cell_json(cell) for cell in ring]
+                    for name, ring in self._rings.items()
+                }
+                return state
+            state.update(ring_lengths={}, rings={}, log={})
+            for name, ring in self._rings.items():
+                evicted = self._evicted[name]
+                start = max(int(logged.get(log_stream(name), 0)), evicted)
+                state["ring_lengths"][name] = len(ring)
+                state["rings"][name] = [_cell_json(c) for c in ring[-1:]]
+                state["log"][log_stream(name)] = {
+                    "start": start,
+                    "records": [
+                        _cell_json(cell)
+                        for cell in ring[start - evicted:-1]
+                    ],
+                    "floor": evicted,
+                }
+            return state
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Restore an :meth:`export_state` snapshot (exact round-trip)."""
+    def restore_state(
+        self,
+        state: Dict[str, Any],
+        log: Optional[Dict[str, Tuple[int, List[Any]]]] = None,
+    ) -> None:
+        """Restore an :meth:`export_state` snapshot (exact round-trip).
+
+        A snapshot taken with ``logged`` needs ``log``, the records
+        :meth:`ChunkStore.read_log
+        <repro.obs.runstore.chunks.ChunkStore.read_log>` returns for
+        the counts it covers; each ring's older cells come from there.
+        """
         with self._lock:
             stored = tuple(
                 (str(n), int(s), int(c)) for n, s, c in state["resolutions"]
@@ -368,13 +416,18 @@ class HistoryStore(RosterObserver):
                     "history checkpoint was taken under different "
                     f"resolutions ({stored} vs {self.resolutions})"
                 )
+            rings = {
+                name: self._logged_cells(state, name, log or {})
+                + state["rings"][name]
+                for name, _, _ in self.resolutions
+            }
             self._names = {
                 s: [str(n) for n in state["names"][s]] for s in _SIDES
             }
             self._set_regions(state.get("regions") or [])
             self._rings = {
-                name: [_map_sides(c, np.array) for c in state["rings"][name]]
-                for name, _, _ in self.resolutions
+                name: [_map_sides(c, np.array) for c in ring]
+                for name, ring in rings.items()
             }
             self._evicted = {
                 name: int(state["evicted"][name])
@@ -385,3 +438,28 @@ class HistoryStore(RosterObserver):
                 if state["last_folded"] is not None else None
             )
             self.hours_folded = int(state["hours_folded"])
+
+    @staticmethod
+    def _logged_cells(
+        state: Dict[str, Any], name: str,
+        log: Dict[str, Tuple[int, List[Any]]],
+    ) -> List[Dict[str, Any]]:
+        """The ring cells of ``name`` that a snapshot left in the log."""
+        lengths = state.get("ring_lengths")
+        if lengths is None or not lengths[name]:
+            return []
+        evicted = int(state["evicted"][name])
+        stop = evicted + int(lengths[name]) - 1
+        first, records = log.get(log_stream(name), (stop, []))
+        if first > evicted or first + len(records) != stop:
+            raise ValueError(
+                f"checkpoint log {log_stream(name)} holds cells "
+                f"[{first}, {first + len(records)}) but the {name} ring "
+                f"needs [{evicted}, {stop})"
+            )
+        return records[evicted - first:]
+
+
+def log_stream(resolution: str) -> str:
+    """The checkpoint-log stream of one resolution's completed cells."""
+    return f"cells.{resolution}"

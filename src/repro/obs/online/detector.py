@@ -664,7 +664,9 @@ class OnlineDetector:
 
     # -- checkpoint state --------------------------------------------------------
 
-    def export_state(self) -> Dict[str, Any]:
+    def export_state(
+        self, logged: Optional[Dict[str, int]] = None
+    ) -> Dict[str, Any]:
         """The full fold state, JSON-able (the retention checkpoint).
 
         Rates are recorded per entity as ``hour_rates`` (valid hours
@@ -673,13 +675,19 @@ class OnlineDetector:
         Restoring this state and folding hours N.. is bit-identical to
         having folded 0..N.. in one process -- the property the
         retention-resume tests hold.
+
+        With ``logged`` -- the record count per log stream
+        (``alerts``, ``episodes``) already in the checkpoint log -- the
+        state keeps only open episodes and the alert count; alerts and
+        closed episodes not yet logged go to ``state["log"]`` in the
+        :meth:`ChunkStore.write_checkpoint
+        <repro.obs.runstore.chunks.ChunkStore.write_checkpoint>` form.
+        Closed episodes are logged in close order, which a later close
+        can only extend; the latencies are rebuilt from the episodes.
         """
         with self._lock:
             sides: Dict[str, Any] = {}
             for side, state in self._sides.items():
-                episode_index = {
-                    id(info): n for n, info in enumerate(state.episodes)
-                }
                 hour_rates: Dict[str, Dict[str, float]] = {}
                 for hour, rates in state.by_hour.items():
                     values = rates.tolist()
@@ -687,16 +695,8 @@ class OnlineDetector:
                         hour_rates.setdefault(str(i), {})[str(hour)] = (
                             values[i]
                         )
-                sides[side] = {
-                    "names": state.names,
-                    "hour_rates": hour_rates,
-                    "episodes": [dict(info) for info in state.episodes],
-                    "open": {
-                        str(i): episode_index[id(info)]
-                        for i, info in state.open.items()
-                    },
-                }
-            return {
+                sides[side] = {"names": state.names, "hour_rates": hour_rates}
+            exported = {
                 "schema": DETECTOR_STATE_SCHEMA,
                 "next_hour": self._next_hour,
                 "last_folded": self._last_folded,
@@ -706,20 +706,116 @@ class OnlineDetector:
                 "latched": sorted(self._latched),
                 "burn_streak": dict(sorted(self._burn_streak.items())),
                 "slo_window": [list(e) for e in self._slo_window],
-                "alerts": [dict(a) for a in self.alerts],
-                "latencies": list(self.latencies),
                 "events_seen": self.events_seen,
                 "sides": sides,
             }
+            if logged is None:
+                for side, state in self._sides.items():
+                    episode_index = {
+                        id(info): n for n, info in enumerate(state.episodes)
+                    }
+                    sides[side]["episodes"] = [
+                        dict(info) for info in state.episodes
+                    ]
+                    sides[side]["open"] = {
+                        str(i): episode_index[id(info)]
+                        for i, info in state.open.items()
+                    }
+                exported["alerts"] = [dict(a) for a in self.alerts]
+                exported["latencies"] = list(self.latencies)
+                return exported
+            closed = sorted(
+                (
+                    (side, info)
+                    for side, state in self._sides.items()
+                    for info in state.episodes
+                    if info["close_hour"] is not None
+                ),
+                key=lambda pair: (
+                    pair[1]["close_hour"], _SIDES.index(pair[0]),
+                    pair[1]["entity_index"],
+                ),
+            )
+            for side, state in self._sides.items():
+                sides[side]["open_episodes"] = [
+                    dict(info) for info in state.open.values()
+                ]
+            exported["alert_count"] = len(self.alerts)
+            exported["closed_episodes"] = len(closed)
+            alerts_start = int(logged.get("alerts", 0))
+            closed_start = int(logged.get("episodes", 0))
+            exported["log"] = {
+                "alerts": {
+                    "start": alerts_start,
+                    "records": [dict(a) for a in self.alerts[alerts_start:]],
+                },
+                "episodes": {
+                    "start": closed_start,
+                    "records": [
+                        {"side": side, **info}
+                        for side, info in closed[closed_start:]
+                    ],
+                },
+            }
+            return exported
 
-    def restore_state(self, state: Dict[str, Any]) -> None:
+    def restore_state(
+        self,
+        state: Dict[str, Any],
+        log: Optional[Dict[str, Tuple[int, List[Any]]]] = None,
+    ) -> None:
         """Restore an :meth:`export_state` snapshot (exact round-trip).
+
+        A snapshot taken with ``logged`` needs ``log``, the records
+        :meth:`ChunkStore.read_log
+        <repro.obs.runstore.chunks.ChunkStore.read_log>` returns for
+        the counts it covers: its alerts and closed episodes.
 
         The active rule set is not part of the state -- the caller
         constructs the detector with the same rules the original run
         used (the serve daemon's resume path does); unknown streak
         names are dropped and missing ones start at zero.
         """
+        sides = state["sides"]
+        if "alert_count" in state:
+            log = log or {}
+            alerts = _logged_records(log, "alerts", state["alert_count"])
+            closed = _logged_records(
+                log, "episodes", state["closed_episodes"]
+            )
+            # One episode per (open hour, entity) and side, appended in
+            # that order: sorting restores the open order.
+            episodes = {
+                side: sorted(
+                    [
+                        {k: v for k, v in e.items() if k != "side"}
+                        for e in closed if e["side"] == side
+                    ] + stored["open_episodes"],
+                    key=lambda e: (e["open_hour"], e["entity_index"]),
+                )
+                for side, stored in sides.items()
+            }
+            # A latency is appended per opened episode: by hour, clients
+            # before servers, then by entity.
+            opened = sorted(
+                (
+                    (rank, info)
+                    for rank, side in enumerate(_SIDES)
+                    for info in episodes.get(side, ())
+                ),
+                key=lambda pair: (
+                    pair[1]["open_hour"], pair[0], pair[1]["entity_index"],
+                ),
+            )
+            latencies = [
+                info["open_hour"] - info["onset_hour"] for _, info in opened
+            ]
+        else:
+            alerts = state["alerts"]
+            episodes = {
+                side: stored["episodes"] for side, stored in sides.items()
+            }
+            latencies = [int(v) for v in state["latencies"]]
         with self._lock:
             self._next_hour = int(state["next_hour"])
             self._last_folded = (
@@ -744,10 +840,9 @@ class OnlineDetector:
                 self._slo_window.append(
                     (int(entry[0]), int(entry[1]), int(entry[2]))
                 )
-            self.alerts = [dict(a) for a in state["alerts"]]
-            self.latencies = [int(v) for v in state["latencies"]]
+            self.alerts = [dict(a) for a in alerts]
             self.events_seen = int(state["events_seen"])
-            for side, stored in state["sides"].items():
+            for side, stored in sides.items():
                 sstate = self._sides[side]
                 names = stored.get("names")
                 if names is not None:
@@ -769,11 +864,27 @@ class OnlineDetector:
                 sstate.sorted_rates = np.sort(
                     np.array([r for _, _, r in cells], dtype=np.float64)
                 )
-                sstate.episodes = [dict(info) for info in stored["episodes"]]
+                sstate.episodes = [dict(info) for info in episodes[side]]
                 sstate.open = {
-                    int(i): sstate.episodes[int(n)]
-                    for i, n in stored["open"].items()
+                    info["entity_index"]: info for info in sstate.episodes
+                    if info["close_hour"] is None
                 }
+            self.latencies = latencies
+
+
+def _logged_records(
+    log: Dict[str, Tuple[int, List[Any]]], stream: str, count: int
+) -> List[Dict[str, Any]]:
+    """All ``count`` records of a never-pruned log stream."""
+    count = int(count)
+    first, records = log.get(stream, (0, []))
+    if first != 0 or len(records) != count:
+        raise ValueError(
+            f"checkpoint log {stream} holds records [{first}, "
+            f"{first + len(records)}) but the detector state covers "
+            f"[0, {count})"
+        )
+    return records
 
 
 def _hour_major_rates(trans: np.ndarray, fails: np.ndarray) -> np.ndarray:

@@ -9,6 +9,8 @@ that guarantee under ``runs/<run-id>/chunks/``::
       chunks.json               # ChunkStore manifest (schema below)
       chunk-0000-0006.npz       # count arrays for hours [0, 6)
       chunk-0006-0012.npz       # ...
+      checkpoint.json           # retention only: the fold state's remainder
+      log/                      # retention only: the checkpoint log
 
 The manifest is the source of truth.  Each commit first writes the
 chunk ``.npz`` via a sibling temp file + rename, then appends a chunk
@@ -57,6 +59,26 @@ checkpoint's hour -- not after every chunk.  :meth:`load_checkpoint` refuses a r
 chain)`` pin does not match the manifest, and ``replay(start_hour=...)``
 relinks *every* entry (pruned ones from their stored ``hours``) while
 yielding only the still-payloaded chunks past the checkpoint.
+
+**The checkpoint log** keeps a checkpoint's cost at what changed since
+the previous one.  Fold records that can no longer change (completed
+history cells, closed episodes, fired alerts) are appended once, per
+*stream*, to segment files under ``chunks/log/``::
+
+    chunks/log/cells.hour-00000000-00000053.jsonl   # <stream>-<start>-<stop>
+    chunks/log/alerts-00000000-00000012.jsonl       # records [start, stop)
+
+and ``checkpoint.json`` holds only the mutable remainder plus, under
+``"log"``, each stream's record count it covers.  A write appends the
+new segments (temp + rename) *before* the checkpoint's rename, and
+deletes segments that hold only records below a stream's ``floor``
+(history cells evicted from their ring) *after* it -- so every
+checkpoint on disk finds every record it covers.  :meth:`read_log`
+reads each stream back to the covered count, walking segments
+backwards from it; a segment past the count (appended by a write
+whose rename never happened) is a torn tail and is ignored, and the
+next write deletes it.  A ``/1`` checkpoint carries all of its state
+inline and no ``"log"``, and still resumes.
 """
 
 from __future__ import annotations
@@ -87,8 +109,14 @@ CHUNKS_MANIFEST = "chunks.json"
 #: The retention checkpoint record (sibling of the chunk manifest).
 CHECKPOINT_FILE = "checkpoint.json"
 
-#: Checkpoint-record schema; additive within the major.
-CHECKPOINT_SCHEMA = "repro.serve-checkpoint/1"
+#: Checkpoint-record schema; additive within the major.  Major 2
+#: keeps immutable records in the checkpoint log (an older reader
+#: would take its remainder for the whole state, so it refuses it);
+#: major 1 records carry every record inline and still resume.
+CHECKPOINT_SCHEMA = "repro.serve-checkpoint/2"
+
+#: Directory (under the chunks directory) of the checkpoint log.
+LOG_DIR = "log"
 
 #: zlib level of the chunk payloads (see the module docstring).
 PAYLOAD_COMPRESSLEVEL = 1
@@ -186,8 +214,10 @@ class ChunkStore:
         return document
 
     def _write_manifest(self, document: Dict[str, Any]) -> None:
+        # Compact: CPython's C encoder only runs without ``indent``,
+        # and every commit and prune rewrites the whole manifest.
         tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        tmp.write_text(json.dumps(document, sort_keys=True) + "\n")
         tmp.replace(self.manifest_path)
 
     # -- properties of the committed prefix -----------------------------------
@@ -403,6 +433,10 @@ class ChunkStore:
     def checkpoint_path(self) -> Path:
         return self.chunks_dir / CHECKPOINT_FILE
 
+    @property
+    def log_dir(self) -> Path:
+        return self.chunks_dir / LOG_DIR
+
     def write_checkpoint(self, document: Dict[str, Any]) -> Dict[str, Any]:
         """Atomically persist a fold-state checkpoint at a chunk boundary.
 
@@ -412,24 +446,120 @@ class ChunkStore:
         here from the manifest so a checkpoint can never be paired with
         a different chunk history.
 
+        ``document["log"]``, if present, maps each log stream to
+        ``{"start", "records", "floor"}``: the records that became
+        immutable since the last checkpoint, ``start`` the ordinal of
+        the first, and ``floor`` the ordinal below which no checkpoint
+        from this one on reads the stream (0 when absent).  They are
+        appended as one segment per stream before the record is
+        renamed into place, the record stores each stream's covered
+        count under ``"log"`` instead, and segments wholly below their
+        floor are deleted after the rename (see the module docstring).
+
         The record is written compact (``sort_keys`` but no ``indent``)
         because CPython's ``json`` uses its C encoder only without
-        ``indent``, and retention mode rewrites the whole record after
-        every chunk.  The bytes stay deterministic, and
+        ``indent``.  The bytes stay deterministic, and
         :meth:`load_checkpoint` reads either form.
         """
         hour = int(document["hour"])
         chain = self._chain_at(hour)
+        streams = document.get("log") or {}
+        segments = self._log_segments()
+        covered = {}
+        for stream, batch in sorted(streams.items()):
+            covered[stream] = self._append_segment(
+                stream, int(batch["start"]), batch["records"],
+                segments.get(stream, []),
+            )
         record = {
             "schema": CHECKPOINT_SCHEMA,
             **document,
             "hour": hour,
             "chain": chain,
+            "log": covered,
         }
         tmp = self.checkpoint_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(record, sort_keys=True) + "\n")
         tmp.replace(self.checkpoint_path)
+        for stream, batch in streams.items():
+            floor = int(batch.get("floor") or 0)
+            for _, stop, path in segments.get(stream, []):
+                if stop <= floor:
+                    path.unlink(missing_ok=True)
         return record
+
+    def _append_segment(
+        self, stream: str, start: int, records: List[Any],
+        existing: List[Tuple[int, int, Path]],
+    ) -> int:
+        """Write ``records`` as the segment ``[start, start + n)`` of
+        ``stream``; returns the stream's new record count.
+
+        A segment ending past ``start`` was appended by a checkpoint
+        whose rename never happened; nothing covers it, so it goes
+        first.
+        """
+        for _, stop, path in existing:
+            if stop > start:
+                path.unlink(missing_ok=True)
+        stop = start + len(records)
+        if records:
+            self.log_dir.mkdir(exist_ok=True)
+            path = self.log_dir / f"{stream}-{start:08d}-{stop:08d}.jsonl"
+            tmp = path.with_suffix(".jsonl.tmp")
+            tmp.write_text("".join(
+                json.dumps(r, sort_keys=True) + "\n" for r in records
+            ))
+            os.replace(tmp, path)
+        return stop
+
+    def _log_segments(self) -> Dict[str, List[Tuple[int, int, Path]]]:
+        """stream -> its ``(start, stop, path)`` segments on disk."""
+        segments: Dict[str, List[Tuple[int, int, Path]]] = {}
+        for path in sorted(self.log_dir.glob("*.jsonl")):
+            stream, start, stop = path.stem.rsplit("-", 2)
+            segments.setdefault(stream, []).append(
+                (int(start), int(stop), path)
+            )
+        return segments
+
+    def read_log(
+        self, covered: Dict[str, int]
+    ) -> Dict[str, Tuple[int, List[Any]]]:
+        """Each stream's retained records up to its covered count.
+
+        Returns ``stream -> (first ordinal, records)``, the records
+        ``[first, covered)`` found by walking segments back from the
+        covered count until ordinal 0 or a deleted segment.  Segments
+        past the count are a torn tail and ignored; the caller checks
+        that what it needs is there.
+        """
+        segments = self._log_segments()
+        log: Dict[str, Tuple[int, List[Any]]] = {}
+        for stream, count in covered.items():
+            by_stop = {stop: (start, path)
+                       for start, stop, path in segments.get(stream, [])}
+            first, parts = int(count), []
+            while first in by_stop and first > 0:
+                start, path = by_stop[first]
+                try:
+                    lines = path.read_text().splitlines()
+                    records = [json.loads(line) for line in lines]
+                except (OSError, json.JSONDecodeError) as exc:
+                    raise ChunkStoreError(
+                        f"cannot read checkpoint log segment {path}: {exc}"
+                    )
+                if len(records) != first - start:
+                    raise ChunkStoreError(
+                        f"checkpoint log segment {path} holds "
+                        f"{len(records)} record(s), not {first - start}"
+                    )
+                parts.append(records)
+                first = start
+            log[stream] = (
+                first, [r for records in reversed(parts) for r in records]
+            )
+        return log
 
     def load_checkpoint(self) -> Optional[Dict[str, Any]]:
         """Read and chain-verify the checkpoint record (None if absent).

@@ -260,21 +260,31 @@ def collect_evidence(
     excluded_pairs: Optional[np.ndarray] = None,
     max_records: int = MAX_RECORDS_PER_SIDE,
     max_bins: int = MAX_BINS_PER_EPISODE,
+    blame=None,
 ) -> EvidenceBundle:
     """Run the episode/blame pipeline and keep the facts, not just verdicts.
 
     ``excluded_pairs`` is the permanent-pair mask (Section 4.4.2); pass
     the mask the report used so the evidence matches the headline
-    numbers.
+    numbers.  ``blame`` is that command's own
+    :class:`~repro.core.blame.BlameAnalysis` at f = 5% over the same
+    mask, if it ran one; otherwise the pass runs here.
     """
     from repro.core.blame import run_blame_analysis
     from repro.core.episodes import detect_knee
 
     # The blame pass builds the masked rate matrices; the knee evidence
     # reads the same ones instead of building a second pair.
-    blame = run_blame_analysis(
-        dataset, threshold=PAPER_THRESHOLD, excluded_pairs=excluded_pairs
-    )
+    if blame is None:
+        blame = run_blame_analysis(
+            dataset, threshold=PAPER_THRESHOLD,
+            excluded_pairs=excluded_pairs,
+        )
+    elif blame.threshold != PAPER_THRESHOLD:
+        raise ValueError(
+            f"evidence needs the f = {PAPER_THRESHOLD} blame pass, "
+            f"not f = {blame.threshold}"
+        )
     client_names = [c.name for c in dataset.world.clients]
     server_names = [w.name for w in dataset.world.websites]
 

@@ -66,7 +66,7 @@ from repro.obs.live.shutdown import ShutdownCoordinator
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import DEFAULT_RULES, SLO_BURN_RULES
-from repro.obs.runstore.chunks import ChunkStore
+from repro.obs.runstore.chunks import ChunkStore, ChunkStoreError
 from repro.obs.runstore.manifest import RunManifest, compute_run_id
 from repro.obs.runstore.store import (
     RunStore,
@@ -247,6 +247,8 @@ class ServeDaemon:
         #: The sim-hour of the retention checkpoint a resume would
         #: restore: the last one written or restored, else hour 0.
         self._checkpoint_hour = 0
+        #: Records per checkpoint-log stream that checkpoint covers.
+        self._logged: Dict[str, int] = {}
         #: The latest chunk's pool demotion to in-process
         #: shards, stamped into the manifest like a batch dataset's.
         self._parallel_fallback: Optional[Dict[str, Any]] = None
@@ -355,8 +357,16 @@ class ServeDaemon:
         checkpoint was last written) are replayed on top of the restored
         state -- together bit-identical to an uninterrupted run's fold.
         """
-        self.detector.restore_state(checkpoint["detector"])
-        self.history.restore_state(checkpoint["history"])
+        self._logged = dict(checkpoint.get("log") or {})
+        try:
+            log = self.chunks.read_log(self._logged)
+            self.detector.restore_state(checkpoint["detector"], log)
+            self.history.restore_state(checkpoint["history"], log)
+        except (ChunkStoreError, ValueError) as exc:
+            raise ServeError(
+                f"run {self.run_id}: cannot restore the retention "
+                f"checkpoint at sim-hour {checkpoint['hour']}: {exc}"
+            )
         self.slo.restore_state(checkpoint["slo"])
         self.cursor = self._checkpoint_hour = int(checkpoint["hour"])
         obs.logger.info(
@@ -526,14 +536,18 @@ class ServeDaemon:
         boundary = self.chunks.committed_hours()
         floor = max(0, boundary - self.retention)
         if floor > self._checkpoint_hour:
-            self.chunks.write_checkpoint({
+            detector = self.detector.export_state(self._logged)
+            history = self.history.export_state(self._logged)
+            record = self.chunks.write_checkpoint({
                 "hour": boundary,
                 "run_id": self.run_id,
                 "retain_hours": self.retention,
-                "detector": self.detector.export_state(),
-                "history": self.history.export_state(),
+                "detector": detector,
+                "history": history,
                 "slo": self.slo.export_state(),
+                "log": {**detector.pop("log"), **history.pop("log")},
             })
+            self._logged = record["log"]
             self._checkpoint_hour = boundary
         pruned = self.chunks.prune_payloads(floor)
         if pruned:

@@ -205,11 +205,11 @@ class TestBlameMemory:
 
 
 class TestReportRateMatrixBuilds:
-    def test_report_builds_each_masked_pair_four_times(self, tmp_path):
+    def test_report_builds_each_masked_pair_three_times(self, tmp_path):
         """The report's analysis path builds the masked client/server rate
-        matrices once per use: the f=5% analysis, the evidence (which
-        reuses its own blame pass), Figure 4 and Table 5 (one build for
-        both thresholds)."""
+        matrices once per use: the f=5% analysis (whose blame pass the
+        evidence reuses), Figure 4 and Table 5 (one build for both
+        thresholds)."""
         from repro import cli
 
         metrics = tmp_path / "metrics.txt"
@@ -226,5 +226,5 @@ class TestReportRateMatrixBuilds:
                 'repro_stage_calls_total'
                 f'{{stage="episodes.{side}_rate_matrix"}}'
             )
-            assert calls[key] == 4
-        assert calls['repro_stage_calls_total{stage="blame.run"}'] == 2
+            assert calls[key] == 3
+        assert calls['repro_stage_calls_total{stage="blame.run"}'] == 1

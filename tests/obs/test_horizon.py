@@ -42,6 +42,36 @@ def _start(store: HistoryStore, n_clients: int, n_servers: int) -> None:
     })
 
 
+class MemoryLog:
+    """The checkpoint log's contract, in memory: a snapshot's ``log``
+    batches are kept by ordinal, records below a batch's floor dropped,
+    and :meth:`read` returns what ``ChunkStore.read_log`` would."""
+
+    def __init__(self) -> None:
+        self.covered = {}
+        self.records = {}
+
+    def write(self, state):
+        """Keep a snapshot's batches; returns the snapshot as stored."""
+        for stream, batch in state.pop("log").items():
+            kept = self.records.setdefault(stream, {})
+            for n, record in enumerate(batch["records"], batch["start"]):
+                kept[n] = json.loads(json.dumps(record))
+            for n in [n for n in kept if n < batch.get("floor", 0)]:
+                del kept[n]
+            self.covered[stream] = batch["start"] + len(batch["records"])
+        return json.loads(json.dumps(state))
+
+    def read(self):
+        return {
+            stream: (
+                min(kept, default=self.covered[stream]),
+                [kept[n] for n in sorted(kept)],
+            )
+            for stream, kept in self.records.items()
+        }
+
+
 hour_stats = st.tuples(
     st.lists(st.integers(0, 40), min_size=2, max_size=2),
     st.lists(st.integers(0, 12), min_size=2, max_size=2),
@@ -153,6 +183,33 @@ class TestHistoryRollupProperties:
         c = HistoryStore()  # default resolutions differ from SMALL
         with pytest.raises(ValueError, match="resolutions"):
             c.restore_state(a.export_state())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stream=st.lists(hour_stats, min_size=1, max_size=40),
+        cuts=st.sets(st.integers(1, 40), max_size=4),
+    )
+    def test_logged_snapshots_restore_the_same_state(self, stream, cuts):
+        """Snapshots that log completed cells, taken at any hours,
+        restore the full state from the last one and the log."""
+        a = HistoryStore(resolutions=SMALL_RESOLUTIONS)
+        _start(a, 2, 3)
+        log = MemoryLog()
+        for hour, (ct, cf, st_, sf) in enumerate(stream):
+            a.on_hour(hour, ct, cf, st_, sf)
+            if hour + 1 in cuts or hour + 1 == len(stream):
+                state = log.write(a.export_state(log.covered))
+        assert all(len(ring) <= 1 for ring in state["rings"].values())
+        b = HistoryStore(resolutions=SMALL_RESOLUTIONS)
+        b.restore_state(state, log.read())
+        assert b.export_state() == a.export_state()
+        missing = {s: (n + 1, r[1:]) for s, (n, r) in log.read().items()}
+        if any(state["ring_lengths"][name] > 1 for name, _, _ in
+               SMALL_RESOLUTIONS):
+            with pytest.raises(ValueError, match="checkpoint log"):
+                HistoryStore(resolutions=SMALL_RESOLUTIONS).restore_state(
+                    state, missing
+                )
 
 
 class TestSLOEngine:
@@ -301,6 +358,36 @@ class TestDetectorRetention:
              for hour in range(hours)],
             clients=n, servers=n, per_cell=20,
         ), 0)
+
+    def test_logged_snapshots_restore_the_same_state(self):
+        """Alerts and closed episodes go to the log once; a restore from
+        the last snapshot and the log is the full state, latencies and
+        episode order included, and folds on identically."""
+        a = OnlineDetector(retention_hours=12)
+        self._stream(a, 30)
+        log = MemoryLog()
+        first = log.write(a.export_state(log.covered))
+        assert first["alert_count"] == len(log.records["alerts"]) > 0
+        assert first["closed_episodes"] == len(log.records["episodes"]) > 0
+
+        def block(h0, h1):
+            return stats_block(
+                [{(0, 2): 12} if hour % 11 in (3, 4) else {}
+                 for hour in range(h0, h1)],
+                clients=3, servers=3, per_cell=20,
+            )
+
+        a.fold_block(block(30, 58), 30)
+        state = log.write(a.export_state(log.covered))
+        b = OnlineDetector(retention_hours=12)
+        b.restore_state(state, log.read())
+        assert b.export_state() == a.export_state()
+        for d in (a, b):
+            d.fold_block(block(58, 80), 58)
+        assert b.export_state() == a.export_state()
+        assert b.export() == a.export()
+        with pytest.raises(ValueError, match="checkpoint log alerts"):
+            OnlineDetector(retention_hours=12).restore_state(state, {})
 
     def test_trimmed_state_is_bounded_and_checkpoint_continuous(self):
         retained = OnlineDetector(retention_hours=12)

@@ -266,6 +266,28 @@ class TestEvidence:
             thrice = collect_evidence(dataset, perm_report.mask)
         assert again.digest() == thrice.digest()
 
+    def test_the_commands_blame_pass_is_reused(
+        self, dataset, perm_report, bundle, monkeypatch
+    ):
+        from repro.core import blame
+
+        analysis = blame.run_blame_analysis(dataset, 0.05, perm_report.mask)
+        monkeypatch.setattr(blame, "run_blame_analysis", None)
+        with obs.use(MetricsRegistry(), Tracer()):
+            reused = collect_evidence(
+                dataset, perm_report.mask, blame=analysis
+            )
+        assert reused.digest() == bundle[0].digest()
+
+    def test_a_blame_pass_at_another_threshold_is_refused(
+        self, dataset, perm_report
+    ):
+        from repro.core import blame
+
+        analysis = blame.run_blame_analysis(dataset, 0.1, perm_report.mask)
+        with pytest.raises(ValueError, match="f = 0.05"):
+            collect_evidence(dataset, perm_report.mask, blame=analysis)
+
     def test_evidence_mirrored_as_trace_events(self, bundle):
         evidence, tracer = bundle
         spans = tracer.find("evidence.collect")

@@ -74,10 +74,27 @@ class TestCheckpointBytes:
         record = store.write_checkpoint({
             "hour": 2,
             "detector": {"b": [1, 2.5], "a": {"z": None, "y": "x"}},
+            "log": {
+                "alerts": {"start": 0, "records": [{"z": 1, "a": [2.5]}]},
+                "episodes": {"start": 0, "records": []},
+            },
         })
         text = store.checkpoint_path.read_text()
         assert text == json.dumps(record, sort_keys=True) + "\n"
         assert store.load_checkpoint() == record
+        # The log's records are compact sorted JSON lines, one segment
+        # per stream that has any; the record keeps their counts.
+        assert record["log"] == {"alerts": 1, "episodes": 0}
+        (segment,) = store.log_dir.iterdir()
+        assert segment.name == "alerts-00000000-00000001.jsonl"
+        assert segment.read_text() == '{"a": [2.5], "z": 1}\n'
+
+    def test_manifest_is_compact_sorted_json(self, world, tmp_path):
+        store = ChunkStore(tmp_path / "run")
+        store.initialize({"hours": 2}, "fp")
+        store.commit(0, 2, _block(world, 2))
+        text = store.manifest_path.read_text()
+        assert text == json.dumps(store.load(), sort_keys=True) + "\n"
 
 
 def _rewrite_as_parent(chunks):
