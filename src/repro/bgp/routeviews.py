@@ -15,8 +15,11 @@ false updates -- the artefact Section 3.6's cleaning removes.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.bgp.messages import BGPUpdate, UpdateArchive, UpdateKind
@@ -115,10 +118,17 @@ class CollectorFleet:
         sessions = self.sessions
         if visible_sessions is not None and visible_sessions < len(sessions):
             sessions = self._rng.sample(self.sessions, visible_sessions)
+        # ``random.choices`` per session, with the cumulative weights
+        # built once: the same draw from the same one ``random()`` call.
+        asns = list(attachment_asns)
+        cum = list(accumulate(attachment_weights))
+        total = cum[-1] + 0.0
+        if not 0.0 < total < math.inf:
+            raise ValueError("attachment weights must have a positive, "
+                             "finite total")
+        hi = len(asns) - 1
         for session in sessions:
-            transit = self._rng.choices(
-                list(attachment_asns), weights=list(attachment_weights)
-            )[0]
+            transit = asns[bisect(cum, self._rng.random() * total, 0, hi)]
             transits[session.session_id] = transit
             routes[session.session_id] = True
             self.archive.add(

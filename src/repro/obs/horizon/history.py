@@ -28,7 +28,7 @@ an entity's ``max_rate`` only considers its valid hours (0.0 while it
 has none -- disambiguated by ``valid == 0``).  Per-entity fields are
 numpy arrays in memory, folded once per hour into every resolution;
 they become lists only where JSON is written (documents,
-:func:`cell_digest`, :meth:`HistoryStore.export_state`).
+:func:`cell_digest`, :meth:`HistoryStore.export_state` without a log).
 
 Folding must happen strictly in ascending hour order (the online
 detector's cursor guarantees this), which makes every document a pure
@@ -351,9 +351,11 @@ class HistoryStore(RosterObserver):
     def export_state(
         self, logged: Optional[Dict[str, int]] = None
     ) -> Dict[str, Any]:
-        """The JSON-able state (checkpointed at pruning boundaries).
+        """The fold state (checkpointed at pruning boundaries).
 
-        Without ``logged`` every ring cell is inline.  With it -- the
+        Without ``logged`` every ring cell is inline, in its JSON form.
+        With it, cells keep their per-entity numpy arrays (the
+        checkpoint store writes them as array leaves), and -- given the
         cell count per :func:`log_stream` already in the checkpoint
         log -- only each ring's newest cell is inline; the cells before
         it can no longer change, and those not yet logged go to
@@ -384,13 +386,15 @@ class HistoryStore(RosterObserver):
                 evicted = self._evicted[name]
                 start = max(int(logged.get(log_stream(name), 0)), evicted)
                 state["ring_lengths"][name] = len(ring)
-                state["rings"][name] = [_cell_json(c) for c in ring[-1:]]
+                # The newest cell is still folded into: copy it.  The
+                # others are final and are handed over as they are.
+                state["rings"][name] = [
+                    _map_sides(c, lambda field, _: field.copy())
+                    for c in ring[-1:]
+                ]
                 state["log"][log_stream(name)] = {
                     "start": start,
-                    "records": [
-                        _cell_json(cell)
-                        for cell in ring[start - evicted:-1]
-                    ],
+                    "records": ring[start - evicted:-1],
                     "floor": evicted,
                 }
             return state

@@ -45,7 +45,7 @@ this at workers 1 and 4).
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import Counter, deque
 from typing import (
     Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -198,6 +198,9 @@ class OnlineDetector:
             maxlen=max(slo_windows) if slo_windows else 1
         )
         self.alerts: List[Dict[str, Any]] = []
+        #: rule name -> alerts it fired, kept beside ``alerts`` so a
+        #: scrape does not recount the whole stream.
+        self._alerts_by_rule: Counter = Counter()
         #: Detection latencies (open hour minus onset hour), per episode.
         self.latencies: List[int] = []
         self.events_seen = 0
@@ -466,6 +469,7 @@ class OnlineDetector:
             "entity": entity,
             "detail": detail,
         })
+        self._alerts_by_rule[rule.name] += 1
 
     @property
     def last_folded_hour(self) -> Optional[int]:
@@ -490,9 +494,6 @@ class OnlineDetector:
                         "open_hour": info["open_hour"],
                         "peak_rate": info["peak"],
                     })
-            by_rule: Dict[str, int] = {}
-            for alert in self.alerts:
-                by_rule[alert["rule"]] = by_rule.get(alert["rule"], 0) + 1
             return {
                 "schema": ALERTS_SCHEMA,
                 "rules": [r.name for r in self.rules],
@@ -507,7 +508,7 @@ class OnlineDetector:
                 },
                 "blame": dict(sorted(self.blame.items())),
                 "alert_count": len(self.alerts),
-                "alerts_by_rule": dict(sorted(by_rule.items())),
+                "alerts_by_rule": dict(sorted(self._alerts_by_rule.items())),
                 "alerts": list(self.alerts[-recent_alerts:]),
                 "detection_latency_hours": _latency_stats(self.latencies),
             }
@@ -644,12 +645,9 @@ class OnlineDetector:
         wall-clock-free and worker-count-invariant.
         """
         with self._lock:
-            by_rule: Dict[str, int] = {}
-            for alert in self.alerts:
-                by_rule[alert["rule"]] = by_rule.get(alert["rule"], 0) + 1
             summary = {
                 "count": len(self.alerts),
-                "by_rule": dict(sorted(by_rule.items())),
+                "by_rule": dict(sorted(self._alerts_by_rule.items())),
                 "hours_folded": self.hours_folded,
                 "detection_latency_hours": _latency_stats(self.latencies),
             }
@@ -667,20 +665,23 @@ class OnlineDetector:
     def export_state(
         self, logged: Optional[Dict[str, int]] = None
     ) -> Dict[str, Any]:
-        """The full fold state, JSON-able (the retention checkpoint).
+        """The full fold state (the retention checkpoint).
 
-        Rates are recorded per entity as ``hour_rates`` (valid hours
-        only); the per-hour rate vectors and ``sorted_rates`` are
-        rebuilt from them on restore, keeping the record minimal.
-        Restoring this state and folding hours N.. is bit-identical to
-        having folded 0..N.. in one process -- the property the
-        retention-resume tests hold.
+        Without ``logged`` the state is JSON-native: rates are recorded
+        per entity as ``hour_rates`` (valid hours only).  With it, the
+        retained rates are their in-memory form, one (hour, entity)
+        float64 array ``rates`` with NaN where invalid, beside its
+        ``hours``; the checkpoint store writes it as an array leaf.
+        The per-hour rate vectors and ``sorted_rates`` are rebuilt from
+        either on restore.  Restoring this state and folding hours N..
+        is bit-identical to having folded 0..N.. in one process -- the
+        property the retention-resume tests hold.
 
         With ``logged`` -- the record count per log stream
         (``alerts``, ``episodes``) already in the checkpoint log -- the
-        state keeps only open episodes and the alert count; alerts and
-        closed episodes not yet logged go to ``state["log"]`` in the
-        :meth:`ChunkStore.write_checkpoint
+        state also keeps only open episodes and the alert count; alerts
+        and closed episodes not yet logged go to ``state["log"]`` in
+        the :meth:`ChunkStore.write_checkpoint
         <repro.obs.runstore.chunks.ChunkStore.write_checkpoint>` form.
         Closed episodes are logged in close order, which a later close
         can only extend; the latencies are rebuilt from the episodes.
@@ -688,6 +689,16 @@ class OnlineDetector:
         with self._lock:
             sides: Dict[str, Any] = {}
             for side, state in self._sides.items():
+                sides[side] = {"names": state.names}
+                if logged is not None:
+                    rows = list(state.by_hour.values())
+                    sides[side].update(
+                        hours=list(state.by_hour),
+                        rates=np.stack(rows) if rows else np.empty(
+                            (0, len(state.names or ()))
+                        ),
+                    )
+                    continue
                 hour_rates: Dict[str, Dict[str, float]] = {}
                 for hour, rates in state.by_hour.items():
                     values = rates.tolist()
@@ -695,7 +706,7 @@ class OnlineDetector:
                         hour_rates.setdefault(str(i), {})[str(hour)] = (
                             values[i]
                         )
-                sides[side] = {"names": state.names, "hour_rates": hour_rates}
+                sides[side]["hour_rates"] = hour_rates
             exported = {
                 "schema": DETECTOR_STATE_SCHEMA,
                 "next_hour": self._next_hour,
@@ -841,29 +852,24 @@ class OnlineDetector:
                     (int(entry[0]), int(entry[1]), int(entry[2]))
                 )
             self.alerts = [dict(a) for a in alerts]
+            self._alerts_by_rule = Counter(a["rule"] for a in self.alerts)
             self.events_seen = int(state["events_seen"])
             for side, stored in sides.items():
                 sstate = self._sides[side]
                 names = stored.get("names")
                 if names is not None:
                     sstate.names = [str(n) for n in names]
-                cells = [
-                    (int(h), int(i), float(r))
-                    for i, rates in stored["hour_rates"].items()
-                    for h, r in rates.items()
-                ]
-                size = max(
-                    [len(sstate.names or ())] + [i + 1 for _, i, _ in cells]
-                )
-                by_hour: Dict[int, np.ndarray] = {}
-                for h, i, r in cells:
-                    if h not in by_hour:
-                        by_hour[h] = np.full(size, np.nan)
-                    by_hour[h][i] = r
-                sstate.by_hour = {h: by_hour[h] for h in sorted(by_hour)}
-                sstate.sorted_rates = np.sort(
-                    np.array([r for _, _, r in cells], dtype=np.float64)
-                )
+                if "rates" in stored:
+                    rates = np.array(stored["rates"], dtype=np.float64)
+                    sstate.by_hour = dict(zip(
+                        (int(h) for h in stored["hours"]), rates
+                    ))
+                else:
+                    sstate.by_hour = _by_hour(
+                        stored["hour_rates"], len(sstate.names or ())
+                    )
+                    rates = np.array(list(sstate.by_hour.values()))
+                sstate.sorted_rates = np.sort(rates[~np.isnan(rates)])
                 sstate.episodes = [dict(info) for info in episodes[side]]
                 sstate.open = {
                     info["entity_index"]: info for info in sstate.episodes
@@ -885,6 +891,25 @@ def _logged_records(
             f"[0, {count})"
         )
     return records
+
+
+def _by_hour(
+    hour_rates: Dict[str, Dict[str, float]], size: int
+) -> Dict[int, np.ndarray]:
+    """hour -> per-entity rates (NaN where invalid), in hour order,
+    from the JSON form's per-entity ``{hour: rate}`` maps."""
+    cells = [
+        (int(h), int(i), float(r))
+        for i, rates in hour_rates.items()
+        for h, r in rates.items()
+    ]
+    size = max([size] + [i + 1 for _, i, _ in cells])
+    by_hour: Dict[int, np.ndarray] = {}
+    for h, i, r in cells:
+        if h not in by_hour:
+            by_hour[h] = np.full(size, np.nan)
+        by_hour[h][i] = r
+    return {h: by_hour[h] for h in sorted(by_hour)}
 
 
 def _hour_major_rates(trans: np.ndarray, fails: np.ndarray) -> np.ndarray:

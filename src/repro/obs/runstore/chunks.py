@@ -30,20 +30,27 @@ prefix -- at the horizon, bit-identical to a batch run's
 recomputes every hour digest from the payload and relinks the chain
 while a resume rebuilds its state.
 
-Determinism: chunk files are compressed ``.npz`` archives whose *bytes*
-are not stable across runs (zip member timestamps); the chain digests
-array *contents*, which are -- a resumed run therefore reproduces the
+Determinism: chunk files are ``.npz`` archives whose *bytes* are not
+stable across runs (zip member timestamps); the chain digests array
+*contents*, which are -- a resumed run therefore reproduces the
 uninterrupted run's chain bit for bit.
 
-Compression: payloads are deflated at zlib level 1
-(:data:`PAYLOAD_COMPRESSLEVEL`), not ``np.savez_compressed``'s fixed
-level 6, because the commit is paid once per chunk for as long as the
-daemon runs.  On a 2-CPU VM a 6-hour chunk of 2.07 MB of counts takes
-~15 ms to write instead of ~70 ms, for ~30% more bytes on disk (139 KB
-instead of 107 KB); reading it back costs the same.  The archive layout
-is unchanged -- one ``<field>.npy`` member per array -- so ``np.load``
-reads payloads of either level, and stores written at level 6 resume
-as before.
+Payload format: each field is stored, not deflated (``ZIP_STORED``), at
+the narrowest unsigned dtype that holds its maximum
+(:func:`narrowest`), because the commit is paid once per chunk for as
+long as the daemon runs, on the parent's side of the one-chunk-ahead
+loop.  At ``--per-hour 4`` all fields but ``replica_connections`` (and
+at times ``replica_failed_connections``) fit in ``uint8``.  On a 2-CPU
+VM one 6-hour chunk of 1.68 MB of planned-dtype counts writes in
+~3 ms as 0.84 MB, where zlib level 1 took ~11 ms for 125 KB.  The
+disk cost is ~6.7x: ``--retain-hours`` bounds it, and the 336-hour
+paper plan without retention keeps ~47 MB of payloads (~7 MB before).
+The hour digests copy every field to ``int64`` (dtype-blind), so the
+chain is unchanged, and every reader (replay, the detector fold,
+``repro slo``) accumulates in ``int64`` at any stored dtype.  The archive
+layout is the ``np.savez`` one -- one ``<field>.npy`` member per array
+-- so ``np.load`` reads payloads of any older build (deflated at level
+1 or 6, planned dtypes) as before.
 
 **Retention** (``repro serve --retain-hours N``): :meth:`prune_payloads`
 deletes old chunk ``.npz`` payloads while keeping their manifest
@@ -77,12 +84,22 @@ checkpoint on disk finds every record it covers.  :meth:`read_log`
 reads each stream back to the covered count, walking segments
 backwards from it; a segment past the count (appended by a write
 whose rename never happened) is a torn tail and is ignored, and the
-next write deletes it.  A ``/1`` checkpoint carries all of its state
-inline and no ``"log"``, and still resumes.
+next write deletes it.
+
+Numbers the fold keeps as numpy vectors (the detector's windowed hour
+rates, the history cells' per-entity fields) are written as *array
+leaves*, ``{"__ndarray__": {"dtype", "shape", "data"}}`` with ``data``
+the exact little-endian bytes in base64, both in ``checkpoint.json``
+and in the ``cells.*`` segments (:func:`dumps_record`,
+:func:`loads_record`): no float is ever printed as decimal text, and
+NaN bits round-trip.  Alerts and episodes stay JSON text.  A ``/2``
+checkpoint (number text, segments of text cells) and a ``/1`` one
+(every record inline, no ``"log"``) still resume.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import zipfile
@@ -109,17 +126,21 @@ CHUNKS_MANIFEST = "chunks.json"
 #: The retention checkpoint record (sibling of the chunk manifest).
 CHECKPOINT_FILE = "checkpoint.json"
 
-#: Checkpoint-record schema; additive within the major.  Major 2
-#: keeps immutable records in the checkpoint log (an older reader
-#: would take its remainder for the whole state, so it refuses it);
-#: major 1 records carry every record inline and still resume.
-CHECKPOINT_SCHEMA = "repro.serve-checkpoint/2"
+#: Checkpoint-record schema; additive within the major.  Major 3
+#: writes numeric vectors as base64 array leaves (an older reader
+#: cannot restore them, so it refuses it); major 2 keeps immutable
+#: records in the checkpoint log; major 1 records carry every record
+#: inline.  Majors 1 and 2 still resume.
+CHECKPOINT_SCHEMA = "repro.serve-checkpoint/3"
 
 #: Directory (under the chunks directory) of the checkpoint log.
 LOG_DIR = "log"
 
-#: zlib level of the chunk payloads (see the module docstring).
-PAYLOAD_COMPRESSLEVEL = 1
+#: The key that marks an array leaf in a checkpoint record or segment.
+ARRAY_LEAF = "__ndarray__"
+
+#: The dtypes a payload field may be narrowed to, narrowest first.
+_PAYLOAD_DTYPES = (np.uint8, np.uint16, np.uint32)
 
 
 class ChunkStoreError(RunStoreError):
@@ -130,19 +151,81 @@ def _chunk_filename(hour_start: int, hour_stop: int) -> str:
     return f"chunk-{hour_start:04d}-{hour_stop:04d}.npz"
 
 
+def narrowest(array: np.ndarray) -> np.ndarray:
+    """``array`` at the narrowest unsigned dtype holding its values.
+
+    Counts are integers and never negative; an array that is not (or
+    one too large for ``uint32``) keeps its dtype.  Returns ``array``
+    itself when its dtype is already that narrow.
+    """
+    if (array.size == 0 or array.dtype.kind not in "ui"
+            or array.min() < 0):
+        return array
+    top = int(array.max())
+    for dtype in _PAYLOAD_DTYPES:
+        if top <= np.iinfo(dtype).max:
+            if np.dtype(dtype).itemsize < array.dtype.itemsize:
+                return array.astype(dtype)
+            break
+    return array
+
+
 def _write_payload(path: Path, arrays: Dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` as an ``.npz`` deflated at
-    :data:`PAYLOAD_COMPRESSLEVEL`: the ``np.savez_compressed`` layout
-    (one ``<field>.npy`` member per array) at a cheaper level."""
-    with zipfile.ZipFile(
-        path, "w", zipfile.ZIP_DEFLATED,
-        compresslevel=PAYLOAD_COMPRESSLEVEL,
-    ) as archive:
+    """Write ``arrays`` as a stored (not deflated) ``.npz``, each field
+    at its :func:`narrowest` dtype: the ``np.savez`` layout, one
+    ``<field>.npy`` member per array."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, array in arrays.items():
             with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
                 np.lib.format.write_array(
-                    fh, np.asanyarray(array), allow_pickle=False
+                    fh, narrowest(np.asanyarray(array)), allow_pickle=False
                 )
+
+
+def _array_leaf(value: Any) -> Dict[str, Any]:
+    """``json.dumps`` ``default``: an ndarray as an array leaf."""
+    if not isinstance(value, np.ndarray) or value.dtype.hasobject:
+        raise TypeError(
+            f"{type(value).__name__} is not JSON serializable"
+        )
+    little = value.astype(
+        value.dtype.newbyteorder("<"), order="C", copy=False
+    )
+    return {ARRAY_LEAF: {
+        "dtype": little.dtype.str,
+        "shape": list(little.shape),
+        "data": base64.b64encode(little.data).decode("ascii"),
+    }}
+
+
+def _from_leaf(obj: Dict[str, Any]) -> Any:
+    """``json.loads`` ``object_hook``: an array leaf back as an ndarray."""
+    leaf = obj.get(ARRAY_LEAF)
+    if leaf is None:
+        return obj
+    try:
+        data = bytearray(base64.b64decode(leaf["data"], validate=True))
+        return np.frombuffer(data, dtype=np.dtype(leaf["dtype"])).reshape(
+            leaf["shape"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed array leaf: {exc!r}") from None
+
+
+#: One encoder for every record: ``json.dumps`` with any option builds
+#: a new one per call, and a segment encodes a record per line.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, default=_array_leaf)
+
+
+def dumps_record(record: Any) -> str:
+    """Compact sorted JSON with every ndarray as an array leaf: exact
+    little-endian bytes in base64 (see the module docstring)."""
+    return _RECORD_ENCODER.encode(record)
+
+
+def loads_record(text: str) -> Any:
+    """Parse :func:`dumps_record` text, array leaves as ndarrays."""
+    return json.loads(text, object_hook=_from_leaf)
 
 
 class ChunkStore:
@@ -456,10 +539,11 @@ class ChunkStore:
         count under ``"log"`` instead, and segments wholly below their
         floor are deleted after the rename (see the module docstring).
 
-        The record is written compact (``sort_keys`` but no ``indent``)
-        because CPython's ``json`` uses its C encoder only without
-        ``indent``.  The bytes stay deterministic, and
-        :meth:`load_checkpoint` reads either form.
+        The record and the segments are written by :func:`dumps_record`:
+        compact (``sort_keys`` but no ``indent``, so CPython's C encoder
+        runs) with every ndarray an array leaf.  The bytes stay
+        deterministic, and :meth:`load_checkpoint` also reads indented
+        records and the number text of ``/2`` and ``/1`` ones.
         """
         hour = int(document["hour"])
         chain = self._chain_at(hour)
@@ -479,7 +563,7 @@ class ChunkStore:
             "log": covered,
         }
         tmp = self.checkpoint_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True) + "\n")
+        tmp.write_text(dumps_record(record) + "\n")
         tmp.replace(self.checkpoint_path)
         for stream, batch in streams.items():
             floor = int(batch.get("floor") or 0)
@@ -507,9 +591,7 @@ class ChunkStore:
             self.log_dir.mkdir(exist_ok=True)
             path = self.log_dir / f"{stream}-{start:08d}-{stop:08d}.jsonl"
             tmp = path.with_suffix(".jsonl.tmp")
-            tmp.write_text("".join(
-                json.dumps(r, sort_keys=True) + "\n" for r in records
-            ))
+            tmp.write_text("".join(dumps_record(r) + "\n" for r in records))
             os.replace(tmp, path)
         return stop
 
@@ -544,8 +626,8 @@ class ChunkStore:
                 start, path = by_stop[first]
                 try:
                     lines = path.read_text().splitlines()
-                    records = [json.loads(line) for line in lines]
-                except (OSError, json.JSONDecodeError) as exc:
+                    records = [loads_record(line) for line in lines]
+                except (OSError, ValueError) as exc:
                     raise ChunkStoreError(
                         f"cannot read checkpoint log segment {path}: {exc}"
                     )
@@ -578,8 +660,8 @@ class ChunkStore:
                 f"cannot read checkpoint {self.checkpoint_path}: {exc}"
             )
         try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            record = loads_record(raw)
+        except ValueError as exc:
             raise ChunkStoreError(
                 f"checkpoint {self.checkpoint_path} is not valid JSON: {exc}"
             )

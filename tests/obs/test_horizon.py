@@ -25,6 +25,7 @@ from repro.obs.horizon.history import RESOLUTIONS, HistoryStore, cell_digest
 from repro.obs.horizon.slo import DOWN_THRESHOLD, SLOEngine, render_slo_table
 from repro.obs.online.detector import OnlineDetector
 from repro.obs.online.rules import SLO_BURN_RULES
+from repro.obs.runstore.chunks import dumps_record, loads_record
 from repro.world.simulator import simulate_default_month
 from tests.obs.test_online import stats_block
 
@@ -45,7 +46,9 @@ def _start(store: HistoryStore, n_clients: int, n_servers: int) -> None:
 class MemoryLog:
     """The checkpoint log's contract, in memory: a snapshot's ``log``
     batches are kept by ordinal, records below a batch's floor dropped,
-    and :meth:`read` returns what ``ChunkStore.read_log`` would."""
+    and :meth:`read` returns what ``ChunkStore.read_log`` would.  Records
+    and snapshots pass through the store's record codec, array leaves
+    included."""
 
     def __init__(self) -> None:
         self.covered = {}
@@ -56,11 +59,11 @@ class MemoryLog:
         for stream, batch in state.pop("log").items():
             kept = self.records.setdefault(stream, {})
             for n, record in enumerate(batch["records"], batch["start"]):
-                kept[n] = json.loads(json.dumps(record))
+                kept[n] = loads_record(dumps_record(record))
             for n in [n for n in kept if n < batch.get("floor", 0)]:
                 del kept[n]
             self.covered[stream] = batch["start"] + len(batch["records"])
-        return json.loads(json.dumps(state))
+        return loads_record(dumps_record(state))
 
     def read(self):
         return {

@@ -21,6 +21,8 @@ import functools
 import json
 import statistics
 import tarfile
+import zipfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,9 @@ import pytest
 from repro import cli, obs
 from repro.core.dataset import MeasurementDataset
 from repro.obs.horizon.history import HistoryStore
+from repro.obs.online.detector import OnlineDetector
 from repro.obs.runstore.chunks import (
+    ARRAY_LEAF,
     CHECKPOINT_FILE,
     LOG_DIR,
     ChunkStore,
@@ -345,3 +349,89 @@ class TestResumeOverAPreviousBuildsStore:
         assert (run_dir / manifest.alerts_file).read_bytes() == (
             serialize_alerts(reference.detector.export()["lines"])
         )
+
+
+class TestResumeOverACheckpoint2Store:
+    """``fixtures/checkpoint2_retention_store.tar.gz`` is a run directory
+    written before checkpoints carried array leaves: the plan below
+    stopped at sim-hour 14, with zlib level-1 payloads at the planned
+    dtypes, a ``repro.serve-checkpoint/2`` record at hour 12 and log
+    segments whose history cells are number text."""
+
+    HOURS, PER_HOUR, CHUNK, RETAIN = 18, 1, 2, 4
+
+    def _daemon(self, runs_dir):
+        return _daemon(runs_dir, hours=self.HOURS, chunk_hours=self.CHUNK,
+                       retain_hours=self.RETAIN, per_hour=self.PER_HOUR)
+
+    @staticmethod
+    def _history_bytes(daemon):
+        return json.dumps([
+            daemon.history.document({"series": series, "res": res})
+            for series in ("overall", "client", "server", "region")
+            for res in ("hour", "6h", "day", "week")
+        ], sort_keys=True)
+
+    def test_resume_reaches_the_oracle_alerts_and_history(self, tmp_path):
+        with tarfile.open(
+            FIXTURES / "checkpoint2_retention_store.tar.gz"
+        ) as tar:
+            tar.extractall(tmp_path, filter="data")
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        chunks = ChunkStore(run_dir)
+        record = json.loads(chunks.checkpoint_path.read_text())
+        assert record["schema"] == "repro.serve-checkpoint/2"
+        assert "hour_rates" in record["detector"]["sides"]["client"]
+        for name in chunks.payload_files():
+            with zipfile.ZipFile(chunks.chunks_dir / name) as archive:
+                assert {i.compress_type for i in archive.infolist()} == {
+                    zipfile.ZIP_DEFLATED
+                }
+        old_segments = sorted(p.name for p in chunks.log_dir.iterdir())
+        (cells,) = [n for n in old_segments if n.startswith("cells.6h")]
+        assert ARRAY_LEAF not in (chunks.log_dir / cells).read_text()
+
+        resumed = self._daemon(tmp_path / "runs")
+        assert resumed.run_id == run_dir.name
+        resumed.prepare(resume=True)
+        assert resumed.resumed_hours == 14
+        result = resumed.run()
+        reference = self._daemon(tmp_path / "reference")
+        reference.prepare()
+        assert reference.run()["digest"] == result["digest"] == (
+            simulate_default_month(
+                hours=self.HOURS, per_hour=self.PER_HOUR, seed=SEED,
+                workers=1,
+            ).dataset.digest()
+        )
+        assert _alerts_bytes(resumed) == _alerts_bytes(reference)
+        assert self._history_bytes(resumed) == self._history_bytes(reference)
+        # The running per-rule alert count survived the stop and resume.
+        snapshot = resumed.detector.snapshot()
+        assert snapshot["alerts_by_rule"] == dict(sorted(Counter(
+            alert["rule"] for alert in resumed.detector.alerts
+        ).items()))
+        assert snapshot == reference.detector.snapshot()
+
+        # Its next checkpoint is /3 and appended array-leaf segments
+        # after the text ones; restoring from the mixed log is exact.
+        chunks = ChunkStore(run_dir)
+        record = chunks.load_checkpoint()
+        assert record["schema"] == "repro.serve-checkpoint/3"
+        new = sorted(
+            p for p in chunks.log_dir.iterdir()
+            if p.name not in old_segments and p.name.startswith("cells.")
+        )
+        assert new and all(ARRAY_LEAF in p.read_text() for p in new)
+        assert set(old_segments) <= {p.name for p in chunks.log_dir.iterdir()}
+        log = chunks.read_log(record["log"])
+        history = HistoryStore()
+        history.restore_state(record["history"], log)
+        assert history.export_state() == reference.history.export_state()
+        detector = OnlineDetector(
+            rules=reference.detector.rules,
+            retention_hours=reference.detector.retention_hours,
+        )
+        detector.restore_state(record["detector"], log)
+        assert detector.export_state() == reference.detector.export_state()
+        assert detector.snapshot() == reference.detector.snapshot()

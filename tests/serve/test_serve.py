@@ -25,7 +25,7 @@ import pytest
 
 from repro import cli, obs
 from repro.core.dataset import MeasurementDataset, chain_seed, fold_block
-from repro.obs.runstore.chunks import ChunkStore, ChunkStoreError
+from repro.obs.runstore.chunks import ChunkStore, ChunkStoreError, narrowest
 from repro.obs.runstore.store import RunStore, resolve_runs_dir, runs_index
 from repro.serve.daemon import (
     ServeConfig,
@@ -544,11 +544,13 @@ class TestPooledChunks:
         assert dev_shm_entries() <= before_names
 
     @pytest.mark.parametrize("chunk_hours", [1, 6])
-    def test_chunk_replay_dtypes_match_a_fresh_dataset(
+    def test_chunk_replay_dtypes_are_narrowest_in_plan(
         self, tmp_path, chunk_hours
     ):
         # One-hour chunks are one shard, six-hour chunks two; both
-        # commit, and replay, a fresh dataset's dtypes.
+        # commit every field of a fresh dataset, each stored at the
+        # narrowest unsigned dtype that holds it, never wider than the
+        # plan.
         daemon = _serve(self._config(tmp_path, chunk_hours))
         daemon.prepare()
         assert daemon.run()["completed"]
@@ -556,9 +558,14 @@ class TestPooledChunks:
         replayed = list(daemon.chunks.replay())
         assert len(replayed) == SERVE_HOURS // chunk_hours
         for _entry, arrays in replayed:
-            assert {n: a.dtype for n, a in arrays.items()} == {
-                n: a.dtype for n, a in fresh.items()
-            }
+            assert list(arrays) == list(fresh)
+            for name, array in arrays.items():
+                assert array.dtype.kind == "u"
+                assert array.dtype.itemsize <= fresh[name].dtype.itemsize
+                assert narrowest(array) is array
+                if array.dtype != np.uint8:
+                    smaller = np.dtype(f"u{array.dtype.itemsize // 2}")
+                    assert array.max() > np.iinfo(smaller).max
 
 
 class TestOneDigest:
