@@ -49,10 +49,25 @@ _EXPORTS = {
 __all__ = [*_EXPORTS, "__version__"]
 
 
-def __getattr__(name):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+def lazy_exports(namespace, exports):
+    """A module ``__getattr__`` (PEP 562) for a package's public names.
+
+    ``exports`` maps each name to its defining module; the first access
+    imports that module and caches the value in ``namespace`` (the
+    package's ``globals()``), so later accesses never reach here.
+    """
+
+    def __getattr__(name):
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

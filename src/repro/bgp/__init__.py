@@ -11,18 +11,24 @@ We generate equivalent update streams: per-prefix background churn, severe
 instability events (most neighbors withdrawing, the Figure 5 pattern),
 localized events (two heavily-used neighbors withdrawing, the Figure 7
 pattern), and collector resets that the cleaning procedure must remove.
+
+Each public name below loads its defining module on first access, so
+generating ground truth never compiles the cleaning procedure.
 """
 
-from repro.bgp.messages import BGPUpdate, UpdateArchive, UpdateKind
-from repro.bgp.routeviews import CollectorFleet, PeeringSession
-from repro.bgp.cleaning import CleanedHourlyStats, clean_hourly_stats
+from repro import lazy_exports
 
-__all__ = [
-    "BGPUpdate",
-    "UpdateArchive",
-    "UpdateKind",
-    "CollectorFleet",
-    "PeeringSession",
-    "CleanedHourlyStats",
-    "clean_hourly_stats",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "BGPUpdate": "repro.bgp.messages",
+    "UpdateArchive": "repro.bgp.messages",
+    "UpdateKind": "repro.bgp.messages",
+    "CollectorFleet": "repro.bgp.routeviews",
+    "PeeringSession": "repro.bgp.routeviews",
+    "CleanedHourlyStats": "repro.bgp.cleaning",
+    "clean_hourly_stats": "repro.bgp.cleaning",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

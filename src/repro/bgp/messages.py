@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.net.addressing import Prefix
 
@@ -26,23 +26,38 @@ class UpdateKind(enum.Enum):
     WITHDRAW = "withdraw"
 
 
-@dataclass(frozen=True)
-class BGPUpdate:
-    """One BGP update as recorded by a collector."""
-
+class _UpdateFields(NamedTuple):
     timestamp: float
     session_id: int
     prefix: Prefix
     kind: UpdateKind
     as_path: Tuple[int, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
+
+class BGPUpdate(_UpdateFields):
+    """One BGP update as recorded by a collector.
+
+    A named tuple: immutable, equal and hashing equal by value, and
+    cheap to build -- a 48-hour ground truth makes ~19,000 of them.  An
+    announcement may carry an empty ``as_path`` (synthetic reset
+    re-announcements); a negative timestamp is refused.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        timestamp: float,
+        session_id: int,
+        prefix: Prefix,
+        kind: UpdateKind,
+        as_path: Tuple[int, ...] = (),
+    ) -> "BGPUpdate":
+        if timestamp < 0:
             raise ValueError("negative timestamp")
-        if self.kind is UpdateKind.ANNOUNCE and not self.as_path:
-            # Announcements always carry a path in real MRT data; we allow
-            # an empty one only for synthetic reset re-announcements.
-            pass
+        return tuple.__new__(
+            cls, (timestamp, session_id, prefix, kind, as_path)
+        )
 
 
 @dataclass

@@ -127,11 +127,12 @@ class CollectorFleet:
             raise ValueError("attachment weights must have a positive, "
                              "finite total")
         hi = len(asns) - 1
+        updates = []
         for session in sessions:
             transit = asns[bisect(cum, self._rng.random() * total, 0, hi)]
             transits[session.session_id] = transit
             routes[session.session_id] = True
-            self.archive.add(
+            updates.append(
                 BGPUpdate(
                     timestamp=timestamp,
                     session_id=session.session_id,
@@ -140,6 +141,7 @@ class CollectorFleet:
                     as_path=(session.peer_asn, transit),
                 )
             )
+        self.archive.extend(updates)
 
     def tracked_prefixes(self) -> Set[Prefix]:
         """All prefixes ever seeded."""

@@ -39,6 +39,7 @@ Observability flags (global, also accepted after any subcommand):
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import sys
 from typing import List, Optional
@@ -140,6 +141,32 @@ def _add_run_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand parser; ``configure`` names the module whose
+    ``configure_parser`` adds its options, on first parse or help.
+
+    Every command builds the whole parser, so only the dispatched
+    command (or the one whose help is printed) imports its CLI module.
+    """
+
+    def __init__(self, *args, configure: Optional[str] = None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._configure = configure
+
+    def _configured(self) -> None:
+        if self._configure is not None:
+            module, self._configure = self._configure, None
+            importlib.import_module(module).configure_parser(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._configured()
+        return super().parse_known_args(args, namespace)
+
+    def format_help(self) -> str:
+        self._configured()
+        return super().format_help()
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -151,7 +178,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_options(parser, suppress=False)
     common = argparse.ArgumentParser(add_help=False)
     _add_run_options(common, suppress=True)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
 
     simulate = sub.add_parser(
         "simulate", help="run the simulation", parents=[common]
@@ -202,51 +231,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "like tail -f); Ctrl-C to stop",
     )
 
-    from repro.lint.cli import configure_parser as configure_lint_parser
-
-    lint_cmd = sub.add_parser(
-        "lint",
+    sub.add_parser(
+        "lint", configure="repro.lint.cli",
         help="run the determinism & safety linter over the source tree",
     )
-    configure_lint_parser(lint_cmd)
-
-    from repro.obs.runstore.cli import configure_parser as configure_runs_parser
-
-    runs_cmd = sub.add_parser(
-        "runs",
+    sub.add_parser(
+        "runs", configure="repro.obs.runstore.cli",
         help="render, diff, and regression-gate the recorded run registry",
     )
-    configure_runs_parser(runs_cmd)
-
-    from repro.obs.online.cli import configure_parser as configure_detect_parser
-
-    detect_cmd = sub.add_parser(
-        "detect",
+    sub.add_parser(
+        "detect", configure="repro.obs.online.cli",
         help="score a recorded run's online detection against the batch "
         "analysis (precision/recall, blame agreement, detection latency)",
     )
-    configure_detect_parser(detect_cmd)
-
-    from repro.obs.horizon.cli import configure_parser as configure_slo_parser
-
-    slo_cmd = sub.add_parser(
-        "slo",
+    sub.add_parser(
+        "slo", configure="repro.obs.horizon.cli",
         help="availability / error-budget / burn-rate table for a "
         "recorded serve run (rebuilt from its durable chunk store)",
     )
-    configure_slo_parser(slo_cmd)
-
-    from repro.serve.cli import configure_parser as configure_serve_parser
-
-    serve_cmd = sub.add_parser(
-        "serve",
+    sub.add_parser(
+        "serve", configure="repro.serve.cli",
         help="run the continuous simulation daemon: sim-time chunks with "
         "incremental dataset commits, online detection, and the live "
         "HTTP API (/healthz /status /metrics /alerts /episodes /blame "
         "/runs); SIGTERM stops it gracefully, --resume continues",
         parents=[common],
     )
-    configure_serve_parser(serve_cmd)
     return parser
 
 

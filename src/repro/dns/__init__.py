@@ -13,17 +13,25 @@ implements:
   (LDNS timeout / non-LDNS timeout / error response).
 * :mod:`repro.dns.iterative` -- dig-style iterative traversal from the
   root, used for post-hoc failure localization.
+
+Each public name below loads its defining module on first access, so
+importing one submodule (the world needs only
+:func:`repro.dns.message.normalize_name`) compiles no other.
 """
 
-from repro.dns.message import DNSQuery, DNSResponse, RCode, RecordType
-from repro.dns.resolver import ResolutionOutcome, ResolutionStatus, StubResolver
+from repro import lazy_exports
 
-__all__ = [
-    "DNSQuery",
-    "DNSResponse",
-    "RCode",
-    "RecordType",
-    "StubResolver",
-    "ResolutionOutcome",
-    "ResolutionStatus",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "DNSQuery": "repro.dns.message",
+    "DNSResponse": "repro.dns.message",
+    "RCode": "repro.dns.message",
+    "RecordType": "repro.dns.message",
+    "StubResolver": "repro.dns.resolver",
+    "ResolutionOutcome": "repro.dns.resolver",
+    "ResolutionStatus": "repro.dns.resolver",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

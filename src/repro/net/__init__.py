@@ -10,19 +10,24 @@ HTTP, and BGP substrates:
 * :mod:`repro.net.loss` -- Bernoulli and Gilbert-Elliott (bursty) loss models.
 * :mod:`repro.net.topology` -- a coarse AS-level path model used to couple
   BGP reachability with end-to-end connectivity.
+
+Each public name below loads its defining module on first access, so
+importing :mod:`repro.net.addressing` compiles no other submodule.
 """
 
-from repro.net.addressing import IPv4Address, Prefix
-from repro.net.latency import LatencyModel
-from repro.net.loss import BernoulliLossModel, GilbertElliottLossModel
-from repro.net.packet import Packet, PacketDirection
+from repro import lazy_exports
 
-__all__ = [
-    "IPv4Address",
-    "Prefix",
-    "LatencyModel",
-    "BernoulliLossModel",
-    "GilbertElliottLossModel",
-    "Packet",
-    "PacketDirection",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "IPv4Address": "repro.net.addressing",
+    "Prefix": "repro.net.addressing",
+    "LatencyModel": "repro.net.latency",
+    "BernoulliLossModel": "repro.net.loss",
+    "GilbertElliottLossModel": "repro.net.loss",
+    "Packet": "repro.net.packet",
+    "PacketDirection": "repro.net.packet",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -21,9 +21,11 @@ point-in-time record.
 Everything is off-by-default-cheap: the default tracer is disabled (spans
 are shared no-ops) and a :class:`NullRegistry` can be installed to make
 metric calls no-ops too, so instrumentation can stay inline in hot paths.
+The two exporters load on first use: only a run that exports its
+metrics compiles :mod:`repro.obs.exporters`.
 """
 
-from repro.obs.exporters import summary_table, to_prometheus_text
+from repro import lazy_exports
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -85,3 +87,8 @@ __all__ = [
     "summary_table",
     "to_prometheus_text",
 ]
+
+__getattr__ = lazy_exports(globals(), {
+    "summary_table": "repro.obs.exporters",
+    "to_prometheus_text": "repro.obs.exporters",
+})

@@ -48,12 +48,15 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple,
+)
 from urllib.parse import parse_qsl
 
 from repro.obs import runtime
-from repro.obs.exporters import to_prometheus_text
-from repro.obs.live.aggregate import LiveAggregator
+
+if TYPE_CHECKING:
+    from repro.obs.live.aggregate import LiveAggregator
 
 DEFAULT_HOST = "127.0.0.1"
 
@@ -133,6 +136,8 @@ class MetricsServer:
 
     def render_metrics(self) -> str:
         """The full exposition body: process registry + live gauges."""
+        from repro.obs.exporters import to_prometheus_text
+
         body = to_prometheus_text(self._registry_provider())
         if self.aggregator is not None:
             body += to_prometheus_text(

@@ -45,11 +45,6 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-try:
-    import tomllib
-except ImportError:  # Python 3.10: JSON rule files only.
-    tomllib = None
-
 EPISODE_OPENED = "episode-opened"
 BLAME_VERDICT = "blame-verdict"
 FAILURE_RATE_BURN = "failure-rate-burn"
@@ -193,11 +188,13 @@ def rules_from_dicts(entries: Sequence[Dict[str, Any]]) -> List[AlertRule]:
 def load_rules(path: str) -> List[AlertRule]:
     """Load an alert-rule file (TOML by suffix, JSON otherwise)."""
     if path.endswith(".toml"):
-        if tomllib is None:
+        try:
+            import tomllib
+        except ImportError:  # Python 3.10: JSON rule files only.
             raise RuleError(
                 f"{path}: TOML rule files need Python 3.11+ (tomllib); "
                 "use a JSON rule file instead"
-            )
+            ) from None
         with open(path, "rb") as fh:
             try:
                 document = tomllib.load(fh)

@@ -31,16 +31,18 @@ import shutil
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.runstore.evidence import EvidenceBundle
 from repro.obs.runstore.manifest import (
     ManifestError,
     RunManifest,
     canonical_json,
     manifest_from_dict,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.runstore.evidence import EvidenceBundle
 
 #: Default registry root, relative to the working directory.
 DEFAULT_RUNS_DIR = "runs"
@@ -216,6 +218,8 @@ class RunStore:
             document = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise RunStoreError(f"cannot read {path}: {exc}")
+        from repro.obs.runstore.evidence import EvidenceBundle
+
         return EvidenceBundle.from_dict(document)
 
     def list_manifests(self) -> List[RunManifest]:

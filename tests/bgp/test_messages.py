@@ -101,3 +101,33 @@ class TestGlobalStats:
         stats = archive.global_stats()
         assert stats[0].unique_prefixes_announced == 0
         assert stats[0].total_updates == 1
+
+
+class TestUpdateRecord:
+    def test_equal_records_compare_and_hash_equal(self):
+        a = BGPUpdate(5.0, 1, P1, UpdateKind.ANNOUNCE, (7, 9))
+        b = BGPUpdate(
+            timestamp=5.0, session_id=1, prefix=P1,
+            kind=UpdateKind.ANNOUNCE, as_path=(7, 9),
+        )
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != BGPUpdate(5.0, 2, P1, UpdateKind.ANNOUNCE, (7, 9))
+
+    def test_fields_and_default_path(self):
+        u = update(3.0, 4, kind=UpdateKind.WITHDRAW)
+        assert (u.timestamp, u.session_id, u.prefix, u.kind, u.as_path) == (
+            3.0, 4, P1, UpdateKind.WITHDRAW, ()
+        )
+
+    def test_immutable(self):
+        u = update(1.0, 1)
+        with pytest.raises(AttributeError):
+            u.timestamp = 2.0
+        with pytest.raises(AttributeError):
+            u.note = "extra"
+
+    def test_negative_timestamp_refused_in_any_form(self):
+        with pytest.raises(ValueError, match="negative timestamp"):
+            BGPUpdate(-0.5, 1, P1, UpdateKind.ANNOUNCE)
+        assert update(0.0, 1).timestamp == 0.0

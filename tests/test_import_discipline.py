@@ -12,7 +12,11 @@ itself has long since imported everything.  The rules pinned here:
 * the read-only ``repro runs`` verbs read manifests without numpy;
 * ``report`` and ``simulate --detect`` never load ``numpy.ma`` (numpy's
   median and percentile do, on first call);
-* the top-level ``repro`` package loads its public names on first use.
+* the top-level ``repro`` package loads its public names on first use;
+* each of ``serve``, ``simulate --detect`` and ``report`` stays inside a
+  module budget: no linter, no other subcommand's CLI module, none of
+  the packet-level DNS/net substrate and no ``tomllib`` -- with bytecode
+  writing off, every module a command loads is compiled on every run.
 """
 
 from __future__ import annotations
@@ -224,6 +228,61 @@ def test_linter_and_obs_never_load_numpy():
         _LINT_RUN, os.path.join(ROOT, "src", "repro", "obs", "runtime.py")
     )
     assert report == {"code": 0, "numpy": False}
+
+
+_COMMAND_MODULES = """
+import io, json, sys, contextlib
+from repro import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}))
+"""
+
+#: Modules no simulating command loads: the packet-level substrate the
+#: vectorised engine never runs, and the TOML parser only a rule file
+#: needs.
+_NEVER_LOADED = {
+    "repro.dns.resolver", "repro.dns.server", "repro.dns.cache",
+    "repro.net.packet", "repro.net.loss", "repro.net.latency", "tomllib",
+}
+
+#: Every subcommand module the parser can configure.
+_COMMAND_CLIS = {
+    "repro.lint.cli", "repro.obs.runstore.cli", "repro.obs.online.cli",
+    "repro.obs.horizon.cli", "repro.serve.cli",
+}
+
+
+def _command_modules(argv):
+    report = _run_script(_COMMAND_MODULES, *argv)
+    assert report["code"] == 0, argv
+    return set(report["loaded"])
+
+
+def _assert_budget(loaded, own_cli=None):
+    assert not {m for m in loaded if m.startswith("repro.lint")}
+    assert loaded & _COMMAND_CLIS == ({own_cli} if own_cli else set())
+    assert not loaded & _NEVER_LOADED
+
+
+def test_serve_loads_only_its_own_modules(tmp_path):
+    loaded = _command_modules([
+        "--runs-dir", str(tmp_path), "--hours", "4", "--per-hour", "1",
+        "serve", "--chunk-hours", "2", "--retain-hours", "2",
+        "--fault", "server:berkeley.edu:1-3:0.8",
+    ])
+    _assert_budget(loaded, own_cli="repro.serve.cli")
+    # A serve run never collects attribution evidence.
+    assert "repro.obs.runstore.evidence" not in loaded
+
+
+def test_detect_and_report_load_only_their_own_modules(tmp_path):
+    base = ["--runs-dir", str(tmp_path), "--hours", "4", "--per-hour", "1"]
+    for argv in (
+        base + ["simulate", "--workers", "1", "--detect"],
+        base + ["report", "--workers", "1"],
+    ):
+        _assert_budget(_command_modules(argv))
 
 
 def test_top_level_names_resolve_on_first_use():
